@@ -1,5 +1,5 @@
-"""Union-Find surface-code decoder, hardware pipeline model, decoder-block
-simulator and syndrome compression codecs."""
+"""Union-Find surface-code decoder and a read-count model of its three-stage
+hardware pipeline."""
 
 __version__ = "0.1.0"
 

@@ -66,6 +66,12 @@ class DecodingGraph:
     adj_verts: np.ndarray  # (n_internal, 6) far endpoints, -1 where absent
     left_edges: np.ndarray   # edge ids incident to LEFT, ascending
     right_edges: np.ndarray  # edge ids incident to RIGHT, ascending
+    # per-vertex ((edge, far), ...) in the order `neighbors` documents, for
+    # every vertex including LEFT and RIGHT; the decoder's inner loops read
+    # these and the edge endpoints as Python objects, not numpy scalars
+    adjacency: tuple = field(repr=False)
+    eu: list[int] = field(repr=False)  # edges_u as a list
+    ev: list[int] = field(repr=False)  # edges_v as a list
     n_space_edges: int = 0
     n_time_edges: int = 0
     _row_stride: int = field(default=0, repr=False)
@@ -73,13 +79,6 @@ class DecodingGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
-
-    @property
-    def n_boundary_edges(self) -> int:
-        return len(self.left_edges) + len(self.right_edges)
-
-    def is_virtual(self, v: int) -> bool:
-        return v >= self.n_internal
 
     def vertex_id(self, layer: int, row: int, col: int) -> int:
         d = self.d
@@ -103,30 +102,7 @@ class DecodingGraph:
         """
         if v < 0 or v >= self.n_internal + 2:
             raise IndexError(f"vertex {v} out of range")
-        if v == self.left:
-            return [(int(e), int(self.edges_u[e])) for e in self.left_edges]
-        if v == self.right:
-            return [(int(e), int(self.edges_u[e])) for e in self.right_edges]
-        out = []
-        for k in range(6):
-            e = self.adj_edges[v, k]
-            if e >= 0:
-                out.append((int(e), int(self.adj_verts[v, k])))
-        return out
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        return int(self.edges_u[e]), int(self.edges_v[e])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n_internal_vertices": self.n_internal,
-            "virtual_vertices": {"LEFT": self.left, "RIGHT": self.right},
-            "edges": [
-                [int(u), int(v), "space" if k == SPACE else "time"]
-                for u, v, k in zip(self.edges_u, self.edges_v, self.edge_kind)
-            ],
-        }
+        return list(self.adjacency[v])
 
 
 def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
@@ -210,6 +186,12 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
 
     left_edges = np.flatnonzero(edges_v == left).astype(np.int32)
     right_edges = np.flatnonzero(edges_v == right).astype(np.int32)
+    adjacency = tuple(
+        tuple((e, w) for e, w in zip(es, ws) if e >= 0)
+        for es, ws in zip(adj_edges.tolist(), adj_verts.tolist())
+    ) + tuple(
+        tuple((e, eu[e]) for e in side.tolist()) for side in (left_edges, right_edges)
+    )
 
     g = DecodingGraph(
         d=d,
@@ -223,6 +205,9 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adj_verts=adj_verts,
         left_edges=left_edges,
         right_edges=right_edges,
+        adjacency=adjacency,
+        eu=eu,
+        ev=ev,
         n_space_edges=int(np.sum(edge_kind == SPACE)),
         n_time_edges=int(np.sum(edge_kind == TIME)),
         _row_stride=cols,

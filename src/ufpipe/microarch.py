@@ -1,15 +1,18 @@
 """Hardware model of the three-stage decoding pipeline.
 
-Runs the exact growth, traversal and peeling policies of `uf_core`
-through explicit hardware state: the spanning tree memory (STM), the
-zero data register (ZDR), root/size tables with capped path compression,
-parity registers, the fusion edge stack and the dual edge stacks. Memory
-reads are counted per stage; writes are read-modify-write with the
-writeback off the critical path, so only reads are billed.
+The pipeline (Gr-Gen, then the DFS engine, then the Corr engine) runs the
+Union-Find algorithm of `uf_core`; only the memory it reads differs. So
+each stage runs the `uf_core` engine and counts the reads the hardware
+would make, from the state the engine leaves behind. The spanning tree
+memory (STM) is `ClusterSet.edge_state` plus the defect bits; the root
+and size tables are `ClusterSet.parent` and `ClusterSet.size`; the fusion
+edge stack (FES) is each growth pass's `fes`; the zero data register (ZDR)
+flags the STM rows that hold any nonzero entry. Corrections, statistics
+and cluster partitions equal the engine's by construction.
 
 Also evaluates the closed-form memory-cost table, the per-stage read
-estimates used by the block simulator, and the matching-decoder memory
-lower bound used for comparison sweeps.
+estimates and the matching-decoder memory lower bound used for
+comparison sweeps.
 """
 
 from __future__ import annotations
@@ -17,33 +20,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .lattice import DecodingGraph
 from .noise import Syndrome
 from .uf_core import (
-    FIND_COMPRESSION_CAP,
-    LEFT_SIDE,
-    RIGHT_SIDE,
+    ClusterSet,
     Correction,
     DecodeStats,
-    InvariantViolation,
-    _adjacency,
+    SpanningForest,
+    cluster_stats,
+    peel,
+    spanning_forest,
 )
-
-PAULI_I, PAULI_X, PAULI_Z, PAULI_Y = 0, 1, 2, 3
-_PAULI_NAMES = {"I": PAULI_I, "X": PAULI_X, "Z": PAULI_Z, "Y": PAULI_Y}
-_PAULI_CODES = {v: k for k, v in _PAULI_NAMES.items()}
-
-
-def compose_pauli(a: str, b: str) -> str:
-    """Pauli product modulo phase; codes form the Klein group under XOR."""
-    return _PAULI_CODES[_PAULI_NAMES[a] ^ _PAULI_NAMES[b]]
 
 
 @dataclass
 class AccessTrace:
-    """Read counts per pipeline stage plus a breakdown of the Gr-Gen reads."""
+    """Memory reads of one decode, per pipeline stage.
+
+    Writes are read-modify-write with the writeback off the critical path,
+    so only reads are billed. Every count is defined by the engine state:
+
+    - `parity_scans`: passes + 1. Each growth pass starts with a scan of the
+      parity registers for odd, unfrozen roots; the last scan finds none.
+    - `stm_row_reads`: summed over passes, the STM rows the ZDR flags as
+      nonzero at the start of the pass. A row is nonzero once it holds a
+      member vertex, or once it is the filing row (the row of `edges_u`) of
+      an edge with nonzero growth state.
+    - `table_reads`: one root lookup per member vertex scanned in a pass,
+      plus the engine's find and union reads during growth
+      (`ClusterSet.table_reads`).
+    - `fes_pops`: fused edges drained from the FES, summed over passes.
+    - `grgen`: the sum of the four counts above.
+    - `dfs`: one STM read per vertex the DFS engine visits, which is the
+      sum of the cluster sizes.
+    - `corr`: one edge-stack pop per tree edge, which is the sum of the
+      tree edges.
+    """
 
     grgen: int = 0
     dfs: int = 0
@@ -58,395 +70,75 @@ class AccessTrace:
         return self.grgen + self.dfs + self.corr
 
 
-class SpanningTreeMemory:
-    """Defect bit per vertex and a 2-state-counter per edge, organised in
-    one row per (layer, row) pair of the lattice."""
-
-    def __init__(self, graph: DecodingGraph):
-        self.graph = graph
-        d = graph.d
-        self.n_rows = d * d
-        self.row_width = d - 1
-        self.vertex_bits = bytearray(graph.n_internal)
-        self.edge_state = bytearray(graph.n_edges)
-        # an edge is filed under the row of its lower internal endpoint
-        self.edge_row = (graph.edges_u // (d - 1)).astype(np.int32).tolist()
-
-    def row_of_vertex(self, v: int) -> int:
-        return v // self.row_width
-
-    def row_all_zero(self, row: int) -> bool:
-        base = row * self.row_width
-        if any(self.vertex_bits[base:base + self.row_width]):
-            return False
-        er = self.edge_row
-        es = self.edge_state
-        return not any(es[e] for e in range(len(er)) if er[e] == row)
-
-
-class ZeroDataRegister:
-    """One nonzero flag per STM row."""
-
-    def __init__(self, n_rows: int):
-        self.flags = bytearray(n_rows)
-
-    def mark(self, row: int) -> None:
-        self.flags[row] = 1
-
-    def nonzero_rows(self) -> list[int]:
-        return [r for r, f in enumerate(self.flags) if f]
-
-
-class HardwareTables:
-    """Root and size tables, parity registers and the fusion edge stack.
-
-    `find` mirrors the tree-traversal register file: at most five visited
-    vertices are repointed to the root per lookup.
-    """
-
-    def __init__(self, graph: DecodingGraph, trace: AccessTrace):
-        n = graph.n_internal
-        self.root_table = list(range(n))
-        self.size_table = [0] * n
-        self.parity = bytearray(n)
-        self.boundary_sides = bytearray(n)
-        self.growth_steps = [0] * n
-        self.fusion_edge_stack: list[int] = []
-        self.trace = trace
-
-    def find(self, v: int) -> int:
-        table = self.root_table
-        path = []
-        r = v
-        while True:
-            p = table[r]
-            self.trace.table_reads += 1
-            if p == r:
-                break
-            path.append(r)
-            r = p
-        for x in path[-FIND_COMPRESSION_CAP:]:
-            table[x] = r
-        return r
-
-    def union(self, ru: int, rv: int) -> int:
-        """Merge two roots (already canonical); same policy as the oracle."""
-        self.trace.table_reads += 2  # size table lookups
-        su, sv = self.size_table[ru], self.size_table[rv]
-        if sv > su or (sv == su and rv < ru):
-            ru, rv = rv, ru
-        self.root_table[rv] = ru
-        self.size_table[ru] += self.size_table[rv]
-        self.parity[ru] ^= self.parity[rv]
-        self.boundary_sides[ru] |= self.boundary_sides[rv]
-        if self.growth_steps[rv] > self.growth_steps[ru]:
-            self.growth_steps[ru] = self.growth_steps[rv]
-        return ru
-
-
-class EdgeStacks:
-    """Dual edge stacks shared by the DFS and Corr engines.
-
-    Entries are (edge, leafward vertex, leafward defect bit). A cluster
-    whose tree exceeds the capacity of both stacks is a stack-overflow
-    failure event.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
-        self.stacks: list[list[tuple[int, int, int]]] = [[], []]
-        self.active = 0
-        self.overflow_events = 0
-
-    def begin_cluster(self) -> list[tuple[int, int, int]]:
-        stack = self.stacks[self.active]
-        self.active ^= 1
-        stack.clear()
-        return stack
-
-
-class PauliErrorLog:
-    """Pending Pauli per edge, carried across logical cycles."""
-
-    def __init__(self, n_edges: int):
-        self.codes = bytearray(n_edges)
-
-    def get(self, e: int) -> str:
-        return _PAULI_CODES[self.codes[e]]
-
-    def apply(self, e: int, pauli: str) -> str:
-        self.codes[e] ^= _PAULI_NAMES[pauli]
-        return _PAULI_CODES[self.codes[e]]
-
-
 @dataclass
 class PipelineState:
-    """All per-decode hardware state plus its access trace."""
+    """Engine state of one decode plus its access trace.
 
-    graph: DecodingGraph
-    stm: SpanningTreeMemory
-    zdr: ZeroDataRegister
-    tables: HardwareTables
-    stacks: EdgeStacks
-    trace: AccessTrace
-    member: bytearray
-    members_touched: list[int] = field(default_factory=list)
-    roots: set[int] = field(default_factory=set)
-    passes: int = 0
+    A spanning tree with more than `stack_capacity` edges overflows the
+    edge stack that holds it; each such tree is one overflow event.
+    """
+
+    cs: ClusterSet
+    stack_capacity: int | None = None
+    trace: AccessTrace = field(default_factory=AccessTrace)
+    overflow_events: int = 0
 
     def cluster_signature(self) -> frozenset:
-        groups: dict[int, list[int]] = {}
-        for v in self.members_touched:
-            groups.setdefault(self.tables.find(v), []).append(v)
-        t = self.tables
-        return frozenset(
-            (tuple(sorted(ms)), t.size_table[r], t.parity[r],
-             t.boundary_sides[r], t.growth_steps[r])
-            for r, ms in groups.items()
-        )
-
-    def sorted_roots(self) -> list[tuple[int, int]]:
-        """(smallest member vertex, root) pairs in scan order."""
-        mins: dict[int, int] = {}
-        for v in sorted(self.members_touched):
-            r = self.tables.find(v)
-            mins.setdefault(r, v)
-        return sorted((mv, r) for r, mv in mins.items())
+        return self.cs.signature()
 
 
 def new_pipeline_state(graph: DecodingGraph, stack_capacity: int | None = None) -> PipelineState:
-    trace = AccessTrace()
-    return PipelineState(
-        graph=graph,
-        stm=SpanningTreeMemory(graph),
-        zdr=ZeroDataRegister(graph.d * graph.d),
-        tables=HardwareTables(graph, trace),
-        stacks=EdgeStacks(stack_capacity),
-        trace=trace,
-        member=bytearray(graph.n_internal),
-    )
+    return PipelineState(ClusterSet(graph), stack_capacity)
 
 
-def run_grgen(
-    graph: DecodingGraph,
-    syn: Syndrome,
-    state: PipelineState | None = None,
-    validate_zdr: bool = False,
-) -> tuple[PipelineState, AccessTrace, HardwareTables]:
-    """Grow clusters through the STM, counting row, table and FES reads.
-
-    The resulting partition and per-cluster attributes match
-    `uf_core.grow_clusters` exactly; only the access trace is extra.
-    """
-    if state is None:
-        state = new_pipeline_state(graph)
-    stm, zdr, tables, trace = state.stm, state.zdr, state.tables, state.trace
-    member = state.member
-    adj = _adjacency(graph)
-    eu = graph.edges_u.tolist()
-    ev = graph.edges_v.tolist()
-    n_int = graph.n_internal
-    left = graph.left
-    edge_row = stm.edge_row
-    width = stm.row_width
-
-    for v in syn.defects:
-        v = int(v)
-        stm.vertex_bits[v] = 1
-        zdr.mark(v // width)
-        tables.size_table[v] = 1
-        tables.parity[v] = 1
-        member[v] = 1
-        state.members_touched.append(v)
-        state.roots.add(v)
-
-    parity, bnd = tables.parity, tables.boundary_sides
-    estate = stm.edge_state
-    while True:
-        trace.parity_scans += 1
-        grow_roots = {r for r in state.roots if parity[r] and not bnd[r]}
-        if not grow_roots:
-            break
-        state.passes += 1
-        for r in grow_roots:
-            tables.growth_steps[r] += 1
-        fes = tables.fusion_edge_stack
-        for row in zdr.nonzero_rows():
-            trace.stm_row_reads += 1
-            base = row * width
-            for v in range(base, base + width):
-                if not member[v]:
-                    continue
-                if tables.find(v) not in grow_roots:
-                    continue
-                for e, _w in adj[v]:
-                    s = estate[e]
-                    if s >= 2:
-                        continue
-                    if s == 0:
-                        estate[e] = 1
-                        zdr.mark(edge_row[e])
-                    else:
-                        estate[e] = 2
-                        fes.append(e)
-        while fes:
-            e = fes.pop()
-            trace.fes_pops += 1
-            u, w = eu[e], ev[e]
-            if w >= n_int:
-                bnd[tables.find(u)] |= LEFT_SIDE if w == left else RIGHT_SIDE
-                continue
-            for x in (u, w):
-                if not member[x]:
-                    member[x] = 1
-                    tables.size_table[x] = 1
-                    state.members_touched.append(x)
-                    state.roots.add(x)
-            ru, rw = tables.find(u), tables.find(w)
-            if ru != rw:
-                winner = tables.union(ru, rw)
-                loser = rw if winner == ru else ru
-                state.roots.discard(loser)
-        if validate_zdr:
-            for row in range(stm.n_rows):
-                if bool(zdr.flags[row]) == stm.row_all_zero(row):
-                    raise InvariantViolation(f"ZDR flag inconsistent for row {row}")
-
-    trace.grgen = trace.parity_scans + trace.stm_row_reads + trace.table_reads + trace.fes_pops
-    return state, trace, tables
+def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
+    """Gr-Gen: seed the defects, grow the clusters and count the stage's reads."""
+    cs, t = state.cs, state.trace
+    cs.seed_defects(syn.defects)
+    cs.grow()
+    stm_row, eu = cs.graph.stm_row, cs.graph.eu
+    nonzero_rows: set[int] = set()
+    nv0 = ne0 = 0
+    for nv, ne, n_fused in cs.pass_log:
+        nonzero_rows.update(map(stm_row, cs.touched_v[nv0:nv]))
+        nonzero_rows.update(stm_row(eu[e]) for e in cs.touched_e[ne0:ne])
+        nv0, ne0 = nv, ne
+        t.stm_row_reads += len(nonzero_rows)
+        t.table_reads += nv
+        t.fes_pops += n_fused
+    t.parity_scans = cs.passes + 1
+    t.table_reads += cs.table_reads
+    t.grgen = t.parity_scans + t.stm_row_reads + t.table_reads + t.fes_pops
+    return t
 
 
-def run_dfs(
-    graph: DecodingGraph, state: PipelineState
-) -> tuple[list[list[tuple[int, int, int]]], AccessTrace]:
-    """Build each cluster's spanning tree onto the edge stacks.
-
-    Scans STM rows through the ZDR, seeds each cluster at its smallest
-    member vertex (or at the virtual boundary vertex for frozen
-    clusters), and pushes (edge, leafward vertex, defect bit) so the
-    correction engine never re-reads the STM. Reads are one per visited
-    vertex. Returns the per-cluster stack contents in scan order.
-    """
-    stm, tables, trace = state.stm, state.tables, state.trace
-    adj = _adjacency(graph)
-    estate = stm.edge_state
-    n_int = graph.n_internal
-    cluster_stacks: list[list[tuple[int, int, int]]] = []
-    visited: set[int] = set()
-
-    def descend(v0: int, stack: list) -> None:
-        frames = [(v0, 0)]
-        while frames:
-            x, k = frames[-1]
-            pairs = adj[x]
-            if k == len(pairs):
-                frames.pop()
-                continue
-            frames[-1] = (x, k + 1)
-            e, w = pairs[k]
-            if estate[e] != 2 or w >= n_int or w in visited:
-                continue
-            visited.add(w)
-            trace.dfs += 1
-            stack.append((e, w, stm.vertex_bits[w]))
-            frames.append((w, 0))
-
-    for row in state.zdr.nonzero_rows():
-        base = row * stm.row_width
-        for v in range(base, base + stm.row_width):
-            if not state.member[v] or v in visited:
-                continue
-            root = tables.find(v)
-            if tables.parity[root] and not tables.boundary_sides[root]:
-                raise InvariantViolation(f"cluster at root {root} is odd and not frozen")
-            stack = state.stacks.begin_cluster()
-            sides = tables.boundary_sides[root]
-            if sides:
-                virt = graph.left if sides & LEFT_SIDE else graph.right
-                entries = graph.left_edges if virt == graph.left else graph.right_edges
-                for e in entries:
-                    e = int(e)
-                    if estate[e] != 2:
-                        continue
-                    u = int(graph.edges_u[e])
-                    if u in visited or not state.member[u] or tables.find(u) != root:
-                        continue
-                    visited.add(u)
-                    trace.dfs += 1
-                    stack.append((e, u, stm.vertex_bits[u]))
-                    descend(u, stack)
-            else:
-                visited.add(v)
-                trace.dfs += 1
-                descend(v, stack)
-            cap = state.stacks.capacity
-            if cap is not None and len(stack) > cap:
-                state.stacks.overflow_events += 1
-            cluster_stacks.append(stack)
-    return cluster_stacks, trace
+def run_dfs(state: PipelineState) -> SpanningForest:
+    """DFS engine: one spanning tree per cluster, whose edge list is that
+    cluster's edge stack."""
+    forest = spanning_forest(state.cs.graph, state.cs)
+    cap = state.stack_capacity
+    for tree in forest.trees:
+        state.trace.dfs += tree.n_vertices
+        if cap is not None and len(tree.edges) > cap:
+            state.overflow_events += 1
+    return forest
 
 
-def run_corr(
-    cluster_stacks: list[list[tuple[int, int, int]]],
-    error_log: PauliErrorLog,
-    state: PipelineState,
-    pauli: str = "Z",
-) -> tuple[Correction, AccessTrace]:
-    """Peel each stack in pop order using syndrome-hold registers.
-
-    The defect bit travels on the stack, so the STM is never re-read.
-    Every corrected edge's Pauli is composed into the last-cycle error
-    log (Z then Z gives I, X then Z gives Y).
-    """
-    trace = state.trace
-    eu = state.graph.edges_u.tolist()
-    ev = state.graph.edges_v.tolist()
-    n_int = state.graph.n_internal
-    corr: list[int] = []
-    for stack in cluster_stacks:
-        hold: dict[int, int] = {}
-        for e, child, bit in reversed(stack):
-            trace.corr += 1
-            if bit ^ hold.pop(child, 0):
-                corr.append(e)
-                error_log.apply(e, pauli)
-                other = ev[e] if eu[e] == child else eu[e]
-                if other < n_int:
-                    hold[other] = hold.get(other, 0) ^ 1
-        # leftover flips may only sit on the traversal root, where they must
-        # cancel its defect bit (model invariant, not a billed read)
-        for v, residue in hold.items():
-            if residue ^ state.stm.vertex_bits[v]:
-                raise InvariantViolation(f"unpeeled defect at vertex {v}")
-    corr.sort()
-    return Correction(edge_ids=np.asarray(corr, dtype=np.int64)), trace
+def run_corr(state: PipelineState, forest: SpanningForest, syn: Syndrome) -> Correction:
+    """Corr engine: peel every edge stack, one pop per tree edge."""
+    state.trace.corr += sum(len(tree.edges) for tree in forest.trees)
+    return peel(forest, syn)
 
 
 def decode_with_pipeline(
-    graph: DecodingGraph,
-    syn: Syndrome,
-    stack_capacity: int | None = None,
-    error_log: PauliErrorLog | None = None,
-    pauli: str = "Z",
+    graph: DecodingGraph, syn: Syndrome, stack_capacity: int | None = None
 ) -> tuple[Correction, PipelineState, DecodeStats]:
     """Full hardware decode: Gr-Gen, DFS engine, Corr engine in sequence."""
     state = new_pipeline_state(graph, stack_capacity)
-    run_grgen(graph, syn, state)
-    stacks, _ = run_dfs(graph, state)
-    if error_log is None:
-        error_log = PauliErrorLog(graph.n_edges)
-    corr, _ = run_corr(stacks, error_log, state, pauli=pauli)
-    t = state.tables
-    roots = [r for _mv, r in state.sorted_roots()]
-    stats = DecodeStats(
-        m=len(roots),
-        sizes=tuple(t.size_table[r] for r in roots),
-        growth_steps=tuple(t.growth_steps[r] for r in roots),
-        boundary=tuple(bool(t.boundary_sides[r]) for r in roots),
-        tree_edges=tuple(len(s) for s in stacks),
-        passes=state.passes,
-    )
-    return corr, state, stats
+    run_grgen(state, syn)
+    forest = run_dfs(state)
+    corr = run_corr(state, forest, syn)
+    return corr, state, cluster_stats(state.cs, forest)
 
 
 # -- memory cost model -----------------------------------------------------
@@ -470,20 +162,22 @@ class MemoryFootprint:
 
     @property
     def total_bits(self) -> float:
-        return (self.stm_bits + 2 * self.table_bits + self.parity_bits
-                + self.zdr_bits + 2 * self.edge_stack_bits)
+        return sum(bits for _, bits in self.rows())
 
     @property
     def total_bytes(self) -> float:
         return self.total_bits / 8.0
 
     def rows(self) -> list[tuple[str, float]]:
+        """(memory, bits) for every physical memory of the instance."""
         return [
             ("stm", self.stm_bits),
-            ("table", self.table_bits),
+            ("root_table", self.table_bits),
+            ("size_table", self.table_bits),
             ("parity", self.parity_bits),
             ("zdr", self.zdr_bits),
-            ("edge_stack", self.edge_stack_bits),
+            ("edge_stack_0", self.edge_stack_bits),
+            ("edge_stack_1", self.edge_stack_bits),
         ]
 
 

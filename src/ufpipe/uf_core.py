@@ -1,8 +1,9 @@
-"""Reference Union-Find decoder: growth, spanning forest, peeling.
+"""Union-Find decoder: growth, spanning forest, peeling.
 
-All iteration orders are fixed (ascending vertex ids, W/E/N/S/D/U edge
-order, LIFO fusion stack) so this module is a bit-exact oracle for the
-hardware pipeline model in `microarch`.
+The only decoding engine in the package. All iteration orders are fixed
+(ascending vertex ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a
+decode is a deterministic function of the syndrome; the hardware pipeline
+model in `microarch` counts memory reads on top of this engine's state.
 
 Growth policy: every odd, non-boundary cluster grows all of its incident
 half-edges by one increment per pass; edges reaching the fully-grown
@@ -30,45 +31,26 @@ class InvariantViolation(RuntimeError):
     """A decoder-internal invariant was broken (decoder bug)."""
 
 
-def _vertex_adjacency(graph: DecodingGraph) -> list[tuple[tuple[int, int], ...]]:
-    """Per-vertex ((edge, far), ...) tuples in fixed direction order."""
-    out = []
-    for v in range(graph.n_internal):
-        pairs = []
-        for k in range(6):
-            e = graph.adj_edges[v, k]
-            if e >= 0:
-                pairs.append((int(e), int(graph.adj_verts[v, k])))
-        out.append(tuple(pairs))
-    return out
-
-
-_ADJ_CACHE: dict[int, list] = {}
-
-
-def _adjacency(graph: DecodingGraph):
-    key = id(graph)
-    adj = _ADJ_CACHE.get(key)
-    if adj is None:
-        adj = _vertex_adjacency(graph)
-        _ADJ_CACHE[key] = adj
-    return adj
-
-
 class ClusterSet:
     """Union-find partition with per-root size, parity, boundary flag and
     growth count, plus the half-edge growth counters.
 
     State is reusable across decodes: `reset()` restores only the entries
     touched by the previous run.
+
+    Besides the decoding state it keeps, at O(1) cost per find and per
+    pass, what a read-count model needs: `touched_v` (member vertices in the
+    order they joined), `touched_e` (edges with nonzero growth state, in the
+    order they were first touched), `table_reads` (parent-table reads by
+    `find` plus two size-table reads per union of distinct roots) and
+    `pass_log`, one `(len(touched_v), len(touched_e), len(fes))` per growth
+    pass, the first two taken at the start of the pass and the last the
+    size of the pass's fusion edge stack.
     """
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         n = graph.n_internal
-        self._adj = _adjacency(graph)
-        self._eu = graph.edges_u.tolist()
-        self._ev = graph.edges_v.tolist()
         self.parent = list(range(n))
         self.size = [1] * n
         self.parity = bytearray(n)
@@ -80,13 +62,15 @@ class ClusterSet:
         self.min_vertex: dict[int, int] = {}
         self.roots: set[int] = set()
         self.passes = 0
-        self._touched_v: list[int] = []
-        self._touched_e: list[int] = []
+        self.touched_v: list[int] = []
+        self.touched_e: list[int] = []
+        self.table_reads = 0
+        self.pass_log: list[tuple[int, int, int]] = []
 
     def reset(self) -> None:
         parent, size, parity = self.parent, self.size, self.parity
         bnd, gst, mem = self.boundary_sides, self.growth_steps, self.member
-        for v in self._touched_v:
+        for v in self.touched_v:
             parent[v] = v
             size[v] = 1
             parity[v] = 0
@@ -94,14 +78,16 @@ class ClusterSet:
             gst[v] = 0
             mem[v] = 0
         estate = self.edge_state
-        for e in self._touched_e:
+        for e in self.touched_e:
             estate[e] = 0
-        self._touched_v.clear()
-        self._touched_e.clear()
+        self.touched_v.clear()
+        self.touched_e.clear()
         self.members.clear()
         self.min_vertex.clear()
         self.roots.clear()
         self.passes = 0
+        self.table_reads = 0
+        self.pass_log.clear()
 
     # -- core union-find ------------------------------------------------
 
@@ -116,6 +102,7 @@ class ClusterSet:
                 break
             path.append(r)
             r = p
+        self.table_reads += len(path) + 1
         for x in path[-FIND_COMPRESSION_CAP:]:
             parent[x] = r
         return r
@@ -129,6 +116,7 @@ class ClusterSet:
         ru, rv = self.find(u), self.find(v)
         if ru == rv:
             return ru
+        self.table_reads += 2
         su, sv = self.size[ru], self.size[rv]
         if sv > su or (sv == su and rv < ru):
             ru, rv = rv, ru
@@ -177,9 +165,6 @@ class ClusterSet:
             ))
         return frozenset(out)
 
-    def members_of(self, r: int) -> list[int]:
-        return self.members[r]
-
     def sorted_roots(self) -> list[int]:
         """Cluster roots ordered by smallest member vertex id."""
         mv = self.min_vertex
@@ -188,15 +173,31 @@ class ClusterSet:
     # -- growth ----------------------------------------------------------
 
     def seed_defects(self, defects) -> None:
+        """Make every defect a one-vertex odd cluster.
+
+        `defects` must be strictly ascending integer vertex ids in
+        [0, n_internal). Anything else raises ValueError before any state
+        changes: a negative id would make growth loop forever, and a
+        repeated id would silently decode as a single defect.
+        """
+        ids = np.asarray(defects)
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError(
+                f"defect ids must be a 1-D integer sequence, got {ids.dtype} of shape {ids.shape}")
+        vs = ids.tolist()
+        if any(a >= b for a, b in zip(vs, vs[1:])):
+            raise ValueError("defect ids must be strictly ascending")
+        if vs and (vs[0] < 0 or vs[-1] >= self.graph.n_internal):
+            raise ValueError(
+                f"defect ids must lie in [0, {self.graph.n_internal}), got {vs[0]}..{vs[-1]}")
         member, parity = self.member, self.parity
-        for v in defects:
-            v = int(v)
+        for v in vs:
             member[v] = 1
             parity[v] = 1
             self.members[v] = [v]
             self.min_vertex[v] = v
             self.roots.add(v)
-            self._touched_v.append(v)
+            self.touched_v.append(v)
 
     def _ensure_member(self, v: int) -> None:
         if not self.member[v]:
@@ -204,17 +205,15 @@ class ClusterSet:
             self.members[v] = [v]
             self.min_vertex[v] = v
             self.roots.add(v)
-            self._touched_v.append(v)
+            self.touched_v.append(v)
 
     def grow(self) -> None:
         """Run growth passes until every cluster is even or frozen."""
-        adj = self._adj
+        g = self.graph
+        adj, eu, ev, n_int, left = g.adjacency, g.eu, g.ev, g.n_internal, g.left
         estate = self.edge_state
-        eu, ev = self._eu, self._ev
-        n_int = self.graph.n_internal
         parity, bnd = self.parity, self.boundary_sides
-        touched_e = self._touched_e
-        left = self.graph.left
+        touched_v, touched_e = self.touched_v, self.touched_e
         while True:
             grow_roots = [r for r in self.roots if parity[r] and not bnd[r]]
             if not grow_roots:
@@ -227,6 +226,7 @@ class ClusterSet:
             for r in grow_roots:
                 scan.extend(self.members[r])
             scan.sort()
+            n_touched_e = len(touched_e)
             fes = []
             for v in scan:
                 for e, _w in adj[v]:
@@ -239,6 +239,7 @@ class ClusterSet:
                     else:
                         estate[e] = 2
                         fes.append(e)
+            self.pass_log.append((len(touched_v), n_touched_e, len(fes)))
             # fusion edge stack drains last-in first-out
             for i in range(len(fes) - 1, -1, -1):
                 e = fes[i]
@@ -318,7 +319,7 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     point (LEFT preferred when both sides are touched). Half-grown edges
     are ignored.
     """
-    adj = _adjacency(graph)
+    adj = graph.adjacency
     estate = cs.edge_state
     n_int = graph.n_internal
     forest = SpanningForest()
@@ -347,12 +348,9 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
         sides = cs.boundary_sides[root]
         if sides:
             virt = graph.left if sides & LEFT_SIDE else graph.right
-            entry_edges = graph.left_edges if virt == graph.left else graph.right_edges
-            for e in entry_edges:
-                e = int(e)
+            for e, u in adj[virt]:
                 if estate[e] != 2:
                     continue
-                u = int(graph.edges_u[e])
                 if u in visited or not cs.member[u] or cs.find(u) != root:
                     continue
                 visited.add(u)
@@ -419,16 +417,10 @@ class Decoder:
         self.cs.grow()
         return self.cs
 
-    def decode_defects(self, defects) -> tuple[Correction, DecodeStats]:
-        cs = self.grow(defects)
-        forest = spanning_forest(self.graph, cs)
-        corr = peel(forest, Syndrome(defects=np.asarray(defects, dtype=np.int64),
-                                     length=self.graph.n_internal))
-        stats = cluster_stats(cs, forest)
-        return corr, stats
-
     def decode(self, syn: Syndrome) -> tuple[Correction, DecodeStats]:
-        return self.decode_defects(syn.defects)
+        cs = self.grow(syn.defects)
+        forest = spanning_forest(self.graph, cs)
+        return peel(forest, syn), cluster_stats(cs, forest)
 
 
 def cluster_stats(cs: ClusterSet, forest: SpanningForest | None = None) -> DecodeStats:

@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ufpipe.lattice import LatticeParams, build_decoding_graph
+from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, sample_error, syndrome_of
 from ufpipe import uf_core
 from ufpipe.uf_core import (
@@ -27,6 +31,9 @@ def g3():
 @pytest.fixture(scope="module")
 def g5():
     return build_decoding_graph(LatticeParams(5))
+
+
+_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
 
 
 def syn_of(g, defects):
@@ -333,3 +340,58 @@ def test_decode_deterministic(g5):
         c2, s2 = dec.decode(syn)
         assert np.array_equal(c1.edge_ids, c2.edge_ids)
         assert s1 == s2
+
+
+# -- input validation and graph ownership of adjacency --------------------
+
+
+@pytest.mark.parametrize("defects", [
+    [-1, 4],                        # negative id: growth used to loop forever
+    [3, 3],                         # duplicate: used to decode as one defect
+    [4, 3],                         # not ascending
+    np.array([1.0, 2.0]),           # float ids
+    [0, 18],                        # past the last internal vertex of d=3
+    np.array([[1, 2]]),             # not one-dimensional
+])
+def test_decode_rejects_bad_defects(g3, defects):
+    dec = Decoder(g3)
+    good = syn_of(g3, [g3.vertex_id(1, 0, 0), g3.vertex_id(2, 2, 1)])
+    expect = dec.decode(good)
+    with pytest.raises(ValueError):
+        dec.decode(Syndrome(defects=defects, length=g3.n_internal))
+    with pytest.raises(ValueError):
+        grow_clusters(g3, Syndrome(defects=defects, length=g3.n_internal))
+    corr, stats = dec.decode(good)
+    assert np.array_equal(corr.edge_ids, expect[0].edge_ids) and stats == expect[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.sampled_from([3, 5]))
+def test_any_valid_defect_set_is_corrected(data, d):
+    g = _GRAPHS[d]
+    defects = sorted(data.draw(st.sets(st.integers(0, g.n_internal - 1), max_size=12)))
+    syn = syn_of(g, defects)
+    fresh_corr, fresh_stats = Decoder(g).decode(syn)
+    assert np.array_equal(syndrome_indices_of_edges(g, fresh_corr.edge_ids), syn.defects)
+    # a decoder that saw a rejected input decodes like a fresh one
+    used = Decoder(g)
+    used.decode(syn_of(g, [0, g.n_internal - 1]))
+    bad = data.draw(st.sampled_from([[-1] + defects, defects + [g.n_internal], defects * 2]))
+    if bad != defects:  # defects * 2 of an empty set is valid
+        with pytest.raises(ValueError):
+            used.decode(Syndrome(defects=np.asarray(bad, dtype=np.int64), length=g.n_internal))
+    corr, stats = used.decode(syn)
+    assert np.array_equal(corr.edge_ids, fresh_corr.edge_ids) and stats == fresh_stats
+
+
+def test_decoding_survives_freed_graphs():
+    # adjacency belongs to the graph, so a graph built where a freed one
+    # lived never sees the freed graph's adjacency
+    for k in range(40):
+        g = build_decoding_graph(LatticeParams((3, 7, 5)[k % 3]))
+        err = sample_error(g, NoiseParams(p=0.03, seed=k, trial_index=0))
+        syn = syndrome_of(g, err)
+        corr, _ = Decoder(g).decode(syn)
+        assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
+        del g, err, syn, corr
+        gc.collect()
