@@ -72,6 +72,9 @@ class DecodingGraph:
     adjacency: tuple = field(repr=False)
     eu: list[int] = field(repr=False)  # edges_u as a list
     ev: list[int] = field(repr=False)  # edges_v as a list
+    # tuple(range(n_internal)): a ClusterSet copies it as its root table, which
+    # shares these int objects instead of creating one per internal vertex
+    vertex_ids: tuple = field(repr=False)
     n_space_edges: int = 0
     n_time_edges: int = 0
     _row_stride: int = field(default=0, repr=False)
@@ -208,6 +211,7 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adjacency=adjacency,
         eu=eu,
         ev=ev,
+        vertex_ids=tuple(range(n_int)),
         n_space_edges=int(np.sum(edge_kind == SPACE)),
         n_time_edges=int(np.sum(edge_kind == TIME)),
         _row_stride=cols,
@@ -218,14 +222,23 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
 
 
 def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids: np.ndarray) -> np.ndarray:
-    """Internal vertices with odd incidence in the given edge set, ascending."""
+    """Internal vertices with odd incidence in the given edge set, ascending.
+
+    O(k log k) in the number k of edge ids: the endpoints are sorted, the
+    virtual ones (the largest ids) cut off, and a vertex is a defect iff its
+    run of equal ids is odd, so repeated edge ids cancel in pairs.
+    """
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
     if edge_ids.size == 0:
         return np.empty(0, dtype=np.int32)
-    ends = np.concatenate([graph.edges_u[edge_ids], graph.edges_v[edge_ids]])
-    ends = ends[ends < graph.n_internal]
-    counts = np.bincount(ends, minlength=graph.n_internal)
-    return np.flatnonzero(counts & 1).astype(np.int32)
+    ends = np.concatenate((graph.edges_u[edge_ids], graph.edges_v[edge_ids]))
+    ends.sort()
+    ends = ends[: ends.searchsorted(graph.n_internal)]
+    first = np.ones(ends.size + 1, dtype=bool)
+    np.not_equal(ends[1:], ends[:-1], out=first[1:-1])
+    starts = first.nonzero()[0]  # start of every run, then ends.size
+    odd = (starts[1:] - starts[:-1]) & 1 == 1
+    return ends[starts[:-1][odd]]
 
 
 def logical_crossing_parity(graph: DecodingGraph, edge_ids) -> int:

@@ -1,6 +1,13 @@
 """Phenomenological noise sampling and the logical-error-rate heuristic.
 
 Every edge of the decoding graph fails independently with probability p.
+A trial draws the gaps between consecutive failed edges rather than one
+number per edge: each gap is geometric with parameter p (the memoryless
+distribution of the number of edges up to and including the next failure),
+and their cumulative sums are the ascending failed-edge ids. A trial thus
+costs O(|E| p) draws instead of O(|E|), as in Stim's sparse sampling
+(Gidney, arXiv:2103.02202).
+
 Sampling is counter based: trial t of a run draws from a Philox stream
 keyed by the 64-bit seed with counter block t, so (seed, trial_index)
 fully determines the pattern and trials can be farmed out to workers in
@@ -9,6 +16,7 @@ any order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -76,17 +84,40 @@ def sample_error(graph: DecodingGraph, noise: NoiseParams) -> ErrorPattern:
 
 
 def sample_edge_ids(n_edges: int, p: float, seed: int, trial_index: int) -> np.ndarray:
+    return _failed_edge_ids(trial_generator(seed, trial_index), n_edges, p)
+
+
+def _failed_edge_ids(gen: Generator, n_edges: int, p: float) -> np.ndarray:
+    """Ascending ids of the failed edges among n_edges, from geometric gaps.
+
+    Gaps are drawn in batches sized a few standard deviations above the
+    expected failure count, so a second batch is rarely needed.
+    """
     if p == 0.0:
         return np.empty(0, dtype=np.int64)
-    rng = trial_generator(seed, trial_index)
-    return np.flatnonzero(rng.random(n_edges) < p)
+    mean = n_edges * p
+    batch = int(mean + 4.0 * math.sqrt(mean)) + 8
+    gaps = gen.geometric(p, batch)
+    # A gap beyond the last edge ends the pattern, so clip it there: for tiny p
+    # `geometric` saturates at INT64_MAX and the cumulative sum would wrap.
+    np.minimum(gaps, n_edges + 1, out=gaps)
+    gaps[0] -= 1  # the first gap counts from edge -1
+    ids = gaps.cumsum()
+    while ids[-1] < n_edges:  # the batch ended before the last edge
+        gaps = gen.geometric(p, batch)
+        np.minimum(gaps, n_edges + 1, out=gaps)
+        gaps[0] += ids[-1]
+        ids = np.concatenate((ids, gaps.cumsum()))
+    return ids[: ids.searchsorted(n_edges)]
 
 
 class TrialSampler:
     """Fast path for trial loops: one Philox instance, counter reset per trial.
 
-    Produces exactly the same stream as `sample_error` for the same
-    (seed, trial_index); kept separate so the pure function stays simple.
+    Produces exactly the same failed-edge ids as `sample_error` for the same
+    (seed, trial_index): both draw geometric gaps through `_failed_edge_ids`
+    from the stream with counter block trial_index. Reusing the generator
+    saves building a Philox instance per trial.
     """
 
     def __init__(self, n_edges: int, p: float, seed: int):
@@ -97,17 +128,12 @@ class TrialSampler:
         self.seed = seed
         self._bg = Philox(key=seed)
         self._gen = Generator(self._bg)
+        self._start = self._bg.state  # fresh state: empty buffer, no cached word
 
     def sample(self, trial_index: int) -> np.ndarray:
-        if self.p == 0.0:
-            return np.empty(0, dtype=np.int64)
-        st = self._bg.state
-        counter = st["state"]["counter"]
-        counter[:] = 0
-        counter[3] = trial_index
-        st["buffer_pos"] = 4  # discard buffered words from the previous block
-        self._bg.state = st
-        return np.flatnonzero(self._gen.random(self.n_edges) < self.p)
+        self._start["state"]["counter"][:] = (0, 0, 0, trial_index)
+        self._bg.state = self._start
+        return _failed_edge_ids(self._gen, self.n_edges, self.p)
 
 
 def syndrome_of(graph: DecodingGraph, err: ErrorPattern) -> Syndrome:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import DecodingGraph, logical_crossing_parity, syndrome_indices_of_edges
+from .lattice import DecodingGraph, syndrome_indices_of_edges
 from .noise import ErrorPattern, Syndrome
 
 LEFT_SIDE = 1
@@ -51,7 +51,7 @@ class ClusterSet:
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         n = graph.n_internal
-        self.parent = list(range(n))
+        self.parent = list(graph.vertex_ids)
         self.size = [1] * n
         self.parity = bytearray(n)
         self.boundary_sides = bytearray(n)
@@ -458,5 +458,6 @@ def assess(
     residual = np.setxor1d(err.edge_ids, corr.edge_ids)
     if syndrome_indices_of_edges(graph, residual).size:
         raise InvariantViolation("correction does not cancel the syndrome")
-    bit = logical_crossing_parity(graph, residual)
+    # crossing parity of the zero-syndrome residual: its LEFT-incident edges
+    bit = int(np.count_nonzero(graph.edges_v[residual] == graph.left) & 1) if residual.size else 0
     return DecodeOutcome(success=(bit == 0), residual_logical=bit, stats=stats)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ufpipe.lattice import (
     LatticeParams,
@@ -9,7 +11,10 @@ from ufpipe.lattice import (
     num_internal_vertices,
     num_space_edges,
     num_time_edges,
+    syndrome_indices_of_edges,
 )
+
+SYNDROME_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +180,20 @@ def test_logical_crossing_parity_linear(g5):
             acc ^= set(s)
             parity ^= logical_crossing_parity(g5, s)
         assert logical_crossing_parity(g5, sorted(acc)) == parity
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.sampled_from([3, 5]))
+def test_syndrome_matches_bincount_reference(data, d):
+    # arbitrary edge-id arrays: empty, repeated ids, and boundary-heavy sets
+    g = SYNDROME_GRAPHS[d]
+    boundary = np.concatenate((g.left_edges, g.right_edges)).tolist()
+    any_edge = st.integers(0, g.n_edges - 1)
+    ids = data.draw(st.lists(st.one_of(any_edge, st.sampled_from(boundary)), max_size=80))
+    edge_ids = np.asarray(ids, dtype=np.int64)
+    ends = np.concatenate((g.edges_u[edge_ids], g.edges_v[edge_ids]))
+    ref = np.flatnonzero(np.bincount(ends, minlength=g.n_internal + 2)[: g.n_internal] & 1)
+    got = syndrome_indices_of_edges(g, edge_ids)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref)
+    assert np.array_equal(syndrome_indices_of_edges(g, ids), ref)  # a plain list too

@@ -7,7 +7,7 @@ from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices
 from ufpipe.noise import NoiseParams, Syndrome, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
 from ufpipe import microarch
-from ufpipe.microarch import decode_with_pipeline, memory_footprint
+from ufpipe.microarch import decode_with_pipeline, memory_footprint, stage_read_estimate
 
 GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11)}
 
@@ -52,6 +52,20 @@ def test_pipeline_matches_oracle_seeded(d, p):
 def test_pipeline_matches_oracle_property(d, p, seed, trial):
     g = GRAPHS[d]
     check_against_oracle(g, syndrome_of(g, sample_error(g, NoiseParams(p, seed, trial))))
+
+
+@pytest.mark.parametrize("d", [3, 5, 11])
+def test_stage_read_estimate_ties_to_dfs_and_corr_traces(d):
+    # the DFS engine reads every cluster vertex; the Corr engine pops every
+    # tree edge, one fewer than the vertices of a cluster off the boundary
+    g = GRAPHS[d]
+    for p in (0.001, 0.01, 0.05):
+        for t in range(30):
+            syn = syndrome_of(g, sample_error(g, NoiseParams(p=p, seed=3003, trial_index=t)))
+            _, state, stats = decode_with_pipeline(g, syn)
+            est = stage_read_estimate(stats)
+            assert state.trace.dfs == est
+            assert state.trace.corr == est - sum(not b for b in stats.boundary)
 
 
 def test_hand_worked_d3_trace():

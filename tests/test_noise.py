@@ -1,12 +1,16 @@
+import signal
+
 import numpy as np
 import pytest
 
 from ufpipe.lattice import LatticeParams, build_decoding_graph
 from ufpipe.noise import (
     NoiseParams,
+    TrialSampler,
     logical_error_rate,
     expected_fault_count,
     expected_fault_count_exact,
+    sample_edge_ids,
     sample_error,
     syndrome_of,
 )
@@ -56,6 +60,91 @@ def test_mean_weight_matches_binomial(g11):
         total += s.sample(t).size
     mean = total / trials
     assert abs(mean - 3.531) / 3.531 < 0.05
+
+
+@pytest.mark.parametrize("p", [1e-20, 1e-3, 2e-2, 0.3, 0.49])
+def test_trial_sampler_matches_sample_error_at_any_p(g11, p):
+    # out of order and repeated, so each sample must reset the whole stream
+    s = TrialSampler(g11.n_edges, p, seed=7)
+    for t in (5, 0, 2**40 + 3, 5, 1):
+        ref = sample_error(g11, NoiseParams(p=p, seed=7, trial_index=t))
+        assert np.array_equal(s.sample(t), ref.edge_ids)
+
+
+def _sampler_hung(signum, frame):
+    raise TimeoutError("the sampler did not return within 30 s")
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-20])
+def test_tiny_p_returns_promptly(p):
+    # `geometric` saturates at INT64_MAX for such p; unclipped, the gap sums
+    # wrap negative and the sampler never reaches the last edge
+    n_edges = 44425  # d = 25
+    s = TrialSampler(n_edges, p, seed=3)
+    previous = signal.signal(signal.SIGALRM, _sampler_hung)
+    signal.alarm(30)
+    try:
+        for t in range(50):
+            for ids in (s.sample(t), sample_edge_ids(n_edges, p, 3, t)):
+                assert ids.dtype == np.int64
+                assert ids.size == 0 or (
+                    np.all(np.diff(ids) > 0) and ids[0] >= 0 and ids[-1] < n_edges)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_p_near_half(g11):
+    s = TrialSampler(g11.n_edges, 0.49, seed=11)
+    weights = []
+    for t in range(200):
+        ids = s.sample(t)
+        assert ids.dtype == np.int64
+        assert np.all(np.diff(ids) > 0) and ids[0] >= 0 and ids[-1] < g11.n_edges
+        weights.append(ids.size)
+    mean, sd = 0.49 * g11.n_edges, np.sqrt(g11.n_edges * 0.49 * 0.51)
+    assert abs(np.mean(weights) - mean) < 5 * sd / np.sqrt(len(weights))
+
+
+class ConstantGaps:
+    """Stands in for a Generator whose geometric draws are all `gap`."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def geometric(self, p, size):
+        return np.full(size, self.gap, dtype=np.int64)
+
+
+@pytest.mark.parametrize("gap", [1, 2, 7])
+def test_later_gap_batches_continue_from_the_last_failure(gap):
+    # the first batch holds 13 gaps here, so every further batch must pick up
+    # from the previous batch's last failure
+    from ufpipe.noise import _failed_edge_ids
+
+    ids = _failed_edge_ids(ConstantGaps(gap), 100, 0.01)
+    assert np.array_equal(ids, np.arange(gap - 1, 100, gap))
+
+
+def test_first_and_last_edge_fail_at_rate_p(g11):
+    # an off-by-one in the gap -> id mapping starves edge 0 or edge |E| - 1
+    p, trials = 0.05, 20000
+    s = TrialSampler(g11.n_edges, p, seed=13)
+    probe = np.array([0, 1, g11.n_edges - 1])
+    hits = np.zeros(probe.size, dtype=np.int64)
+    for t in range(trials):
+        hits += np.isin(probe, s.sample(t))
+    sd = np.sqrt(trials * p * (1 - p))
+    assert np.all(np.abs(hits - trials * p) < 5 * sd), hits
+
+
+def test_weight_mean_and_variance_match_binomial(g11):
+    p, trials = 2e-2, 20000
+    s = TrialSampler(g11.n_edges, p, seed=17)
+    w = np.array([s.sample(t).size for t in range(trials)], dtype=np.float64)
+    mean, var = g11.n_edges * p, g11.n_edges * p * (1 - p)
+    assert abs(w.mean() - mean) < 5 * np.sqrt(var / trials)
+    assert abs(w.var(ddof=1) - var) < 5 * var * np.sqrt(2 / (trials - 1))
 
 
 def test_syndrome_single_edges(g3):
