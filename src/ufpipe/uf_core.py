@@ -42,10 +42,11 @@ class ClusterSet:
     pass, what a read-count model needs: `touched_v` (member vertices in the
     order they joined), `touched_e` (edges with nonzero growth state, in the
     order they were first touched), `table_reads` (parent-table reads by
-    `find` plus two size-table reads per union of distinct roots) and
-    `pass_log`, one `(len(touched_v), len(touched_e), len(fes))` per growth
-    pass, the first two taken at the start of the pass and the last the
-    size of the pass's fusion edge stack.
+    `find` plus two size-table reads per union of distinct roots, all made
+    during growth: the forest makes no finds) and `pass_log`, one
+    `(len(touched_v), len(touched_e), len(fes))` per growth pass, the first
+    two taken at the start of the pass and the last the size of the pass's
+    fusion edge stack.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -94,8 +95,16 @@ class ClusterSet:
     def find(self, v: int) -> int:
         """Root of v's cluster; repoints at most the last 5 visited vertices."""
         parent = self.parent
-        path = []
-        r = v
+        r = parent[v]
+        if r == v:
+            self.table_reads += 1
+            return v
+        p = parent[r]
+        if p == r:
+            self.table_reads += 2
+            return r
+        path = [v, r]
+        r = p
         while True:
             p = parent[r]
             if p == r:
@@ -314,55 +323,53 @@ def grow_clusters(graph: DecodingGraph, syn: Syndrome) -> ClusterSet:
 def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     """DFS spanning tree per cluster over fully grown edges.
 
-    Traversal root is the smallest vertex id of the cluster; for a
-    boundary-touching cluster the virtual boundary vertex is the entry
-    point (LEFT preferred when both sides are touched). Half-grown edges
-    are ignored.
+    Traversal root is the smallest vertex id of the cluster. A
+    boundary-touching cluster is entered from its virtual boundary vertex
+    (LEFT preferred when both sides are touched) through the fully grown
+    edges from its own members to that vertex, in ascending member id,
+    which is ascending edge id. Half-grown edges are ignored. Clusters are
+    disjoint and a fully grown internal edge never leaves its cluster, so
+    one `visited` set serves the whole forest. No `find` is made, so the
+    parent table and `table_reads` stay as growth left them.
     """
     adj = graph.adjacency
     estate = cs.edge_state
     n_int = graph.n_internal
+    visited: set[int] = set()
     forest = SpanningForest()
     for root in cs.sorted_roots():
         if cs.parity[root] and not cs.boundary_sides[root]:
             raise InvariantViolation(f"cluster at root {root} is odd and not on a boundary")
         edges: list[tuple[int, int, int]] = []
-        visited = set()
-
-        def descend(v0: int) -> None:
-            frames = [(v0, 0)]
-            while frames:
-                x, k = frames[-1]
-                pairs = adj[x]
-                if k == len(pairs):
-                    frames.pop()
-                    continue
-                frames[-1] = (x, k + 1)
-                e, w = pairs[k]
-                if estate[e] != 2 or w >= n_int or w in visited:
-                    continue
-                visited.add(w)
-                edges.append((e, w, x))
-                frames.append((w, 0))
-
         sides = cs.boundary_sides[root]
         if sides:
-            virt = graph.left if sides & LEFT_SIDE else graph.right
-            for e, u in adj[virt]:
-                if estate[e] != 2:
-                    continue
-                if u in visited or not cs.member[u] or cs.find(u) != root:
-                    continue
-                visited.add(u)
-                edges.append((e, u, virt))
-                descend(u)
-            start = virt
+            start = graph.left if sides & LEFT_SIDE else graph.right
+            entries = sorted(
+                (u, e) for u in cs.members[root] for e, w in adj[u] if w == start and estate[e] == 2
+            )
             expect = cs.size[root]
         else:
             start = cs.min_vertex[root]
-            visited.add(start)
-            descend(start)
+            entries = [(start, None)]
             expect = cs.size[root] - 1
+        for u, e0 in entries:
+            if u in visited:
+                continue
+            visited.add(u)
+            if sides:
+                edges.append((e0, u, start))
+            # each frame resumes its vertex's adjacency where it left off
+            stack = [(u, iter(adj[u]))]
+            while stack:
+                x, it = stack[-1]
+                for e, w in it:
+                    if estate[e] == 2 and w < n_int and w not in visited:
+                        visited.add(w)
+                        edges.append((e, w, x))
+                        stack.append((w, iter(adj[w])))
+                        break
+                else:
+                    stack.pop()
         if len(edges) != expect:
             raise InvariantViolation(
                 f"spanning tree of cluster {root} has {len(edges)} edges, expected {expect}"
@@ -454,8 +461,9 @@ def assess(
     corr: Correction,
     stats: DecodeStats | None = None,
 ) -> DecodeOutcome:
-    """Check the residual error err XOR corr for logical failure."""
-    residual = np.setxor1d(err.edge_ids, corr.edge_ids)
+    """Check the residual error err XOR corr for logical failure. Neither
+    may repeat an edge id; `sample_error` and `peel` never do."""
+    residual = np.setxor1d(err.edge_ids, corr.edge_ids, assume_unique=True)
     if syndrome_indices_of_edges(graph, residual).size:
         raise InvariantViolation("correction does not cancel the syndrome")
     # crossing parity of the zero-syndrome residual: its LEFT-incident edges

@@ -82,6 +82,21 @@ def test_find_preserves_partition(g3):
     assert before == after
 
 
+def test_find_table_reads(g3):
+    # 1 read at a root, 2 at depth 1 (nothing repointed), len(path) + 1
+    # deeper, where only the last 5 path vertices are repointed
+    cs = ClusterSet(g3)
+    for i in range(8):
+        cs.parent[i] = i + 1  # chain 0 -> 1 -> ... -> 8
+    assert cs.find(0) == 8 and cs.table_reads == 9
+    assert cs.parent[:8] == [1, 2, 3, 8, 8, 8, 8, 8]
+    for v, reads in ((8, 1), (7, 2), (1, 4)):
+        before = cs.table_reads
+        assert cs.find(v) == 8
+        assert cs.table_reads - before == reads
+    assert cs.parent[:8] == [1, 8, 8, 8, 8, 8, 8, 8]
+
+
 # -- union ---------------------------------------------------------------
 
 
@@ -199,6 +214,38 @@ def test_forest_rejects_odd_unfrozen_cluster(g3):
     cs.seed_defects([5])
     with pytest.raises(InvariantViolation):
         spanning_forest(g3, cs)
+
+
+def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
+    # five defects fill column 0 and both ends of column 1 of layer 1: one
+    # cluster of size 5 after the first pass; the second pass grows the
+    # LEFT edges of all of column 0 and the RIGHT edges of both corners
+    defects = [g3.vertex_id(1, r, 0) for r in range(3)]
+    defects += [g3.vertex_id(1, 0, 1), g3.vertex_id(1, 2, 1)]
+    cs = grow_clusters(g3, syn_of(g3, defects))
+    (root,) = cs.roots
+    assert cs.boundary_sides[root] == uf_core.LEFT_SIDE | uf_core.RIGHT_SIDE
+    grown_left = sorted(e for e in g3.left_edges.tolist() if cs.edge_state[e] == 2)
+    assert len(grown_left) == 3
+    (tree,) = spanning_forest(g3, cs).trees
+    assert tree.start_vertex == g3.left
+    assert tree.edges[0] == (grown_left[0], g3.vertex_id(1, 0, 0), g3.left)
+    entries = [e for e, _, parent in tree.edges if parent == g3.left]
+    assert entries == sorted(entries)
+    assert all(w < g3.n_internal for _, w, _ in tree.edges)
+    assert len(tree.edges) == cs.size[root]
+
+
+def test_forest_leaves_parent_table_and_reads_unchanged(g5):
+    boundary_trees = 0
+    for t in range(60):
+        err = sample_error(g5, NoiseParams(p=0.05, seed=29, trial_index=t))
+        cs = grow_clusters(g5, syndrome_of(g5, err))
+        parent, reads = list(cs.parent), cs.table_reads
+        forest = spanning_forest(g5, cs)
+        assert cs.parent == parent and cs.table_reads == reads
+        boundary_trees += sum(tree.boundary for tree in forest.trees)
+    assert boundary_trees > 0
 
 
 # -- peeling -------------------------------------------------------------
