@@ -16,24 +16,16 @@ import numpy as np
 SPACE = 0
 TIME = 1
 
-# fixed direction order used by every traversal in the package
-DIRECTIONS = ("W", "E", "N", "S", "D", "U")
-
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Code distance and number of measurement rounds (rounds == d in v1)."""
+    """Code distance d; the graph spans d measurement rounds."""
 
     d: int
-    rounds: int | None = None
 
     def __post_init__(self):
         if self.d < 3 or self.d % 2 == 0:
             raise ValueError(f"code distance must be an odd integer >= 3, got {self.d}")
-        rounds = self.d if self.rounds is None else self.rounds
-        if rounds != self.d:
-            raise ValueError("only rounds == d is supported")
-        object.__setattr__(self, "rounds", rounds)
 
 
 def num_internal_vertices(d: int) -> int:
@@ -59,23 +51,20 @@ class DecodingGraph:
     n_internal: int
     left: int            # virtual boundary vertex id (= n_internal)
     right: int           # virtual boundary vertex id (= n_internal + 1)
+    # endpoints as numpy arrays, for syndrome extraction and `assess`
     edges_u: np.ndarray  # internal endpoint (int32)
     edges_v: np.ndarray  # internal or virtual endpoint (int32)
-    edge_kind: np.ndarray
-    adj_edges: np.ndarray  # (n_internal, 6) incident edge ids, -1 where absent
-    adj_verts: np.ndarray  # (n_internal, 6) far endpoints, -1 where absent
-    left_edges: np.ndarray   # edge ids incident to LEFT, ascending
-    right_edges: np.ndarray  # edge ids incident to RIGHT, ascending
-    # per-vertex ((edge, far), ...) in the order `neighbors` documents, for
-    # every vertex including LEFT and RIGHT; the decoder's inner loops read
-    # these and the edge endpoints as Python objects, not numpy scalars
+    # the only neighbour index: per-vertex ((edge, far), ...) in the order
+    # `neighbors` documents, for every vertex including LEFT and RIGHT; the
+    # decoder's inner loops read these and the edge endpoints as Python
+    # objects, not numpy scalars
     adjacency: tuple = field(repr=False)
     eu: list[int] = field(repr=False)  # edges_u as a list
     ev: list[int] = field(repr=False)  # edges_v as a list
     # tuple(range(n_internal)): a ClusterSet copies it as its root table, which
     # shares these int objects instead of creating one per internal vertex
     vertex_ids: tuple = field(repr=False)
-    n_space_edges: int = 0
+    n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
     n_time_edges: int = 0
     _row_stride: int = field(default=0, repr=False)
 
@@ -116,7 +105,7 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     then in-plane verticals row-major); all time edges follow, gap-major.
     """
     d = params.d
-    layers = params.rounds
+    layers = d
     n_int = num_internal_vertices(d)
     left = n_int
     right = n_int + 1
@@ -153,67 +142,40 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
                 ev.append(vid(gap + 1, row, col))
                 kind.append(TIME)
 
-    edges_u = np.asarray(eu, dtype=np.int32)
-    edges_v = np.asarray(ev, dtype=np.int32)
-    edge_kind = np.asarray(kind, dtype=np.uint8)
-
-    adj_edges = np.full((n_int, 6), -1, dtype=np.int32)
-    adj_verts = np.full((n_int, 6), -1, dtype=np.int32)
+    # W/E/N/S/D/U slots of every internal vertex; LEFT and RIGHT list their
+    # edges in ascending edge id
     W, E, N, S, D, U = range(6)
-    for e in range(len(edges_u)):
-        u, v = int(edges_u[e]), int(edges_v[e])
-        if edge_kind[e] == TIME:
-            adj_edges[u, U] = e
-            adj_verts[u, U] = v
-            adj_edges[v, D] = e
-            adj_verts[v, D] = u
-            continue
-        if v == left:
-            adj_edges[u, W] = e
-            adj_verts[u, W] = left
-        elif v == right:
-            adj_edges[u, E] = e
-            adj_verts[u, E] = right
-        else:
-            du = abs(v - u)
-            if du == 1:  # horizontal, u west of v
-                adj_edges[u, E] = e
-                adj_verts[u, E] = v
-                adj_edges[v, W] = e
-                adj_verts[v, W] = u
-            else:  # in-plane vertical, u north of v
-                adj_edges[u, S] = e
-                adj_verts[u, S] = v
-                adj_edges[v, N] = e
-                adj_verts[v, N] = u
-
-    left_edges = np.flatnonzero(edges_v == left).astype(np.int32)
-    right_edges = np.flatnonzero(edges_v == right).astype(np.int32)
-    adjacency = tuple(
-        tuple((e, w) for e, w in zip(es, ws) if e >= 0)
-        for es, ws in zip(adj_edges.tolist(), adj_verts.tolist())
-    ) + tuple(
-        tuple((e, eu[e]) for e in side.tolist()) for side in (left_edges, right_edges)
-    )
+    slots = [[None] * 6 for _ in range(n_int)]
+    sides: dict[int, list] = {left: [], right: []}
+    for e, (u, v, k) in enumerate(zip(eu, ev, kind)):
+        if k == TIME:
+            slots[u][U] = (e, v)
+            slots[v][D] = (e, u)
+        elif v >= n_int:
+            slots[u][W if v == left else E] = (e, v)
+            sides[v].append((e, u))
+        elif v - u == 1:  # horizontal, u west of v
+            slots[u][E] = (e, v)
+            slots[v][W] = (e, u)
+        else:  # in-plane vertical, u north of v
+            slots[u][S] = (e, v)
+            slots[v][N] = (e, u)
+    adjacency = tuple(tuple(x for x in s if x is not None) for s in slots)
+    adjacency += (tuple(sides[left]), tuple(sides[right]))
 
     g = DecodingGraph(
         d=d,
         n_internal=n_int,
         left=left,
         right=right,
-        edges_u=edges_u,
-        edges_v=edges_v,
-        edge_kind=edge_kind,
-        adj_edges=adj_edges,
-        adj_verts=adj_verts,
-        left_edges=left_edges,
-        right_edges=right_edges,
+        edges_u=np.asarray(eu, dtype=np.int32),
+        edges_v=np.asarray(ev, dtype=np.int32),
         adjacency=adjacency,
         eu=eu,
         ev=ev,
         vertex_ids=tuple(range(n_int)),
-        n_space_edges=int(np.sum(edge_kind == SPACE)),
-        n_time_edges=int(np.sum(edge_kind == TIME)),
+        n_space_edges=kind.count(SPACE),
+        n_time_edges=kind.count(TIME),
         _row_stride=cols,
     )
     assert g.n_space_edges == num_space_edges(d)

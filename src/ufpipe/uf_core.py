@@ -35,6 +35,11 @@ class ClusterSet:
     """Union-find partition with per-root size, parity, boundary flag and
     growth count, plus the half-edge growth counters.
 
+    `members` maps each cluster root to its member vertices, in the order
+    they joined; its keys are the cluster roots and nothing else lists them.
+    A cluster's smallest vertex is taken from its member list when the
+    spanning forest needs it.
+
     State is reusable across decodes: `reset()` restores only the entries
     touched by the previous run.
 
@@ -60,8 +65,6 @@ class ClusterSet:
         self.member = bytearray(n)
         self.edge_state = bytearray(graph.n_edges)
         self.members: dict[int, list[int]] = {}
-        self.min_vertex: dict[int, int] = {}
-        self.roots: set[int] = set()
         self.passes = 0
         self.touched_v: list[int] = []
         self.touched_e: list[int] = []
@@ -84,8 +87,6 @@ class ClusterSet:
         self.touched_v.clear()
         self.touched_e.clear()
         self.members.clear()
-        self.min_vertex.clear()
-        self.roots.clear()
         self.passes = 0
         self.table_reads = 0
         self.pass_log.clear()
@@ -120,7 +121,9 @@ class ClusterSet:
         """Merge the clusters of u and v; returns the surviving root.
 
         Weighted by vertex count; on a size tie the smaller root id wins.
-        Parity XORs, boundary flags OR, growth counts take the max.
+        Parity XORs, boundary flags OR, growth counts take the max. The
+        loser's member list, or the loser alone if it has none, is appended
+        to the winner's.
         """
         ru, rv = self.find(u), self.find(v)
         if ru == rv:
@@ -136,21 +139,15 @@ class ClusterSet:
         self.boundary_sides[ru] |= self.boundary_sides[rv]
         if self.growth_steps[rv] > self.growth_steps[ru]:
             self.growth_steps[ru] = self.growth_steps[rv]
-        mu = self.members.get(ru)
-        mv = self.members.get(rv)
-        if mu is not None or mv is not None:
-            if mu is None:
-                mu = self.members[ru] = [ru]
-            if mv is None:
-                mv = [rv]
-            else:
-                del self.members[rv]
+        members = self.members
+        mu = members.get(ru)
+        if mu is None:
+            mu = members[ru] = [ru]
+        mv = members.pop(rv, None)
+        if mv is None:
+            mu.append(rv)
+        else:
             mu.extend(mv)
-            a = self.min_vertex.pop(rv, rv)
-            b = self.min_vertex.get(ru, ru)
-            self.min_vertex[ru] = a if a < b else b
-        self.roots.discard(rv)
-        self.roots.add(ru)
         return ru
 
     def touches_boundary(self, r: int) -> bool:
@@ -164,20 +161,15 @@ class ClusterSet:
         implementation detail and deliberately excluded.
         """
         out = []
-        for r in self.roots:
+        for r, ms in self.members.items():
             out.append((
-                tuple(sorted(self.members[r])),
+                tuple(sorted(ms)),
                 self.size[r],
                 self.parity[r],
                 self.boundary_sides[r],
                 self.growth_steps[r],
             ))
         return frozenset(out)
-
-    def sorted_roots(self) -> list[int]:
-        """Cluster roots ordered by smallest member vertex id."""
-        mv = self.min_vertex
-        return sorted(self.roots, key=lambda r: mv[r])
 
     # -- growth ----------------------------------------------------------
 
@@ -204,27 +196,17 @@ class ClusterSet:
             member[v] = 1
             parity[v] = 1
             self.members[v] = [v]
-            self.min_vertex[v] = v
-            self.roots.add(v)
-            self.touched_v.append(v)
-
-    def _ensure_member(self, v: int) -> None:
-        if not self.member[v]:
-            self.member[v] = 1
-            self.members[v] = [v]
-            self.min_vertex[v] = v
-            self.roots.add(v)
             self.touched_v.append(v)
 
     def grow(self) -> None:
         """Run growth passes until every cluster is even or frozen."""
         g = self.graph
         adj, eu, ev, n_int, left = g.adjacency, g.eu, g.ev, g.n_internal, g.left
-        estate = self.edge_state
+        estate, member = self.edge_state, self.member
         parity, bnd = self.parity, self.boundary_sides
         touched_v, touched_e = self.touched_v, self.touched_e
         while True:
-            grow_roots = [r for r in self.roots if parity[r] and not bnd[r]]
+            grow_roots = [r for r in self.members if parity[r] and not bnd[r]]
             if not grow_roots:
                 return
             self.passes += 1
@@ -256,8 +238,13 @@ class ClusterSet:
                 if w >= n_int:
                     bnd[self.find(u)] |= LEFT_SIDE if w == left else RIGHT_SIDE
                 else:
-                    self._ensure_member(u)
-                    self._ensure_member(w)
+                    # a new member has no member list; `union` files it under its root
+                    if not member[u]:
+                        member[u] = 1
+                        touched_v.append(u)
+                    if not member[w]:
+                        member[w] = 1
+                        touched_v.append(w)
                     self.union(u, w)
 
 
@@ -290,9 +277,6 @@ class Correction:
     def weight(self) -> int:
         return int(self.edge_ids.size)
 
-    def as_set(self) -> frozenset:
-        return frozenset(int(e) for e in self.edge_ids)
-
 
 @dataclass
 class DecodeStats:
@@ -323,11 +307,12 @@ def grow_clusters(graph: DecodingGraph, syn: Syndrome) -> ClusterSet:
 def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     """DFS spanning tree per cluster over fully grown edges.
 
-    Traversal root is the smallest vertex id of the cluster. A
-    boundary-touching cluster is entered from its virtual boundary vertex
-    (LEFT preferred when both sides are touched) through the fully grown
-    edges from its own members to that vertex, in ascending member id,
-    which is ascending edge id. Half-grown edges are ignored. Clusters are
+    Trees are ordered by the smallest vertex id of their cluster, taken
+    from its member list, and that vertex is the traversal root. A
+    boundary-touching cluster is instead entered from its virtual boundary
+    vertex (LEFT preferred when both sides are touched) through the fully
+    grown edges from its own members to that vertex, in ascending member
+    id, which is ascending edge id. Half-grown edges are ignored. Clusters are
     disjoint and a fully grown internal edge never leaves its cluster, so
     one `visited` set serves the whole forest. No `find` is made, so the
     parent table and `table_reads` stay as growth left them.
@@ -337,7 +322,7 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     n_int = graph.n_internal
     visited: set[int] = set()
     forest = SpanningForest()
-    for root in cs.sorted_roots():
+    for low, root in sorted((min(ms), r) for r, ms in cs.members.items()):
         if cs.parity[root] and not cs.boundary_sides[root]:
             raise InvariantViolation(f"cluster at root {root} is odd and not on a boundary")
         edges: list[tuple[int, int, int]] = []
@@ -349,7 +334,7 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
             )
             expect = cs.size[root]
         else:
-            start = cs.min_vertex[root]
+            start = low
             entries = [(start, None)]
             expect = cs.size[root] - 1
         for u, e0 in entries:
@@ -430,22 +415,14 @@ class Decoder:
         return peel(forest, syn), cluster_stats(cs, forest)
 
 
-def cluster_stats(cs: ClusterSet, forest: SpanningForest | None = None) -> DecodeStats:
-    roots = cs.sorted_roots()
-    tree_edges: tuple
-    if forest is not None:
-        tree_edges = tuple(len(t.edges) for t in forest.trees)
-    else:
-        # spanning tree size without building it: size-1, +1 boundary entry
-        tree_edges = tuple(
-            cs.size[r] - (0 if cs.boundary_sides[r] else 1) for r in roots
-        )
+def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
+    trees = forest.trees
     return DecodeStats(
-        m=len(roots),
-        sizes=tuple(cs.size[r] for r in roots),
-        growth_steps=tuple(cs.growth_steps[r] for r in roots),
-        boundary=tuple(bool(cs.boundary_sides[r]) for r in roots),
-        tree_edges=tree_edges,
+        m=len(trees),
+        sizes=tuple(t.n_vertices for t in trees),
+        growth_steps=tuple(cs.growth_steps[t.root] for t in trees),
+        boundary=tuple(t.boundary for t in trees),
+        tree_edges=tuple(len(t.edges) for t in trees),
         passes=cs.passes,
     )
 

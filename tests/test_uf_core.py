@@ -113,6 +113,11 @@ def test_union_tie_smaller_root(g3):
     cs = ClusterSet(g3)
     assert cs.union(4, 9) == 4
     assert cs.union(11, 10) == 10
+    # a vertex with no member list wins the tie against a seeded defect
+    cs = ClusterSet(g3)
+    cs.seed_defects([5])
+    assert cs.union(5, 3) == 3
+    assert cs.members == {3: [3, 5]}
 
 
 def test_union_parity_xor(g3):
@@ -132,7 +137,7 @@ def test_union_parity_xor(g3):
 
 def test_grow_empty(g3):
     cs = grow_clusters(g3, syn_of(g3, []))
-    assert not cs.roots
+    assert not cs.members
     assert cs.passes == 0
 
 
@@ -141,9 +146,7 @@ def test_grow_adjacent_pair_one_pass(g3):
     w = g3.vertex_id(1, 1, 1)
     cs = grow_clusters(g3, syn_of(g3, [u, w]))
     assert cs.passes == 1
-    roots = cs.sorted_roots()
-    assert len(roots) == 1
-    r = roots[0]
+    (r,) = cs.members
     assert cs.size[r] == 2
     assert cs.parity[r] == 0
     assert cs.growth_steps[r] == 1
@@ -157,19 +160,16 @@ def test_grow_sparser_pair_two_passes(g5):
     m = g5.vertex_id(2, 1, 1)
     w = g5.vertex_id(2, 2, 1)
     cs = grow_clusters(g5, syn_of(g5, [u, w]))
-    roots = cs.sorted_roots()
-    assert len(roots) == 1
-    assert cs.growth_steps[roots[0]] == 2
-    assert cs.find(m) == roots[0]
+    (r,) = cs.members
+    assert cs.growth_steps[r] == 2
+    assert cs.find(m) == r
 
 
 def test_grow_boundary_single(g3):
     v = g3.vertex_id(1, 1, 0)
     cs = grow_clusters(g3, syn_of(g3, [v]))
     assert cs.passes == 2
-    roots = cs.sorted_roots()
-    assert len(roots) == 1
-    r = roots[0]
+    (r,) = cs.members
     assert cs.touches_boundary(r)
     assert cs.parity[r] == 1  # still odd, frozen by the boundary
     assert cs.size[r] == 6    # absorbed its five internal neighbors
@@ -180,8 +180,13 @@ def test_grow_invariant_even_or_boundary(g5):
     for t in range(200):
         err = sample_error(g5, NoiseParams(p=0.04, seed=11, trial_index=t))
         cs = grow_clusters(g5, syndrome_of(g5, err))
-        for r in cs.roots:
+        for r in cs.members:
             assert cs.parity[r] == 0 or cs.touches_boundary(r)
+        assert set(cs.members) == {cs.find(v) for v in cs.touched_v}
+        joined = [v for ms in cs.members.values() for v in ms]
+        assert sorted(joined) == sorted(cs.touched_v)
+        for r, ms in cs.members.items():
+            assert all(cs.find(v) == r for v in ms)
 
 
 # -- spanning forest -----------------------------------------------------
@@ -223,9 +228,9 @@ def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     defects = [g3.vertex_id(1, r, 0) for r in range(3)]
     defects += [g3.vertex_id(1, 0, 1), g3.vertex_id(1, 2, 1)]
     cs = grow_clusters(g3, syn_of(g3, defects))
-    (root,) = cs.roots
+    (root,) = cs.members
     assert cs.boundary_sides[root] == uf_core.LEFT_SIDE | uf_core.RIGHT_SIDE
-    grown_left = sorted(e for e in g3.left_edges.tolist() if cs.edge_state[e] == 2)
+    grown_left = sorted(e for e, _ in g3.neighbors(g3.left) if cs.edge_state[e] == 2)
     assert len(grown_left) == 3
     (tree,) = spanning_forest(g3, cs).trees
     assert tree.start_vertex == g3.left
