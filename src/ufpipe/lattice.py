@@ -201,18 +201,3 @@ def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids: np.ndarray) -> np.
     starts = first.nonzero()[0]  # start of every run, then ends.size
     odd = (starts[1:] - starts[:-1]) & 1 == 1
     return ends[starts[:-1][odd]]
-
-
-def logical_crossing_parity(graph: DecodingGraph, edge_ids) -> int:
-    """Parity of LEFT-incident edges in a zero-syndrome edge set.
-
-    1 means the residual chain crosses between the two boundaries, i.e. it
-    acts as a logical operator.
-    """
-    edge_ids = np.asarray(list(edge_ids) if not isinstance(edge_ids, np.ndarray) else edge_ids,
-                          dtype=np.int64)
-    if syndrome_indices_of_edges(graph, edge_ids).size:
-        raise ValueError("edge set has nonzero syndrome; crossing parity undefined")
-    if edge_ids.size == 0:
-        return 0
-    return int(np.sum(graph.edges_v[edge_ids] == graph.left) & 1)

@@ -10,9 +10,8 @@ edge stack (FES) is each growth pass's `fes`; the zero data register (ZDR)
 flags the STM rows that hold any nonzero entry. Corrections, statistics
 and cluster partitions equal the engine's by construction.
 
-Also evaluates the closed-form memory-cost table, the per-stage read
-estimates and the matching-decoder memory lower bound used for
-comparison sweeps.
+Also evaluates the closed-form memory-cost table and the per-stage read
+estimates.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .lattice import DecodingGraph
+from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
 from .uf_core import (
     ClusterSet,
@@ -185,8 +184,9 @@ def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprin
     """Component memory budget: STM 7d^3, tables 3d^3 log2 d each, parity
     d^3, ZDR 3d^3, edge stacks 3d^3 log2 d each (worst case) or
     3 S log2 d when sized to S entries."""
-    if d < 3:
-        raise ValueError("d must be >= 3")
+    LatticeParams(d)  # raises ValueError for a distance no graph has
+    if stack_entries is not None and stack_entries < 0:
+        raise ValueError(f"stack_entries must be >= 0, got {stack_entries}")
     log2d = math.log2(d)
     cube = float(d**3)
     stack = 3 * cube * log2d if stack_entries is None else 3 * stack_entries * log2d
@@ -201,44 +201,20 @@ def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprin
     )
 
 
-def grgen_read_estimate(stats) -> int:
+def grgen_read_estimate(stats: DecodeStats) -> int:
     """Growth-stage read estimate: sum over clusters of 1^2 + ... + g^2."""
-    gs = getattr(stats, "growth_steps", stats)
-    return int(sum(g * (g + 1) * (2 * g + 1) // 6 for g in gs))
+    return sum(g * (g + 1) * (2 * g + 1) // 6 for g in stats.growth_steps)
 
 
-def stage_read_estimate(stats) -> int:
+def stage_read_estimate(stats: DecodeStats) -> int:
     """DFS / Corr engine read estimate: total cluster vertex count."""
-    sizes = getattr(stats, "sizes", stats)
-    return int(sum(sizes))
+    return sum(stats.sizes)
 
 
-def cluster_diameters(stats) -> list[int]:
-    """Row-span estimate per cluster: a fresh cluster already covers one
-    row and every growth pass extends the span by one."""
-    gs = getattr(stats, "growth_steps", stats)
-    return [g + 1 for g in gs]
+CLOCK_HZ = 4e9
+READ_LATENCY_CYCLES = 4
 
 
-def grgen_runtime_estimate(stats) -> int:
-    """Gr-Gen read count used for runtime modelling (diameter-based)."""
-    return grgen_read_estimate(cluster_diameters(stats))
-
-
-def reads_to_seconds(reads: float, clock_hz: float = 4e9, latency_cycles: int = 4) -> float:
-    """Serial read latency: one read costs latency_cycles / clock_hz."""
-    return reads * latency_cycles / clock_hz
-
-
-def mwpm_memory_bound(d: int, p: float) -> float:
-    """Memory floor (bits) of a matching-based decoder at error rate p.
-
-    161 bits per edge of the complete graph on the expected defect count
-    w = ceil(2 p |E|) with |E| = 3 d^3, floored by the graph any distance-d
-    decoder must handle: w = d - 1.
-    """
-    n_edges = 3 * d**3
-    w = math.ceil(2 * p * n_edges)
-    weight_term = 161 * w * (w + 1) / 2
-    distance_term = 161 * (d - 1) * d / 2
-    return max(weight_term, distance_term)
+def reads_to_seconds(reads: float) -> float:
+    """Serial read latency: one read costs READ_LATENCY_CYCLES / CLOCK_HZ."""
+    return reads * READ_LATENCY_CYCLES / CLOCK_HZ

@@ -1,4 +1,4 @@
-"""Phenomenological noise sampling and the logical-error-rate heuristic.
+"""Phenomenological noise sampling.
 
 Every edge of the decoding graph fails independently with probability p.
 A trial draws the gaps between consecutive failed edges rather than one
@@ -17,13 +17,12 @@ any order.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .lattice import DecodingGraph, num_edges, syndrome_indices_of_edges
+from .lattice import DecodingGraph, syndrome_indices_of_edges
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,6 @@ class ErrorPattern:
     def weight(self) -> int:
         return int(self.edge_ids.size)
 
-    def dense(self) -> np.ndarray:
-        bits = np.zeros(self.n_edges, dtype=np.uint8)
-        bits[self.edge_ids] = 1
-        return bits
-
 
 @dataclass
 class Syndrome:
@@ -66,11 +60,6 @@ class Syndrome:
     @property
     def weight(self) -> int:
         return int(self.defects.size)
-
-    def dense(self) -> np.ndarray:
-        bits = np.zeros(self.length, dtype=np.uint8)
-        bits[self.defects] = 1
-        return bits
 
 
 def trial_generator(seed: int, trial_index: int) -> Generator:
@@ -139,26 +128,3 @@ class TrialSampler:
 def syndrome_of(graph: DecodingGraph, err: ErrorPattern) -> Syndrome:
     defects = syndrome_indices_of_edges(graph, err.edge_ids)
     return Syndrome(defects=defects, length=graph.n_internal)
-
-
-def logical_error_rate(d: int, p: float) -> float:
-    """Heuristic logical error rate 0.15 * (40 p)^((d+1)/2).
-
-    Valid well below p = 1/40; a warning is emitted outside that regime.
-    """
-    if p > 1.0 / 40.0:
-        warnings.warn(
-            f"logical_error_rate called with p={p} outside its validity regime (p <= 1/40)",
-            stacklevel=2,
-        )
-    return 0.15 * (40.0 * p) ** ((d + 1) / 2)
-
-
-def expected_fault_count(d: int, p: float) -> float:
-    """Approximate expected faults per decode, 3 d^3 p."""
-    return 3.0 * d**3 * p
-
-
-def expected_fault_count_exact(d: int, p: float) -> float:
-    """Exact expected faults |E| p using the constructed edge count."""
-    return num_edges(d) * p

@@ -150,9 +150,6 @@ class ClusterSet:
             mu.extend(mv)
         return ru
 
-    def touches_boundary(self, r: int) -> bool:
-        return self.boundary_sides[r] != 0
-
     def signature(self) -> frozenset:
         """Canonical cluster-set value for engine-equivalence checks.
 
@@ -293,15 +290,7 @@ class DecodeStats:
 @dataclass
 class DecodeOutcome:
     success: bool
-    residual_logical: int
     stats: DecodeStats | None = None
-
-
-def grow_clusters(graph: DecodingGraph, syn: Syndrome) -> ClusterSet:
-    cs = ClusterSet(graph)
-    cs.seed_defects(syn.defects)
-    cs.grow()
-    return cs
 
 
 def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
@@ -427,11 +416,6 @@ def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
     )
 
 
-def decode(graph: DecodingGraph, syn: Syndrome) -> tuple[Correction, DecodeStats]:
-    """Full decode: grow clusters, build the forest, peel."""
-    return Decoder(graph).decode(syn)
-
-
 def assess(
     graph: DecodingGraph,
     err: ErrorPattern,
@@ -443,6 +427,7 @@ def assess(
     residual = np.setxor1d(err.edge_ids, corr.edge_ids, assume_unique=True)
     if syndrome_indices_of_edges(graph, residual).size:
         raise InvariantViolation("correction does not cancel the syndrome")
-    # crossing parity of the zero-syndrome residual: its LEFT-incident edges
+    # crossing parity of the zero-syndrome residual: its LEFT-incident edges;
+    # odd means it runs between the two boundaries, a logical operator
     bit = int(np.count_nonzero(graph.edges_v[residual] == graph.left) & 1) if residual.size else 0
-    return DecodeOutcome(success=(bit == 0), residual_logical=bit, stats=stats)
+    return DecodeOutcome(success=(bit == 0), stats=stats)

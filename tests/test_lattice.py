@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from ufpipe.lattice import (
     LatticeParams,
     build_decoding_graph,
-    logical_crossing_parity,
     num_edges,
     num_internal_vertices,
     num_space_edges,
     num_time_edges,
     syndrome_indices_of_edges,
 )
+from ufpipe.noise import ErrorPattern
+from ufpipe.uf_core import Correction, assess
 
 SYNDROME_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
 
@@ -151,17 +152,19 @@ def square_cycle(g, layer, row, col):
     return out
 
 
+def crossing_parity(g, edge_ids):
+    """Crossing parity of a zero-syndrome edge set, as `assess` finds it
+    when the set is the residual: the error, with an empty correction."""
+    err = ErrorPattern(edge_ids=np.asarray(sorted(edge_ids), dtype=np.int64), n_edges=g.n_edges)
+    return int(not assess(g, err, Correction(edge_ids=np.empty(0, dtype=np.int64))).success)
+
+
 def test_logical_crossing_parity_basics(g3):
-    assert logical_crossing_parity(g3, []) == 0
+    assert crossing_parity(g3, []) == 0
     chain = row_chain(g3, 1, 1)
     assert len(chain) == 3
-    assert logical_crossing_parity(g3, chain) == 1
-    assert logical_crossing_parity(g3, square_cycle(g3, 0, 1, 0)) == 0
-
-
-def test_logical_crossing_parity_rejects_nonzero_syndrome(g3):
-    with pytest.raises(ValueError):
-        logical_crossing_parity(g3, [0])
+    assert crossing_parity(g3, chain) == 1
+    assert crossing_parity(g3, square_cycle(g3, 0, 1, 0)) == 0
 
 
 def test_logical_crossing_parity_linear(g5):
@@ -176,8 +179,8 @@ def test_logical_crossing_parity_linear(g5):
         parity = 0
         for s in picks:
             acc ^= set(s)
-            parity ^= logical_crossing_parity(g5, s)
-        assert logical_crossing_parity(g5, sorted(acc)) == parity
+            parity ^= crossing_parity(g5, s)
+        assert crossing_parity(g5, acc) == parity
 
 
 @settings(max_examples=200, deadline=None)

@@ -111,7 +111,7 @@ def test_overflow_events_at_small_stack_capacity():
 
 
 @pytest.mark.parametrize("d", [3, 5, 11, 25])
-@pytest.mark.parametrize("entries", [None, 64])
+@pytest.mark.parametrize("entries", [None, 0, 64])
 def test_memory_footprint_total_is_sum_of_rows(d, entries):
     fp = memory_footprint(d, entries)
     rows = fp.rows()
@@ -123,6 +123,14 @@ def test_memory_footprint_total_is_sum_of_rows(d, entries):
     expect = 7 * d**3 + 2 * 3 * d**3 * log2d + d**3 + 3 * d**3 \
         + 2 * 3 * (d**3 if entries is None else entries) * log2d
     assert fp.total_bits == pytest.approx(expect)
+
+
+@pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5, -10)])
+def test_memory_footprint_rejects_what_no_decoder_has(d, entries):
+    # the distance must be one a decoding graph can have, and a sized stack
+    # cannot hold a negative number of edges
+    with pytest.raises(ValueError):
+        memory_footprint(d, entries)
 
 
 def test_pipeline_stages_are_module_globals():

@@ -7,9 +7,6 @@ from ufpipe.lattice import LatticeParams, build_decoding_graph
 from ufpipe.noise import (
     NoiseParams,
     TrialSampler,
-    logical_error_rate,
-    expected_fault_count,
-    expected_fault_count_exact,
     sample_edge_ids,
     sample_error,
     syndrome_of,
@@ -183,10 +180,10 @@ def test_syndrome_linearity(g3):
     for _ in range(100):
         a = np.flatnonzero(rng.random(g3.n_edges) < 0.1)
         b = np.flatnonzero(rng.random(g3.n_edges) < 0.1)
-        sa = syndrome_of(g3, _pattern(g3, a)).dense()
-        sb = syndrome_of(g3, _pattern(g3, b)).dense()
-        sx = syndrome_of(g3, _pattern(g3, np.setxor1d(a, b))).dense()
-        assert np.array_equal(sx, sa ^ sb)
+        sa = syndrome_of(g3, _pattern(g3, a)).defects
+        sb = syndrome_of(g3, _pattern(g3, b)).defects
+        sx = syndrome_of(g3, _pattern(g3, np.setxor1d(a, b))).defects
+        assert np.array_equal(sx, np.setxor1d(sa, sb))
 
 
 def test_syndrome_weight_parity(g3):
@@ -196,32 +193,6 @@ def test_syndrome_weight_parity(g3):
         syn = syndrome_of(g3, _pattern(g3, ids))
         n_boundary = int(np.sum(g3.edges_v[ids] >= g3.n_internal))
         assert syn.weight % 2 == n_boundary % 2
-
-
-def test_logical_error_rate_values():
-    assert logical_error_rate(11, 1e-3) == pytest.approx(6.144e-10, rel=1e-3)
-    assert abs(logical_error_rate(11, 1e-3) - 6e-10) < 2e-10  # "about 6e-10"
-    assert logical_error_rate(3, 1e-2) == pytest.approx(0.15 * 0.4**2)
-    for d in (3, 5, 7, 9, 11):
-        assert logical_error_rate(d, 1 / 40) == pytest.approx(0.15)
-
-
-def test_logical_error_rate_monotone_in_d():
-    for p in (1e-4, 1e-3, 1e-2):
-        rates = [logical_error_rate(d, p) for d in (3, 5, 7, 9, 11)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-
-def test_logical_error_rate_warns_outside_regime():
-    with pytest.warns(UserWarning):
-        logical_error_rate(3, 0.05)
-
-
-def test_expected_fault_count():
-    assert expected_fault_count(11, 1e-3) == pytest.approx(3.993)
-    assert round(expected_fault_count(11, 1e-3)) == 4
-    assert expected_fault_count(7, 0.0) == 0.0
-    assert expected_fault_count_exact(11, 1e-3) == pytest.approx(3.531)
 
 
 def test_bad_params():

@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
-from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, sample_error, syndrome_of
+from ufpipe.noise import (
+    ErrorPattern,
+    NoiseParams,
+    Syndrome,
+    TrialSampler,
+    sample_error,
+    syndrome_of,
+)
 from ufpipe import uf_core
 from ufpipe.uf_core import (
     ClusterSet,
@@ -16,8 +24,6 @@ from ufpipe.uf_core import (
     InvariantViolation,
     SpanningForest,
     assess,
-    decode,
-    grow_clusters,
     peel,
     spanning_forest,
 )
@@ -76,7 +82,7 @@ def test_find_compression_cap_five(g3):
 
 
 def test_find_preserves_partition(g3):
-    cs = grow_clusters(g3, syn_of(g3, [g3.vertex_id(1, 0, 0), g3.vertex_id(1, 2, 1)]))
+    cs = Decoder(g3).grow([g3.vertex_id(1, 0, 0), g3.vertex_id(1, 2, 1)])
     before = {v: cs.find(v) for v in range(g3.n_internal)}
     after = {v: cs.find(v) for v in range(g3.n_internal)}
     assert before == after
@@ -136,7 +142,7 @@ def test_union_parity_xor(g3):
 
 
 def test_grow_empty(g3):
-    cs = grow_clusters(g3, syn_of(g3, []))
+    cs = Decoder(g3).grow([])
     assert not cs.members
     assert cs.passes == 0
 
@@ -144,7 +150,7 @@ def test_grow_empty(g3):
 def test_grow_adjacent_pair_one_pass(g3):
     u = g3.vertex_id(1, 1, 0)
     w = g3.vertex_id(1, 1, 1)
-    cs = grow_clusters(g3, syn_of(g3, [u, w]))
+    cs = Decoder(g3).grow([u, w])
     assert cs.passes == 1
     (r,) = cs.members
     assert cs.size[r] == 2
@@ -159,7 +165,7 @@ def test_grow_sparser_pair_two_passes(g5):
     u = g5.vertex_id(2, 0, 1)
     m = g5.vertex_id(2, 1, 1)
     w = g5.vertex_id(2, 2, 1)
-    cs = grow_clusters(g5, syn_of(g5, [u, w]))
+    cs = Decoder(g5).grow([u, w])
     (r,) = cs.members
     assert cs.growth_steps[r] == 2
     assert cs.find(m) == r
@@ -167,10 +173,10 @@ def test_grow_sparser_pair_two_passes(g5):
 
 def test_grow_boundary_single(g3):
     v = g3.vertex_id(1, 1, 0)
-    cs = grow_clusters(g3, syn_of(g3, [v]))
+    cs = Decoder(g3).grow([v])
     assert cs.passes == 2
     (r,) = cs.members
-    assert cs.touches_boundary(r)
+    assert cs.boundary_sides[r]
     assert cs.parity[r] == 1  # still odd, frozen by the boundary
     assert cs.size[r] == 6    # absorbed its five internal neighbors
     assert cs.growth_steps[r] == 2
@@ -179,9 +185,9 @@ def test_grow_boundary_single(g3):
 def test_grow_invariant_even_or_boundary(g5):
     for t in range(200):
         err = sample_error(g5, NoiseParams(p=0.04, seed=11, trial_index=t))
-        cs = grow_clusters(g5, syndrome_of(g5, err))
+        cs = Decoder(g5).grow(syndrome_of(g5, err).defects)
         for r in cs.members:
-            assert cs.parity[r] == 0 or cs.touches_boundary(r)
+            assert cs.parity[r] == 0 or cs.boundary_sides[r]
         assert set(cs.members) == {cs.find(v) for v in cs.touched_v}
         joined = [v for ms in cs.members.values() for v in ms]
         assert sorted(joined) == sorted(cs.touched_v)
@@ -195,7 +201,7 @@ def test_grow_invariant_even_or_boundary(g5):
 def test_forest_two_vertex_cluster(g3):
     u = g3.vertex_id(1, 1, 0)
     w = g3.vertex_id(1, 1, 1)
-    cs = grow_clusters(g3, syn_of(g3, [u, w]))
+    cs = Decoder(g3).grow([u, w])
     forest = spanning_forest(g3, cs)
     assert len(forest.trees) == 1
     assert len(forest.trees[0].edges) == 1
@@ -205,11 +211,11 @@ def test_forest_tree_sizes_and_determinism(g5):
     for t in range(100):
         err = sample_error(g5, NoiseParams(p=0.03, seed=3, trial_index=t))
         syn = syndrome_of(g5, err)
-        cs = grow_clusters(g5, syn)
+        cs = Decoder(g5).grow(syn.defects)
         f1 = spanning_forest(g5, cs)
         for tree in f1.trees:
             assert len(tree.edges) == tree.n_vertices - (0 if tree.boundary else 1)
-        cs2 = grow_clusters(g5, syn)
+        cs2 = Decoder(g5).grow(syn.defects)
         f2 = spanning_forest(g5, cs2)
         assert [t1.edges for t1 in f1.trees] == [t2.edges for t2 in f2.trees]
 
@@ -227,7 +233,7 @@ def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     # LEFT edges of all of column 0 and the RIGHT edges of both corners
     defects = [g3.vertex_id(1, r, 0) for r in range(3)]
     defects += [g3.vertex_id(1, 0, 1), g3.vertex_id(1, 2, 1)]
-    cs = grow_clusters(g3, syn_of(g3, defects))
+    cs = Decoder(g3).grow(sorted(defects))
     (root,) = cs.members
     assert cs.boundary_sides[root] == uf_core.LEFT_SIDE | uf_core.RIGHT_SIDE
     grown_left = sorted(e for e, _ in g3.neighbors(g3.left) if cs.edge_state[e] == 2)
@@ -245,7 +251,7 @@ def test_forest_leaves_parent_table_and_reads_unchanged(g5):
     boundary_trees = 0
     for t in range(60):
         err = sample_error(g5, NoiseParams(p=0.05, seed=29, trial_index=t))
-        cs = grow_clusters(g5, syndrome_of(g5, err))
+        cs = Decoder(g5).grow(syndrome_of(g5, err).defects)
         parent, reads = list(cs.parent), cs.table_reads
         forest = spanning_forest(g5, cs)
         assert cs.parent == parent and cs.table_reads == reads
@@ -304,15 +310,16 @@ def test_peel_leftover_defect_raises(g3):
 
 
 def test_decode_zero_syndrome(g3):
-    corr, stats = decode(g3, syn_of(g3, []))
+    corr, stats = Decoder(g3).decode(syn_of(g3, []))
     assert corr.weight == 0
     assert stats.m == 0
 
 
 def test_decode_every_single_edge_d3(g3):
+    dec = Decoder(g3)
     for e in range(g3.n_edges):
         err = ErrorPattern(edge_ids=np.array([e], dtype=np.int64), n_edges=g3.n_edges)
-        corr, stats = decode(g3, syndrome_of(g3, err))
+        corr, stats = dec.decode(syndrome_of(g3, err))
         out = assess(g3, err, corr, stats)
         assert out.success, f"single edge {e} failed"
 
@@ -320,7 +327,7 @@ def test_decode_every_single_edge_d3(g3):
 def test_decode_two_pairs(g5):
     a1, a2 = g5.vertex_id(0, 0, 0), g5.vertex_id(0, 0, 1)
     b1, b2 = g5.vertex_id(4, 4, 3), g5.vertex_id(4, 4, 2)
-    corr, stats = decode(g5, syn_of(g5, [a1, a2, b1, b2]))
+    corr, stats = Decoder(g5).decode(syn_of(g5, [a1, a2, b1, b2]))
     assert stats.m == 2
     assert sorted(stats.sizes) == [2, 2]
 
@@ -332,7 +339,7 @@ def test_assess_trivial(g3):
     e = np.array([edge_between(g3, g3.vertex_id(1, 1, 0), g3.vertex_id(1, 1, 1))])
     err = ErrorPattern(edge_ids=e, n_edges=g3.n_edges)
     out = assess(g3, err, Correction(edge_ids=e.copy()))
-    assert out.success and out.residual_logical == 0
+    assert out.success
 
 
 def test_assess_complementary_chain_fails(g3):
@@ -346,7 +353,6 @@ def test_assess_complementary_chain_fails(g3):
         edge_between(g3, v0, v1), edge_between(g3, v1, g3.right)]), dtype=np.int64))
     out = assess(g3, err, corr)
     assert not out.success
-    assert out.residual_logical == 1
 
 
 def test_assess_rejects_uncancelled_syndrome(g3):
@@ -394,6 +400,36 @@ def test_decode_deterministic(g5):
         assert s1 == s2
 
 
+def wilson_interval(k, n, z=1.96):
+    """Wilson score interval of a binomial rate k / n (95% at z = 1.96)."""
+    centre = (k + z * z / 2) / (n + z * z)
+    half = z * math.sqrt(k * (n - k) / n + z * z / 4) / (n + z * z)
+    return centre - half, centre + half
+
+
+def failure_interval(d, p, trials=4000, seed=11):
+    g = build_decoding_graph(LatticeParams(d))
+    dec, smp = Decoder(g), TrialSampler(g.n_edges, p, seed)
+    failures = 0
+    for t in range(trials):
+        err = ErrorPattern(edge_ids=smp.sample(t), n_edges=g.n_edges)
+        corr, _ = dec.decode(syndrome_of(g, err))
+        failures += not assess(g, err, corr).success
+    return wilson_interval(failures, trials)
+
+
+def test_larger_distance_wins_below_threshold_and_loses_above():
+    # the decoder must decode, not only cancel the syndrome: well below the
+    # threshold (near p = 2.4% here) d=7 fails less often than d=3, and well
+    # above it more often, each with non-overlapping 95% intervals
+    lo3, hi3 = failure_interval(3, 0.01)
+    lo7, hi7 = failure_interval(7, 0.01)
+    assert hi7 < lo3
+    lo3, hi3 = failure_interval(3, 0.03)
+    lo7, hi7 = failure_interval(7, 0.03)
+    assert hi3 < lo7
+
+
 # -- input validation and graph ownership of adjacency --------------------
 
 
@@ -412,7 +448,7 @@ def test_decode_rejects_bad_defects(g3, defects):
     with pytest.raises(ValueError):
         dec.decode(Syndrome(defects=defects, length=g3.n_internal))
     with pytest.raises(ValueError):
-        grow_clusters(g3, Syndrome(defects=defects, length=g3.n_internal))
+        Decoder(g3).grow(defects)
     corr, stats = dec.decode(good)
     assert np.array_equal(corr.edge_ids, expect[0].edge_ids) and stats == expect[1]
 
