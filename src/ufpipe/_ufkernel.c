@@ -1,0 +1,368 @@
+/* Union-Find decoding kernel: growth, spanning forest and peeling.
+ *
+ * `uf_core` compiles this file on first import and calls it through ctypes.
+ * Every buffer belongs to a Python `ClusterSet` (one numpy block, sized from
+ * the graph's n_internal and n_edges); the kernel allocates nothing except
+ * the scratch bits of `uf_peel`. The struct below mirrors `uf_core._Ctx`
+ * field for field.
+ *
+ * Iteration orders are fixed and equal to the reference algorithm's:
+ * ascending vertex ids within a growth pass, each vertex's CSR adjacency in
+ * W/E/N/S/D/U order, the fusion edge stack drained last in first out, and
+ * clusters visited by their smallest vertex. A decode is therefore a
+ * deterministic function of the syndrome.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define FIND_COMPRESSION_CAP 5 /* vertices repointed per find (hardware register file) */
+#define LEFT_SIDE 1
+#define RIGHT_SIDE 2
+
+enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS };
+
+typedef struct {
+    int64_t n_internal, n_edges, left;
+    /* graph, read only: CSR adjacency over n_internal + 2 vertices, endpoints */
+    const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
+    /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
+    int64_t *counts; /* indexed by the enum above */
+    uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
+    /* per internal vertex: union-find tables and member lists (head = root) */
+    int32_t *parent, *size, *growth_steps, *next, *tail;
+    /* logs: member vertices in join order, edges in first-touch order, and
+       per pass (len(touched_v), len(touched_e)) at its start and its FES size */
+    int32_t *touched_v, *touched_e, *pass_log;
+    /* scratch: growth scan list, fusion edge stack, per-vertex auxiliary
+       slot, boundary entry list and DFS frames (vertex, adjacency position) */
+    int32_t *scan, *fes, *aux, *entry, *stack;
+    int32_t *forest; /* forest record, see uf_forest */
+    uint8_t *parity, *boundary_sides, *member, *visited;
+    uint8_t *edge_state; /* per edge: 0 untouched, 1 half grown, 2 fully grown */
+} uf_ctx;
+
+/* Drain a bitmap of `words` words into `out` in ascending order, clearing it. */
+static int32_t drain_bits(uint64_t *bits, int64_t words, int32_t *out) {
+    int32_t n = 0;
+    for (int64_t w = 0; w < words; w++) {
+        uint64_t x = bits[w];
+        if (!x) continue;
+        bits[w] = 0;
+        while (x) {
+            out[n++] = (int32_t)(w * 64 + __builtin_ctzll(x));
+            x &= x - 1;
+        }
+    }
+    return n;
+}
+
+/* Drain the vertex bitmap of the context. */
+static int32_t drain_vertices(uf_ctx *c, int32_t *out) {
+    return drain_bits(c->bits, (c->n_internal + 63) / 64, out);
+}
+
+static inline void set_bit(uf_ctx *c, int32_t v) { c->bits[v >> 6] |= 1ULL << (v & 63); }
+
+/* Initial state: every vertex its own root, nothing touched. */
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("tree-vectorize"))) /* gcc -O2 leaves these fills scalar */
+#endif
+void uf_init(uf_ctx *c) {
+    int32_t n = (int32_t)c->n_internal;
+    for (int32_t v = 0; v < n; v++) c->parent[v] = v;
+    for (int32_t v = 0; v < n; v++) c->tail[v] = v;
+    for (int32_t v = 0; v < n; v++) c->size[v] = 1;
+    memset(c->next, 0xff, (size_t)n * sizeof *c->next); /* -1: end of list */
+    memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
+    memset(c->counts, 0, 4 * sizeof *c->counts);
+    memset(c->bits, 0, (size_t)(n + 63) / 64 * sizeof *c->bits);
+    memset(c->parity, 0, (size_t)n);
+    memset(c->boundary_sides, 0, (size_t)n);
+    memset(c->member, 0, (size_t)n);
+    memset(c->visited, 0, (size_t)n);
+    memset(c->edge_state, 0, (size_t)c->n_edges);
+}
+
+/* Restore the initial state over the entries the last decode touched. */
+void uf_reset(uf_ctx *c) {
+    for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
+        int32_t v = c->touched_v[i];
+        c->parent[v] = v;
+        c->tail[v] = v;
+        c->size[v] = 1;
+        c->next[v] = -1;
+        c->growth_steps[v] = 0;
+        c->parity[v] = 0;
+        c->boundary_sides[v] = 0;
+        c->member[v] = 0;
+    }
+    for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
+    c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
+}
+
+/* The first k entries of touched_v hold validated, distinct defect ids. */
+void uf_seed(uf_ctx *c, int64_t k) {
+    for (int64_t i = 0; i < k; i++) {
+        int32_t v = c->touched_v[i];
+        c->member[v] = 1;
+        c->parity[v] = 1;
+    }
+    c->counts[N_TOUCHED_V] = k;
+}
+
+/* Root of v; 1 table read at a root, 2 at depth 1, len(path) + 1 deeper,
+   where only the last FIND_COMPRESSION_CAP path vertices are repointed. */
+int32_t uf_find(uf_ctx *c, int32_t v) {
+    int32_t *parent = c->parent;
+    int32_t r = parent[v];
+    if (r == v) {
+        c->counts[TABLE_READS] += 1;
+        return v;
+    }
+    int32_t p = parent[r];
+    if (p == r) {
+        c->counts[TABLE_READS] += 2;
+        return r;
+    }
+    int32_t last[FIND_COMPRESSION_CAP]; /* ring of the last path vertices */
+    int64_t len = 0;
+    last[len++ % FIND_COMPRESSION_CAP] = v;
+    last[len++ % FIND_COMPRESSION_CAP] = r;
+    for (r = p; (p = parent[r]) != r; r = p) last[len++ % FIND_COMPRESSION_CAP] = r;
+    c->counts[TABLE_READS] += len + 1;
+    for (int64_t i = 0; i < len && i < FIND_COMPRESSION_CAP; i++) parent[last[i]] = r;
+    return r;
+}
+
+static inline void join(uf_ctx *c, int32_t v) {
+    if (!c->member[v]) {
+        c->member[v] = 1;
+        c->touched_v[c->counts[N_TOUCHED_V]++] = v;
+    }
+}
+
+/* Make u and w members (u first), then merge their clusters: weighted by
+   vertex count, the smaller root id winning a tie. Parity XORs, boundary
+   sides OR, growth counts take the max, and the loser's member list is
+   appended to the winner's. Returns the surviving root. */
+int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
+    join(c, u);
+    join(c, w);
+    int32_t ru = uf_find(c, u), rv = uf_find(c, w);
+    if (ru == rv) return ru;
+    c->counts[TABLE_READS] += 2;
+    if (c->size[rv] > c->size[ru] || (c->size[rv] == c->size[ru] && rv < ru)) {
+        int32_t t = ru;
+        ru = rv;
+        rv = t;
+    }
+    c->parent[rv] = ru;
+    c->size[ru] += c->size[rv];
+    c->parity[ru] ^= c->parity[rv];
+    c->boundary_sides[ru] |= c->boundary_sides[rv];
+    if (c->growth_steps[rv] > c->growth_steps[ru]) c->growth_steps[ru] = c->growth_steps[rv];
+    c->next[c->tail[ru]] = rv;
+    c->tail[ru] = c->tail[rv];
+    return ru;
+}
+
+/* Growth passes until every cluster is even or frozen on a boundary. Each
+   pass grows every incident half-edge of every odd, unfrozen cluster by one
+   step; an edge reaching the fully grown state goes on the fusion edge stack
+   (FES), which is drained last in first out after the pass. */
+void uf_grow(uf_ctx *c) {
+    int64_t *counts = c->counts;
+    for (;;) {
+        /* every cluster root is a member vertex */
+        int grows = 0;
+        for (int64_t i = 0; i < counts[N_TOUCHED_V]; i++) {
+            int32_t r = c->touched_v[i];
+            if (c->parent[r] != r || !c->parity[r] || c->boundary_sides[r]) continue;
+            c->growth_steps[r]++;
+            for (int32_t x = r; x >= 0; x = c->next[x]) set_bit(c, x);
+            grows = 1;
+        }
+        if (!grows) return;
+        counts[PASSES]++;
+        int32_t n_scan = drain_vertices(c, c->scan);
+        int64_t n_touched_e = counts[N_TOUCHED_E];
+        int32_t n_fes = 0;
+        for (int32_t i = 0; i < n_scan; i++) {
+            int32_t v = c->scan[i];
+            for (int32_t k = c->adj_start[v]; k < c->adj_start[v + 1]; k++) {
+                int32_t e = c->adj_edge[k];
+                uint8_t s = c->edge_state[e];
+                if (s == 0) {
+                    c->edge_state[e] = 1;
+                    c->touched_e[counts[N_TOUCHED_E]++] = e;
+                } else if (s == 1) {
+                    c->edge_state[e] = 2;
+                    c->fes[n_fes++] = e;
+                }
+            }
+        }
+        int32_t *log = c->pass_log + 3 * (counts[PASSES] - 1);
+        log[0] = (int32_t)counts[N_TOUCHED_V];
+        log[1] = (int32_t)n_touched_e;
+        log[2] = n_fes;
+        while (n_fes) {
+            int32_t e = c->fes[--n_fes];
+            int32_t u = c->eu[e], w = c->ev[e];
+            if (w >= c->n_internal)
+                c->boundary_sides[uf_find(c, u)] |= w == c->left ? LEFT_SIDE : RIGHT_SIDE;
+            else
+                uf_union(c, u, w);
+        }
+    }
+}
+
+/* DFS spanning tree per cluster over fully grown edges, written as one
+   int32 record: m, k, then root, start vertex, vertex count, boundary flag
+   and tree edge count of each of the m trees, then k (edge, leafward,
+   rootward) triples, tree by tree in DFS visit order.
+
+   Trees are ordered by the smallest vertex of their cluster, the traversal
+   root. A boundary cluster is entered instead from its virtual vertex (LEFT
+   when both sides are touched) through its members' fully grown edges to
+   it, in ascending member id. Makes no find. Returns the record length, or
+   -1 (odd cluster off the boundary; record[0] = root) or -2 (tree of the
+   wrong size; record[0..2] = root, edges, expected edges). */
+int64_t uf_forest(uf_ctx *c) {
+    int32_t n_int = (int32_t)c->n_internal, *rec = c->forest;
+    for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) c->visited[c->touched_v[i]] = 0;
+    for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
+        int32_t r = c->touched_v[i], low = r;
+        if (c->parent[r] != r) continue;
+        for (int32_t x = c->next[r]; x >= 0; x = c->next[x])
+            if (x < low) low = x;
+        c->aux[low] = r;
+        set_bit(c, low);
+    }
+    int32_t m = drain_vertices(c, c->scan); /* the clusters' smallest vertices, ascending */
+    int32_t *root = rec + 2, *start = root + m, *n_vertices = start + m;
+    int32_t *boundary = n_vertices + m, *n_edges = boundary + m, *edges = n_edges + m;
+    int64_t k = 0;
+    for (int32_t t = 0; t < m; t++) {
+        int32_t low = c->scan[t];
+        int32_t r = c->aux[low]; /* read before this cluster's entries reuse aux */
+        uint8_t sides = c->boundary_sides[r];
+        if (c->parity[r] && !sides) {
+            rec[0] = r;
+            return -1;
+        }
+        int32_t s = low, n_entries = 1, expect = c->size[r] - 1;
+        int64_t k0 = k;
+        c->entry[0] = low;
+        if (sides) {
+            s = sides & LEFT_SIDE ? (int32_t)c->left : n_int + 1;
+            for (int32_t x = r; x >= 0; x = c->next[x])
+                for (int32_t j = c->adj_start[x]; j < c->adj_start[x + 1]; j++)
+                    if (c->adj_far[j] == s && c->edge_state[c->adj_edge[j]] == 2) {
+                        c->aux[x] = c->adj_edge[j];
+                        set_bit(c, x);
+                    }
+            n_entries = drain_vertices(c, c->entry);
+            expect = c->size[r];
+        }
+        for (int32_t i = 0; i < n_entries; i++) {
+            int32_t u = c->entry[i];
+            if (c->visited[u]) continue;
+            c->visited[u] = 1;
+            if (sides) {
+                edges[3 * k] = c->aux[u];
+                edges[3 * k + 1] = u;
+                edges[3 * k + 2] = s;
+                k++;
+            }
+            /* each frame resumes its vertex's adjacency where it left off */
+            int32_t sp = 1;
+            c->stack[0] = u;
+            c->stack[1] = c->adj_start[u];
+            while (sp) {
+                int32_t x = c->stack[2 * sp - 2], j = c->stack[2 * sp - 1];
+                for (; j < c->adj_start[x + 1]; j++) {
+                    int32_t e = c->adj_edge[j], w = c->adj_far[j];
+                    if (c->edge_state[e] == 2 && w < n_int && !c->visited[w]) break;
+                }
+                if (j == c->adj_start[x + 1]) {
+                    sp--;
+                    continue;
+                }
+                int32_t w = c->adj_far[j];
+                c->stack[2 * sp - 1] = j + 1;
+                c->visited[w] = 1;
+                edges[3 * k] = c->adj_edge[j];
+                edges[3 * k + 1] = w;
+                edges[3 * k + 2] = x;
+                k++;
+                c->stack[2 * sp] = w;
+                c->stack[2 * sp + 1] = c->adj_start[w];
+                sp++;
+            }
+        }
+        if (k - k0 != expect) {
+            rec[0] = r;
+            rec[1] = (int32_t)(k - k0);
+            rec[2] = expect;
+            return -2;
+        }
+        root[t] = r;
+        start[t] = s;
+        n_vertices[t] = c->size[r];
+        boundary[t] = sides != 0;
+        n_edges[t] = (int32_t)(k - k0);
+    }
+    rec[0] = m;
+    rec[1] = (int32_t)k;
+    return 2 + 5 * (int64_t)m + 3 * k;
+}
+
+/* Reverse-order peeling of a forest record: pop tree edges leaf first; an
+   edge whose leafward endpoint holds a defect joins the correction and
+   flips the rootward endpoint's bit, which a boundary entry point absorbs.
+   Negative defect ids lie in no tree and are ignored. Writes the
+   correction in ascending edge order to `corr` (room for k edges) and
+   returns its size, -1 - v for a defect left over at the root v of a tree
+   off the boundary, or INT64_MIN when the scratch bits cannot be
+   allocated. */
+int64_t uf_peel(const int32_t *rec, const int32_t *defects, int64_t n_defects, int32_t *corr) {
+    int32_t m = rec[0], k = rec[1];
+    const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
+    const int32_t *edges = n_edges + m;
+    int32_t hi = 0, hi_edge = 0;
+    for (int64_t i = 0; i < n_defects; i++)
+        if (defects[i] > hi) hi = defects[i];
+    for (int64_t i = 0; i < k; i++) {
+        if (edges[3 * i] > hi_edge) hi_edge = edges[3 * i];
+        if (edges[3 * i + 1] > hi) hi = edges[3 * i + 1];
+        if (edges[3 * i + 2] > hi) hi = edges[3 * i + 2];
+    }
+    for (int32_t t = 0; t < m; t++)
+        if (start[t] > hi) hi = start[t];
+    /* a bitmap of the correction's edges, then one bit byte per vertex */
+    int64_t words = hi_edge / 64 + 1;
+    uint64_t *chosen = calloc((size_t)words * sizeof *chosen + (size_t)hi + 1, 1);
+    if (!chosen) return INT64_MIN;
+    uint8_t *bit = (uint8_t *)(chosen + words);
+    for (int64_t i = 0; i < n_defects; i++)
+        if (defects[i] >= 0) bit[defects[i]] = 1;
+    int64_t result = 0, j = 0;
+    for (int32_t t = 0; t < m && !result; t++) {
+        j += n_edges[t];
+        for (int64_t i = j - 1; i >= j - n_edges[t]; i--) {
+            int32_t e = edges[3 * i], child = edges[3 * i + 1], parent = edges[3 * i + 2];
+            uint8_t b = bit[child];
+            bit[child] = 0;
+            if (b) {
+                chosen[e >> 6] |= 1ULL << (e & 63);
+                if (!boundary[t] || parent != start[t]) bit[parent] ^= 1;
+            }
+        }
+        if (!boundary[t] && bit[start[t]]) result = -1 - (int64_t)start[t];
+        bit[start[t]] = 0;
+    }
+    int32_t n = drain_bits(chosen, words, corr);
+    free(chosen);
+    return result ? result : n;
+}

@@ -5,16 +5,19 @@ syndrome vertices; horizontal (W/E) data-qubit edges terminate on two
 virtual boundary vertices shared by all layers. Consecutive layers are
 connected by time edges modelling measurement errors. The graph is
 immutable after construction and safe to share between workers.
+
+Everything the decoding kernel reads is a flat int32 array: the edge
+endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
+`adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
+order. `neighbors` reads the CSR arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-SPACE = 0
-TIME = 1
 
 
 @dataclass(frozen=True)
@@ -51,19 +54,17 @@ class DecodingGraph:
     n_internal: int
     left: int            # virtual boundary vertex id (= n_internal)
     right: int           # virtual boundary vertex id (= n_internal + 1)
-    # endpoints as numpy arrays, for syndrome extraction and `assess`
-    edges_u: np.ndarray  # internal endpoint (int32)
-    edges_v: np.ndarray  # internal or virtual endpoint (int32)
-    # the only neighbour index: per-vertex ((edge, far), ...) in the order
-    # `neighbors` documents, for every vertex including LEFT and RIGHT; the
-    # decoder's inner loops read these and the edge endpoints as Python
-    # objects, not numpy scalars
-    adjacency: tuple = field(repr=False)
-    eu: list[int] = field(repr=False)  # edges_u as a list
-    ev: list[int] = field(repr=False)  # edges_v as a list
-    # tuple(range(n_internal)): a ClusterSet copies it as its root table, which
-    # shares these int objects instead of creating one per internal vertex
-    vertex_ids: tuple = field(repr=False)
+    # endpoints as int32 arrays, for the decoding kernel, syndrome extraction
+    # and `assess`
+    edges_u: np.ndarray  # internal endpoint
+    edges_v: np.ndarray  # internal or virtual endpoint
+    # the only neighbour index, int32 CSR over every vertex including LEFT and
+    # RIGHT: vertex v's incident (edge, far vertex) pairs are
+    # zip(adj_edge[s:t], adj_far[s:t]) for s, t = adj_start[v], adj_start[v + 1],
+    # in the order `neighbors` documents
+    adj_start: np.ndarray = field(repr=False)
+    adj_edge: np.ndarray = field(repr=False)
+    adj_far: np.ndarray = field(repr=False)
     n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
     n_time_edges: int = 0
     _row_stride: int = field(default=0, repr=False)
@@ -71,6 +72,13 @@ class DecodingGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
+
+    @functools.cached_property
+    def kernel_addresses(self) -> tuple[int, ...]:
+        """Data addresses of adj_start, adj_edge, adj_far, edges_u and edges_v,
+        the arrays the decoding kernel reads; fixed, as the graph is immutable."""
+        return tuple(a.ctypes.data for a in (
+            self.adj_start, self.adj_edge, self.adj_far, self.edges_u, self.edges_v))
 
     def vertex_id(self, layer: int, row: int, col: int) -> int:
         d = self.d
@@ -94,7 +102,8 @@ class DecodingGraph:
         """
         if v < 0 or v >= self.n_internal + 2:
             raise IndexError(f"vertex {v} out of range")
-        return list(self.adjacency[v])
+        s, t = self.adj_start[v], self.adj_start[v + 1]
+        return list(zip(self.adj_edge[s:t].tolist(), self.adj_far[s:t].tolist()))
 
 
 def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
@@ -113,7 +122,6 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
 
     eu: list[int] = []
     ev: list[int] = []
-    kind: list[int] = []
 
     def vid(layer, row, col):
         return layer * d * cols + row * cols + col
@@ -122,62 +130,54 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         for row in range(d):
             eu.append(vid(layer, row, 0))
             ev.append(left)
-            kind.append(SPACE)
             for col in range(cols - 1):
                 eu.append(vid(layer, row, col))
                 ev.append(vid(layer, row, col + 1))
-                kind.append(SPACE)
             eu.append(vid(layer, row, cols - 1))
             ev.append(right)
-            kind.append(SPACE)
         for row in range(d - 1):
             for col in range(cols):
                 eu.append(vid(layer, row, col))
                 ev.append(vid(layer, row + 1, col))
-                kind.append(SPACE)
+    n_space = len(eu)
     for gap in range(layers - 1):
         for row in range(d):
             for col in range(cols):
                 eu.append(vid(gap, row, col))
                 ev.append(vid(gap + 1, row, col))
-                kind.append(TIME)
+    u = np.asarray(eu, dtype=np.int32)
+    v = np.asarray(ev, dtype=np.int32)
 
-    # W/E/N/S/D/U slots of every internal vertex; LEFT and RIGHT list their
-    # edges in ascending edge id
+    # W/E/N/S/D/U slot of each edge at each end; LEFT and RIGHT list their
+    # edges in ascending edge id, so every boundary edge has slot 0 there
     W, E, N, S, D, U = range(6)
-    slots = [[None] * 6 for _ in range(n_int)]
-    sides: dict[int, list] = {left: [], right: []}
-    for e, (u, v, k) in enumerate(zip(eu, ev, kind)):
-        if k == TIME:
-            slots[u][U] = (e, v)
-            slots[v][D] = (e, u)
-        elif v >= n_int:
-            slots[u][W if v == left else E] = (e, v)
-            sides[v].append((e, u))
-        elif v - u == 1:  # horizontal, u west of v
-            slots[u][E] = (e, v)
-            slots[v][W] = (e, u)
-        else:  # in-plane vertical, u north of v
-            slots[u][S] = (e, v)
-            slots[v][N] = (e, u)
-    adjacency = tuple(tuple(x for x in s if x is not None) for s in slots)
-    adjacency += (tuple(sides[left]), tuple(sides[right]))
+    e = np.arange(u.size, dtype=np.int32)
+    time = e >= n_space
+    side = v >= n_int
+    horiz = ~time & ~side & (v - u == 1)  # u west of v; other in-plane edges: u north of v
+    slot_u = np.select([time, side & (v == left), side | horiz], [U, W, E], S)
+    slot_v = np.select([time, side, horiz], [D, 0, W], N)
+    vert = np.concatenate((u, v))
+    order = np.lexsort((np.concatenate((e, e)), np.concatenate((slot_u, slot_v)), vert))
+    adj_start = np.zeros(n_int + 3, dtype=np.int32)
+    np.cumsum(np.bincount(vert, minlength=n_int + 2), out=adj_start[1:])
 
     g = DecodingGraph(
         d=d,
         n_internal=n_int,
         left=left,
         right=right,
-        edges_u=np.asarray(eu, dtype=np.int32),
-        edges_v=np.asarray(ev, dtype=np.int32),
-        adjacency=adjacency,
-        eu=eu,
-        ev=ev,
-        vertex_ids=tuple(range(n_int)),
-        n_space_edges=kind.count(SPACE),
-        n_time_edges=kind.count(TIME),
+        edges_u=u,
+        edges_v=v,
+        adj_start=adj_start,
+        adj_edge=np.concatenate((e, e))[order],
+        adj_far=np.concatenate((v, u))[order],
+        n_space_edges=n_space,
+        n_time_edges=u.size - n_space,
         _row_stride=cols,
     )
+    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far):
+        a.flags.writeable = False  # the kernel reads them through fixed addresses
     assert g.n_space_edges == num_space_edges(d)
     assert g.n_time_edges == num_time_edges(d)
     return g

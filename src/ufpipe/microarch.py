@@ -6,9 +6,15 @@ each stage runs the `uf_core` engine and counts the reads the hardware
 would make, from the state the engine leaves behind. The spanning tree
 memory (STM) is `ClusterSet.edge_state` plus the defect bits; the root
 and size tables are `ClusterSet.parent` and `ClusterSet.size`; the fusion
-edge stack (FES) is each growth pass's `fes`; the zero data register (ZDR)
-flags the STM rows that hold any nonzero entry. Corrections, statistics
-and cluster partitions equal the engine's by construction.
+edge stack (FES) is each growth pass's stack, whose size the pass log
+records; the zero data register (ZDR) flags the STM rows that hold any
+nonzero entry. Corrections, statistics and cluster partitions equal the
+engine's by construction.
+
+The counts are numpy reductions over the buffers the engine's kernel
+writes (`ClusterSet.log_arrays()` and the forest record), so the model
+costs a fixed number of array operations per stage rather than a Python
+step per touched vertex or edge.
 
 Also evaluates the closed-form memory-cost table and the per-stage read
 estimates.
@@ -18,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
@@ -95,18 +103,20 @@ def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
     cs, t = state.cs, state.trace
     cs.seed_defects(syn.defects)
     cs.grow()
-    stm_row, eu = cs.graph.stm_row, cs.graph.eu
-    nonzero_rows: set[int] = set()
-    nv0 = ne0 = 0
-    for nv, ne, n_fused in cs.pass_log:
-        nonzero_rows.update(map(stm_row, cs.touched_v[nv0:nv]))
-        nonzero_rows.update(stm_row(eu[e]) for e in cs.touched_e[ne0:ne])
-        nv0, ne0 = nv, ne
-        t.stm_row_reads += len(nonzero_rows)
-        t.table_reads += nv
-        t.fes_pops += n_fused
+    touched_v, touched_e, log = cs.log_arrays()
+    n_v, n_e, n_fused = log.T
+    # an entry is in the ZDR from the first pass that starts after it was
+    # touched, and its row is read once per pass from the row's first such pass
+    g, passes = cs.graph, len(log)
+    row_first = np.full(g.d * g.d, passes)
+    np.minimum.at(row_first, touched_v // g._row_stride,
+                  n_v.searchsorted(np.arange(touched_v.size), "right"))
+    np.minimum.at(row_first, g.edges_u[touched_e] // g._row_stride,
+                  n_e.searchsorted(np.arange(touched_e.size), "right"))
+    t.stm_row_reads += passes * row_first.size - int(row_first.sum())
+    t.table_reads += int(n_v.sum()) + cs.table_reads
+    t.fes_pops += int(n_fused.sum())
     t.parity_scans = cs.passes + 1
-    t.table_reads += cs.table_reads
     t.grgen = t.parity_scans + t.stm_row_reads + t.table_reads + t.fes_pops
     return t
 
@@ -115,17 +125,15 @@ def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
     cluster's edge stack."""
     forest = spanning_forest(state.cs.graph, state.cs)
-    cap = state.stack_capacity
-    for tree in forest.trees:
-        state.trace.dfs += tree.n_vertices
-        if cap is not None and len(tree.edges) > cap:
-            state.overflow_events += 1
+    state.trace.dfs += int(forest.n_vertices.sum())
+    if state.stack_capacity is not None:
+        state.overflow_events += int(np.count_nonzero(forest.tree_edges > state.stack_capacity))
     return forest
 
 
 def run_corr(state: PipelineState, forest: SpanningForest, syn: Syndrome) -> Correction:
     """Corr engine: peel every edge stack, one pop per tree edge."""
-    state.trace.corr += sum(len(tree.edges) for tree in forest.trees)
+    state.trace.corr += len(forest.edges)
     return peel(forest, syn)
 
 

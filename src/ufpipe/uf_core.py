@@ -1,6 +1,9 @@
 """Union-Find decoder: growth, spanning forest, peeling.
 
-The only decoding engine in the package. All iteration orders are fixed
+The only decoding engine in the package. Growth, the spanning forest and
+peeling run in one C kernel, `_ufkernel.c`, over flat buffers that a
+`ClusterSet` owns; this module validates input, owns the buffers and turns
+the kernel's output into Python values. All iteration orders are fixed
 (ascending vertex ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a
 decode is a deterministic function of the syndrome; the hardware pipeline
 model in `microarch` counts memory reads on top of this engine's state.
@@ -9,22 +12,142 @@ Growth policy: every odd, non-boundary cluster grows all of its incident
 half-edges by one increment per pass; edges reaching the fully-grown
 state are queued and merged after the pass. A cluster freezes as soon as
 a grown edge reaches a virtual boundary vertex.
+
+Build cache: importing this module compiles the kernel once with
+`cc -O2 -shared -fPIC` in a subprocess, into
+`__pycache__/_ufkernel-<sha256 of the source><interpreter's extension
+suffix>` next to the source, and loads it with `ctypes`. Later imports
+load the cached file without running `cc`. A missing or failing compiler
+raises ImportError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import ctypes
+import functools
+import hashlib
+import os
+from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
 from .lattice import DecodingGraph, syndrome_indices_of_edges
 from .noise import ErrorPattern, Syndrome
 
-LEFT_SIDE = 1
+LEFT_SIDE = 1   # boundary_sides bits; `_ufkernel.c` defines the same values
 RIGHT_SIDE = 2
 
-# hardware tree-traversal register file holds this many vertices per find
-FIND_COMPRESSION_CAP = 5
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c")
+
+
+def _build(source: str, target: str) -> None:
+    """Compile `source` into the shared object `target`, atomically."""
+    import subprocess  # only on a cache miss
+
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` "
+                              f"did not run: {exc}") from exc
+        if proc.returncode:
+            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` exited "
+                              f"with status {proc.returncode}:\n{proc.stderr}")
+        os.replace(tmp, target)  # concurrent builds each replace the file whole
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel() -> ctypes.CDLL:
+    with open(_SOURCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    target = os.path.join(os.path.dirname(_SOURCE), "__pycache__",
+                          f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
+    if not os.path.exists(target):
+        _build(_SOURCE, target)
+    lib = ctypes.CDLL(target)
+    ctx, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
+    for name, restype, argtypes in (
+        ("uf_init", None, [ctx]),
+        ("uf_reset", None, [ctx]),
+        ("uf_seed", None, [ctx, i64]),
+        ("uf_find", i32, [ctx, i32]),
+        ("uf_union", i32, [ctx, i32, i32]),
+        ("uf_grow", None, [ctx]),
+        ("uf_forest", i64, [ctx]),
+        ("uf_peel", i64, [ctypes.c_void_p, ctypes.c_void_p, i64, ctypes.c_void_p]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+_K = _load_kernel()
+_BYTES = ctypes.c_char * 0
+
+
+def _addr(a: np.ndarray) -> int:
+    """Address of the data of a writable, C-contiguous array."""
+    return ctypes.addressof(_BYTES.from_buffer(a))
+
+
+# The buffers of a ClusterSet, in the order of their fields in `uf_ctx`:
+# (name, dtype, length as a function of n_internal and n_edges). Wider types
+# come first, so that one block holds them all, each aligned.
+_BUFFERS = (
+    ("counts", np.int64, lambda n, n_e: 4),
+    ("bits", np.uint64, lambda n, n_e: (n + 63) // 64),
+    ("parent", np.int32, lambda n, n_e: n),
+    ("size", np.int32, lambda n, n_e: n),
+    ("growth_steps", np.int32, lambda n, n_e: n),
+    ("next", np.int32, lambda n, n_e: n),
+    ("tail", np.int32, lambda n, n_e: n),
+    ("touched_v", np.int32, lambda n, n_e: n),
+    ("touched_e", np.int32, lambda n, n_e: n_e),
+    ("pass_log", np.int32, lambda n, n_e: 6 * n_e),
+    ("scan", np.int32, lambda n, n_e: n),
+    ("fes", np.int32, lambda n, n_e: n_e),
+    ("aux", np.int32, lambda n, n_e: n),
+    ("entry", np.int32, lambda n, n_e: n),
+    ("stack", np.int32, lambda n, n_e: 2 * n),
+    ("forest", np.int32, lambda n, n_e: 8 * n + 2),
+    ("parity", np.uint8, lambda n, n_e: n),
+    ("boundary_sides", np.uint8, lambda n, n_e: n),
+    ("member", np.uint8, lambda n, n_e: n),
+    ("visited", np.uint8, lambda n, n_e: n),
+    ("edge_state", np.uint8, lambda n, n_e: n_e),
+)
+
+
+class _Ctx(ctypes.Structure):
+    """`uf_ctx` of `_ufkernel.c`, field for field: every pointer is a buffer address."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left")] + [
+        (name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")
+    ] + [(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int, n_e: int) -> tuple[int, tuple[int, ...], dict[str, tuple[int, int, type]]]:
+    """Size in bytes of a ClusterSet's block, the first byte of every buffer
+    in it in `_BUFFERS` order, and name -> (first byte, end byte, dtype)."""
+    off, where = 0, {}
+    for name, dtype, length in _BUFFERS:
+        end = off + np.dtype(dtype).itemsize * length(n, n_e)
+        where[name] = (off, end, dtype)
+        off = end
+    return off, tuple(first for first, _, _ in where.values()), where
+
+
+# slots of the counts buffer, as `_ufkernel.c` numbers them
+_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS = range(4)
+_PEEL_NO_MEMORY = -(2**63)  # uf_peel's INT64_MIN
+_INT32 = np.dtype(np.int32)
 
 
 class InvariantViolation(RuntimeError):
@@ -35,143 +158,146 @@ class ClusterSet:
     """Union-find partition with per-root size, parity, boundary flag and
     growth count, plus the half-edge growth counters.
 
-    `members` maps each cluster root to its member vertices, in the order
-    they joined; its keys are the cluster roots and nothing else lists them.
-    A cluster's smallest vertex is taken from its member list when the
-    spanning forest needs it.
+    All state lives in one numpy block, cut into the buffers `_BUFFERS`
+    lists, which the kernel reads and writes:
+
+    - per internal vertex: the root and size tables `parent` and `size`,
+      `growth_steps` (int32), `parity` and `boundary_sides` (uint8), a
+      member flag, and each cluster's member list, in join order, as a
+      linked list that starts at the cluster's root (the kernel's `next`
+      and `tail`). `members` reads the lists as a dict keyed by root.
+    - per edge: `edge_state` (uint8: 0 untouched, 1 half grown, 2 fully
+      grown).
+    - what a read-count model needs, kept at O(1) cost per find and per
+      pass: `touched_v` (member vertices in the order they joined),
+      `touched_e` (edges with nonzero growth state, in the order they were
+      first touched), `table_reads` (parent-table reads by `find` plus two
+      size-table reads per union of distinct roots, all made during growth:
+      the forest makes no finds) and `pass_log`, one `(len(touched_v),
+      len(touched_e), len(fes))` per growth pass, the first two taken at the
+      start of the pass and the last the size of the pass's fusion edge
+      stack. These read int32 buffers as lists of plain ints;
+      `log_arrays()` gives the filled buffers themselves.
+    - scratch for the kernel and the forest record. Every buffer is sized
+      for the worst case from `n_internal` and `n_edges`: each holds at
+      most one entry per vertex or per edge, and there are at most
+      2 * n_edges growth passes, since each pass advances an edge state.
 
     State is reusable across decodes: `reset()` restores only the entries
     touched by the previous run.
-
-    Besides the decoding state it keeps, at O(1) cost per find and per
-    pass, what a read-count model needs: `touched_v` (member vertices in the
-    order they joined), `touched_e` (edges with nonzero growth state, in the
-    order they were first touched), `table_reads` (parent-table reads by
-    `find` plus two size-table reads per union of distinct roots, all made
-    during growth: the forest makes no finds) and `pass_log`, one
-    `(len(touched_v), len(touched_e), len(fes))` per growth pass, the first
-    two taken at the start of the pass and the last the size of the pass's
-    fusion edge stack.
     """
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
-        n = graph.n_internal
-        self.parent = list(graph.vertex_ids)
-        self.size = [1] * n
-        self.parity = bytearray(n)
-        self.boundary_sides = bytearray(n)
-        self.growth_steps = [0] * n
-        self.member = bytearray(n)
-        self.edge_state = bytearray(graph.n_edges)
-        self.members: dict[int, list[int]] = {}
-        self.passes = 0
-        self.touched_v: list[int] = []
-        self.touched_e: list[int] = []
-        self.table_reads = 0
-        self.pass_log: list[tuple[int, int, int]] = []
+        n, n_e = graph.n_internal, graph.n_edges
+        nbytes, firsts, self._where = _layout(n, n_e)
+        self._block = np.empty(nbytes, np.uint8)  # uf_init sets what is read before written
+        self._ctx = _Ctx(n, n_e, graph.left, *graph.kernel_addresses,
+                         *map(_addr(self._block).__add__, firsts))
+        self._c = ctypes.addressof(self._ctx)
+        _K.uf_init(self._c)
+        # the buffers every decode reads, the int32 ones sliced from one view
+        # of the int32 run of `_BUFFERS`; the others are viewed on first use
+        first, _, _ = self._where["parent"]
+        _, last, _ = self._where["forest"]
+        i32 = self._block[first:last].view(np.int32)
+        self._tv, self._te, self._log, self._forest, self.growth_steps = (
+            i32[(a - first) // 4:(b - first) // 4] for a, b, _ in map(self._where.get, (
+                "touched_v", "touched_e", "pass_log", "forest", "growth_steps")))
+        self._counts = self._view("counts")
+
+    def _view(self, name: str) -> np.ndarray:
+        start, end, dtype = self._where[name]
+        return self._block[start:end].view(dtype)
+
+    parent = functools.cached_property(lambda self: self._view("parent"))
+    size = functools.cached_property(lambda self: self._view("size"))
+    parity = functools.cached_property(lambda self: self._view("parity"))
+    boundary_sides = functools.cached_property(lambda self: self._view("boundary_sides"))
+    edge_state = functools.cached_property(lambda self: self._view("edge_state"))
+    _next = functools.cached_property(lambda self: self._view("next"))
 
     def reset(self) -> None:
-        parent, size, parity = self.parent, self.size, self.parity
-        bnd, gst, mem = self.boundary_sides, self.growth_steps, self.member
-        for v in self.touched_v:
-            parent[v] = v
-            size[v] = 1
-            parity[v] = 0
-            bnd[v] = 0
-            gst[v] = 0
-            mem[v] = 0
-        estate = self.edge_state
-        for e in self.touched_e:
-            estate[e] = 0
-        self.touched_v.clear()
-        self.touched_e.clear()
-        self.members.clear()
-        self.passes = 0
-        self.table_reads = 0
-        self.pass_log.clear()
+        _K.uf_reset(self._c)
+
+    @property
+    def passes(self) -> int:
+        return int(self._counts[_PASSES])
+
+    @property
+    def table_reads(self) -> int:
+        return int(self._counts[_TABLE_READS])
+
+    def log_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Filled views of the touched-vertex and touched-edge buffers and of
+        the pass log, shape (passes, 3)."""
+        c = self._counts
+        return (self._tv[:c[_N_TOUCHED_V]], self._te[:c[_N_TOUCHED_E]],
+                self._log[:3 * c[_PASSES]].reshape(-1, 3))
+
+    @property
+    def touched_v(self) -> list[int]:
+        return self._tv[:self._counts[_N_TOUCHED_V]].tolist()
+
+    @property
+    def touched_e(self) -> list[int]:
+        return self._te[:self._counts[_N_TOUCHED_E]].tolist()
+
+    @property
+    def pass_log(self) -> list[tuple[int, int, int]]:
+        return list(map(tuple, self.log_arrays()[2].tolist()))
+
+    @property
+    def members(self) -> dict[int, list[int]]:
+        """Cluster root -> member vertices in join order, for every cluster."""
+        parent, nxt = self.parent, self._next
+        out = {}
+        for r in self.touched_v:
+            if parent[r] == r:
+                ms = out[r] = [r]
+                while (x := int(nxt[ms[-1]])) >= 0:
+                    ms.append(x)
+        return out
 
     # -- core union-find ------------------------------------------------
 
+    def _check(self, v: int) -> int:
+        if not 0 <= v < self.graph.n_internal:
+            raise IndexError(f"vertex {v} is not an internal vertex")
+        return v
+
     def find(self, v: int) -> int:
         """Root of v's cluster; repoints at most the last 5 visited vertices."""
-        parent = self.parent
-        r = parent[v]
-        if r == v:
-            self.table_reads += 1
-            return v
-        p = parent[r]
-        if p == r:
-            self.table_reads += 2
-            return r
-        path = [v, r]
-        r = p
-        while True:
-            p = parent[r]
-            if p == r:
-                break
-            path.append(r)
-            r = p
-        self.table_reads += len(path) + 1
-        for x in path[-FIND_COMPRESSION_CAP:]:
-            parent[x] = r
-        return r
+        return _K.uf_find(self._c, self._check(v))
 
     def union(self, u: int, v: int) -> int:
-        """Merge the clusters of u and v; returns the surviving root.
+        """Make u and v members, then merge their clusters; returns the
+        surviving root.
 
         Weighted by vertex count; on a size tie the smaller root id wins.
         Parity XORs, boundary flags OR, growth counts take the max. The
-        loser's member list, or the loser alone if it has none, is appended
-        to the winner's.
+        loser's member list is appended to the winner's.
         """
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return ru
-        self.table_reads += 2
-        su, sv = self.size[ru], self.size[rv]
-        if sv > su or (sv == su and rv < ru):
-            ru, rv = rv, ru
-        # ru survives
-        self.parent[rv] = ru
-        self.size[ru] += self.size[rv]
-        self.parity[ru] ^= self.parity[rv]
-        self.boundary_sides[ru] |= self.boundary_sides[rv]
-        if self.growth_steps[rv] > self.growth_steps[ru]:
-            self.growth_steps[ru] = self.growth_steps[rv]
-        members = self.members
-        mu = members.get(ru)
-        if mu is None:
-            mu = members[ru] = [ru]
-        mv = members.pop(rv, None)
-        if mv is None:
-            mu.append(rv)
-        else:
-            mu.extend(mv)
-        return ru
+        return _K.uf_union(self._c, self._check(u), self._check(v))
 
     def signature(self) -> frozenset:
         """Canonical cluster-set value for engine-equivalence checks.
 
         Captures the partition plus every per-cluster attribute (size,
         parity, boundary sides, growth count). Parent forests are an
-        implementation detail and deliberately excluded.
+        implementation detail and deliberately excluded. A cluster's
+        members are its ascending vertex ids as int32 bytes, a compact
+        canonical form: checks keep one signature per decode.
         """
-        out = []
-        for r, ms in self.members.items():
-            out.append((
-                tuple(sorted(ms)),
-                self.size[r],
-                self.parity[r],
-                self.boundary_sides[r],
-                self.growth_steps[r],
-            ))
-        return frozenset(out)
+        return frozenset(
+            (np.sort(np.array(ms, dtype=np.int32)).tobytes(), int(self.size[r]),
+             int(self.parity[r]), int(self.boundary_sides[r]), int(self.growth_steps[r]))
+            for r, ms in self.members.items())
 
     # -- growth ----------------------------------------------------------
 
     def seed_defects(self, defects) -> None:
-        """Make every defect a one-vertex odd cluster.
+        """Make every defect a one-vertex odd cluster of a set with no members.
 
         `defects` must be strictly ascending integer vertex ids in
         [0, n_internal). Anything else raises ValueError before any state
@@ -182,67 +308,20 @@ class ClusterSet:
         if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
             raise ValueError(
                 f"defect ids must be a 1-D integer sequence, got {ids.dtype} of shape {ids.shape}")
-        vs = ids.tolist()
-        if any(a >= b for a, b in zip(vs, vs[1:])):
-            raise ValueError("defect ids must be strictly ascending")
-        if vs and (vs[0] < 0 or vs[-1] >= self.graph.n_internal):
-            raise ValueError(
-                f"defect ids must lie in [0, {self.graph.n_internal}), got {vs[0]}..{vs[-1]}")
-        member, parity = self.member, self.parity
-        for v in vs:
-            member[v] = 1
-            parity[v] = 1
-            self.members[v] = [v]
-            self.touched_v.append(v)
+        if ids.size:
+            if (ids[1:] <= ids[:-1]).any():
+                raise ValueError("defect ids must be strictly ascending")
+            if ids[0] < 0 or ids[-1] >= self.graph.n_internal:
+                raise ValueError(
+                    f"defect ids must lie in [0, {self.graph.n_internal}), got {ids[0]}..{ids[-1]}")
+        if self._counts[_N_TOUCHED_V]:
+            raise ValueError("defects can only be seeded into a cluster set with no members")
+        self._tv[:ids.size] = ids
+        _K.uf_seed(self._c, ids.size)
 
     def grow(self) -> None:
         """Run growth passes until every cluster is even or frozen."""
-        g = self.graph
-        adj, eu, ev, n_int, left = g.adjacency, g.eu, g.ev, g.n_internal, g.left
-        estate, member = self.edge_state, self.member
-        parity, bnd = self.parity, self.boundary_sides
-        touched_v, touched_e = self.touched_v, self.touched_e
-        while True:
-            grow_roots = [r for r in self.members if parity[r] and not bnd[r]]
-            if not grow_roots:
-                return
-            self.passes += 1
-            gst = self.growth_steps
-            for r in grow_roots:
-                gst[r] += 1
-            scan = []
-            for r in grow_roots:
-                scan.extend(self.members[r])
-            scan.sort()
-            n_touched_e = len(touched_e)
-            fes = []
-            for v in scan:
-                for e, _w in adj[v]:
-                    s = estate[e]
-                    if s >= 2:
-                        continue
-                    if s == 0:
-                        estate[e] = 1
-                        touched_e.append(e)
-                    else:
-                        estate[e] = 2
-                        fes.append(e)
-            self.pass_log.append((len(touched_v), n_touched_e, len(fes)))
-            # fusion edge stack drains last-in first-out
-            for i in range(len(fes) - 1, -1, -1):
-                e = fes[i]
-                u, w = eu[e], ev[e]
-                if w >= n_int:
-                    bnd[self.find(u)] |= LEFT_SIDE if w == left else RIGHT_SIDE
-                else:
-                    # a new member has no member list; `union` files it under its root
-                    if not member[u]:
-                        member[u] = 1
-                        touched_v.append(u)
-                    if not member[w]:
-                        member[w] = 1
-                        touched_v.append(w)
-                    self.union(u, w)
+        _K.uf_grow(self._c)
 
 
 @dataclass
@@ -261,9 +340,50 @@ class ClusterTree:
     boundary: bool
 
 
-@dataclass
 class SpanningForest:
-    trees: list[ClusterTree] = field(default_factory=list)
+    """Spanning trees of one decode, as the kernel's int32 record:
+
+    `[m, k, root × m, start vertex × m, n_vertices × m, boundary × m,
+    tree edge count × m, (edge, leafward, rootward) × k]`
+
+    `columns` is the (5, m) per-tree part and `edges` the (k, 3) rest, both
+    views of the record; `trees` gives the same as `ClusterTree` objects
+    holding plain ints.
+    """
+
+    def __init__(self, record: np.ndarray):
+        m, k = int(record[0]), int(record[1])
+        if record.dtype != _INT32 or record.shape != (2 + 5 * m + 3 * k,):
+            raise ValueError(f"a forest record of {m} trees and {k} edges has {2 + 5 * m + 3 * k} "
+                             f"int32 entries, got {record.dtype} of shape {record.shape}")
+        self.record = record
+        self.columns = record[2:2 + 5 * m].reshape(5, m)
+        self.edges = record[2 + 5 * m:].reshape(k, 3)
+
+    root = property(lambda self: self.columns[0])
+    n_vertices = property(lambda self: self.columns[2])
+    tree_edges = property(lambda self: self.columns[4])
+
+    @classmethod
+    def of_trees(cls, trees: list[ClusterTree]) -> SpanningForest:
+        """The record of hand-built trees; every id must fit int32 and be >= 0."""
+        cols = [(t.root, t.start_vertex, t.n_vertices, t.boundary, len(t.edges)) for t in trees]
+        edges = [x for t in trees for x in t.edges]
+        record = np.array([len(trees), len(edges), *np.ravel(np.transpose(cols)), *np.ravel(edges)],
+                          dtype=np.int64)
+        if record.min() < 0 or record.max() > np.iinfo(np.int32).max:
+            raise ValueError("forest ids must lie in [0, 2**31)")
+        return cls(record.astype(np.int32))
+
+    @property
+    def trees(self) -> list[ClusterTree]:
+        edges = list(map(tuple, self.edges.tolist()))
+        out, i = [], 0
+        for root, start, nv, bnd, ne in zip(*self.columns.tolist()):
+            out.append(ClusterTree(root=root, start_vertex=start, edges=edges[i:i + ne],
+                                   n_vertices=nv, boundary=bool(bnd)))
+            i += ne
+        return out
 
 
 @dataclass
@@ -303,61 +423,19 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     grown edges from its own members to that vertex, in ascending member
     id, which is ascending edge id. Half-grown edges are ignored. Clusters are
     disjoint and a fully grown internal edge never leaves its cluster, so
-    one `visited` set serves the whole forest. No `find` is made, so the
-    parent table and `table_reads` stay as growth left them.
+    one visited flag per vertex serves the whole forest. No `find` is made,
+    so the parent table and `table_reads` stay as growth left them.
     """
-    adj = graph.adjacency
-    estate = cs.edge_state
-    n_int = graph.n_internal
-    visited: set[int] = set()
-    forest = SpanningForest()
-    for low, root in sorted((min(ms), r) for r, ms in cs.members.items()):
-        if cs.parity[root] and not cs.boundary_sides[root]:
-            raise InvariantViolation(f"cluster at root {root} is odd and not on a boundary")
-        edges: list[tuple[int, int, int]] = []
-        sides = cs.boundary_sides[root]
-        if sides:
-            start = graph.left if sides & LEFT_SIDE else graph.right
-            entries = sorted(
-                (u, e) for u in cs.members[root] for e, w in adj[u] if w == start and estate[e] == 2
-            )
-            expect = cs.size[root]
-        else:
-            start = low
-            entries = [(start, None)]
-            expect = cs.size[root] - 1
-        for u, e0 in entries:
-            if u in visited:
-                continue
-            visited.add(u)
-            if sides:
-                edges.append((e0, u, start))
-            # each frame resumes its vertex's adjacency where it left off
-            stack = [(u, iter(adj[u]))]
-            while stack:
-                x, it = stack[-1]
-                for e, w in it:
-                    if estate[e] == 2 and w < n_int and w not in visited:
-                        visited.add(w)
-                        edges.append((e, w, x))
-                        stack.append((w, iter(adj[w])))
-                        break
-                else:
-                    stack.pop()
-        if len(edges) != expect:
-            raise InvariantViolation(
-                f"spanning tree of cluster {root} has {len(edges)} edges, expected {expect}"
-            )
-        forest.trees.append(
-            ClusterTree(
-                root=root,
-                start_vertex=start,
-                edges=edges,
-                n_vertices=cs.size[root],
-                boundary=bool(sides),
-            )
-        )
-    return forest
+    if graph is not cs.graph:
+        raise ValueError("the cluster set was grown on another graph")
+    n = _K.uf_forest(cs._c)
+    rec = cs._forest
+    if n == -1:
+        raise InvariantViolation(f"cluster at root {rec[0]} is odd and not on a boundary")
+    if n == -2:
+        raise InvariantViolation(
+            f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
+    return SpanningForest(rec[:n].copy())
 
 
 def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
@@ -365,24 +443,14 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     leafward endpoint holds a defect joins the correction and flips the
     rootward endpoint's held bit. Boundary entry points absorb flips.
     """
-    db = {int(v): 1 for v in syn.defects}
-    corr: list[int] = []
-    for tree in forest.trees:
-        hold: dict[int, int] = {}
-        for e, child, parent in reversed(tree.edges):
-            bit = db.get(child, 0) ^ hold.pop(child, 0)
-            if bit:
-                corr.append(e)
-                if not tree.boundary or parent != tree.start_vertex:
-                    hold[parent] = hold.get(parent, 0) ^ 1
-        if not tree.boundary:
-            leftover = db.get(tree.start_vertex, 0) ^ hold.pop(tree.start_vertex, 0)
-            if leftover:
-                raise InvariantViolation(
-                    f"leftover defect at non-boundary root {tree.start_vertex}"
-                )
-    corr.sort()
-    return Correction(edge_ids=np.asarray(corr, dtype=np.int64))
+    defects = np.array(syn.defects, dtype=np.int32)
+    out = np.empty(len(forest.edges), dtype=np.int32)
+    n = _K.uf_peel(_addr(forest.record), _addr(defects), defects.size, _addr(out))
+    if n == _PEEL_NO_MEMORY:
+        raise MemoryError("no memory for the peeling kernel's scratch bits")
+    if n < 0:
+        raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
+    return Correction(edge_ids=out[:n].astype(np.int64))
 
 
 class Decoder:
@@ -405,13 +473,13 @@ class Decoder:
 
 
 def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
-    trees = forest.trees
+    roots, _, sizes, boundary, tree_edges = forest.columns.tolist()
     return DecodeStats(
-        m=len(trees),
-        sizes=tuple(t.n_vertices for t in trees),
-        growth_steps=tuple(cs.growth_steps[t.root] for t in trees),
-        boundary=tuple(t.boundary for t in trees),
-        tree_edges=tuple(len(t.edges) for t in trees),
+        m=len(roots),
+        sizes=tuple(sizes),
+        growth_steps=tuple(cs.growth_steps[forest.root].tolist()),
+        boundary=tuple(map(bool, boundary)),
+        tree_edges=tuple(tree_edges),
         passes=cs.passes,
     )
 

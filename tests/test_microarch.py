@@ -155,3 +155,19 @@ def test_pipeline_stages_are_module_globals():
         for name, fn in saved.items():
             setattr(microarch, name, fn)
     assert calls == ["new_pipeline_state", "run_grgen", "run_dfs", "run_corr"]
+
+
+@pytest.mark.parametrize("d", [3, 5, 11])
+def test_worst_case_syndromes_fit_the_kernel_buffers(d):
+    # every internal vertex a defect, and at d=11 a p = 0.5 sample: the
+    # kernel's fixed-size buffers (fusion edge stack, DFS stack, touched
+    # logs, pass log, forest record) are sized for the worst case
+    g = GRAPHS[d]
+    syns = [Syndrome(defects=np.arange(g.n_internal), length=g.n_internal)]
+    if d == 11:
+        # the sampler stops below p = 0.5, so draw this one directly
+        edges = np.flatnonzero(np.random.default_rng(7).random(g.n_edges) < 0.5)
+        syns.append(Syndrome(defects=syndrome_indices_of_edges(g, edges), length=g.n_internal))
+    for syn in syns:
+        state, stats = check_against_oracle(g, syn)
+        assert sum(stats.sizes) == state.trace.dfs

@@ -95,12 +95,12 @@ def test_find_table_reads(g3):
     for i in range(8):
         cs.parent[i] = i + 1  # chain 0 -> 1 -> ... -> 8
     assert cs.find(0) == 8 and cs.table_reads == 9
-    assert cs.parent[:8] == [1, 2, 3, 8, 8, 8, 8, 8]
+    assert cs.parent[:8].tolist() == [1, 2, 3, 8, 8, 8, 8, 8]
     for v, reads in ((8, 1), (7, 2), (1, 4)):
         before = cs.table_reads
         assert cs.find(v) == 8
         assert cs.table_reads - before == reads
-    assert cs.parent[:8] == [1, 8, 8, 8, 8, 8, 8, 8]
+    assert cs.parent[:8].tolist() == [1, 8, 8, 8, 8, 8, 8, 8]
 
 
 # -- union ---------------------------------------------------------------
@@ -252,9 +252,9 @@ def test_forest_leaves_parent_table_and_reads_unchanged(g5):
     for t in range(60):
         err = sample_error(g5, NoiseParams(p=0.05, seed=29, trial_index=t))
         cs = Decoder(g5).grow(syndrome_of(g5, err).defects)
-        parent, reads = list(cs.parent), cs.table_reads
+        parent, reads = cs.parent.tolist(), cs.table_reads
         forest = spanning_forest(g5, cs)
-        assert cs.parent == parent and cs.table_reads == reads
+        assert cs.parent.tolist() == parent and cs.table_reads == reads
         boundary_trees += sum(tree.boundary for tree in forest.trees)
     assert boundary_trees > 0
 
@@ -269,7 +269,7 @@ def test_peel_single_edge(g3):
     e = edge_between(g3, v, g3.left)
     tree = ClusterTree(root=v, start_vertex=g3.left, edges=[(e, v, g3.left)],
                        n_vertices=1, boundary=True)
-    corr = peel(SpanningForest([tree]), syn_of(g3, [v]))
+    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, [v]))
     assert list(corr.edge_ids) == [e]
 
 
@@ -282,7 +282,7 @@ def test_peel_path_defects_at_ends(g3):
     e2 = edge_between(g3, v2, v3)
     tree = ClusterTree(root=v1, start_vertex=v1,
                        edges=[(e1, v2, v1), (e2, v3, v2)], n_vertices=3, boundary=False)
-    corr = peel(SpanningForest([tree]), syn_of(g3, [v1, v3]))
+    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, [v1, v3]))
     assert sorted(corr.edge_ids) == sorted([e1, e2])
 
 
@@ -292,7 +292,7 @@ def test_peel_even_cluster_no_defects(g3):
     e1 = edge_between(g3, v1, v2)
     tree = ClusterTree(root=v1, start_vertex=v1, edges=[(e1, v2, v1)], n_vertices=2,
                        boundary=False)
-    corr = peel(SpanningForest([tree]), syn_of(g3, []))
+    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, []))
     assert corr.weight == 0
 
 
@@ -303,7 +303,7 @@ def test_peel_leftover_defect_raises(g3):
     tree = ClusterTree(root=v1, start_vertex=v1, edges=[(e1, v2, v1)], n_vertices=2,
                        boundary=False)
     with pytest.raises(InvariantViolation):
-        peel(SpanningForest([tree]), syn_of(g3, [v1]))
+        peel(SpanningForest.of_trees([tree]), syn_of(g3, [v1]))
 
 
 # -- decode / assess -----------------------------------------------------
