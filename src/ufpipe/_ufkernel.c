@@ -20,7 +20,8 @@
 #define LEFT_SIDE 1
 #define RIGHT_SIDE 2
 
-enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS };
+enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
+       N_COUNTS };
 
 typedef struct {
     int64_t n_internal, n_edges, left;
@@ -64,6 +65,13 @@ static int32_t drain_vertices(uf_ctx *c, int32_t *out) {
 
 static inline void set_bit(uf_ctx *c, int32_t v) { c->bits[v >> 6] |= 1ULL << (v & 63); }
 
+/* Set bit v of the context's bitmap; 1 if it was clear before. */
+static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
+    uint64_t *w = c->bits + (v >> 6), b = 1ULL << (v & 63), was = *w & b;
+    *w |= b;
+    return !was;
+}
+
 /* Initial state: every vertex its own root, nothing touched. */
 #if defined(__GNUC__) && !defined(__clang__)
 __attribute__((optimize("tree-vectorize"))) /* gcc -O2 leaves these fills scalar */
@@ -75,7 +83,7 @@ void uf_init(uf_ctx *c) {
     for (int32_t v = 0; v < n; v++) c->size[v] = 1;
     memset(c->next, 0xff, (size_t)n * sizeof *c->next); /* -1: end of list */
     memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
-    memset(c->counts, 0, 4 * sizeof *c->counts);
+    memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
     memset(c->bits, 0, (size_t)(n + 63) / 64 * sizeof *c->bits);
     memset(c->parity, 0, (size_t)n);
     memset(c->boundary_sides, 0, (size_t)n);
@@ -217,6 +225,28 @@ void uf_grow(uf_ctx *c) {
     }
 }
 
+/* Gr-Gen read counts of the last growth, into counts[STM_ROW_READS..FES_POPS]:
+   per pass, the STM rows (v / row_stride) that hold a member vertex or file
+   a touched edge (under the row of its internal endpoint eu) before the pass
+   starts; the member vertices scanned at each pass start; and the fusion
+   edges popped. The vertex bitmap serves as the row bitmap and is left
+   cleared. */
+void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
+    int64_t rows = 0, iv = 0, ie = 0, *counts = c->counts;
+    counts[STM_ROW_READS] = counts[MEMBER_SCANS] = counts[FES_POPS] = 0;
+    for (int64_t p = 0; p < counts[PASSES]; p++) {
+        const int32_t *log = c->pass_log + 3 * p;
+        for (; iv < log[0]; iv++)
+            rows += set_new_bit(c, (int32_t)(c->touched_v[iv] / row_stride));
+        for (; ie < log[1]; ie++)
+            rows += set_new_bit(c, (int32_t)(c->eu[c->touched_e[ie]] / row_stride));
+        counts[STM_ROW_READS] += rows;
+        counts[MEMBER_SCANS] += log[0];
+        counts[FES_POPS] += log[2];
+    }
+    memset(c->bits, 0, (size_t)((c->n_internal / row_stride + 63) / 64) * sizeof *c->bits);
+}
+
 /* DFS spanning tree per cluster over fully grown edges, written as one
    int32 record: m, k, then root, start vertex, vertex count, boundary flag
    and tree edge count of each of the m trees, then k (edge, leafward,
@@ -321,18 +351,21 @@ int64_t uf_forest(uf_ctx *c) {
 /* Reverse-order peeling of a forest record: pop tree edges leaf first; an
    edge whose leafward endpoint holds a defect joins the correction and
    flips the rootward endpoint's bit, which a boundary entry point absorbs.
-   Negative defect ids lie in no tree and are ignored. Writes the
-   correction in ascending edge order to `corr` (room for k edges) and
-   returns its size, -1 - v for a defect left over at the root v of a tree
-   off the boundary, or INT64_MIN when the scratch bits cannot be
-   allocated. */
-int64_t uf_peel(const int32_t *rec, const int32_t *defects, int64_t n_defects, int32_t *corr) {
+   Every defect must be a vertex of a tree, given once: a leafward endpoint
+   or the root of a tree off the boundary. Writes the correction in
+   ascending edge order to `corr` (room for k edges) and returns its size;
+   otherwise PEEL_BAD_DEFECT - i for the first defect i that is not such a
+   vertex or repeats one, -1 - v for a defect left over at the root v of a
+   tree off the boundary, or INT64_MIN when the scratch bits cannot be
+   allocated. The scratch is bounded by the forest's largest vertex. */
+#define PEEL_BAD_DEFECT (-((int64_t)1 << 32))
+enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's scratch byte */
+
+int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, int32_t *corr) {
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
     const int32_t *edges = n_edges + m;
     int32_t hi = 0, hi_edge = 0;
-    for (int64_t i = 0; i < n_defects; i++)
-        if (defects[i] > hi) hi = defects[i];
     for (int64_t i = 0; i < k; i++) {
         if (edges[3 * i] > hi_edge) hi_edge = edges[3 * i];
         if (edges[3 * i + 1] > hi) hi = edges[3 * i + 1];
@@ -340,26 +373,35 @@ int64_t uf_peel(const int32_t *rec, const int32_t *defects, int64_t n_defects, i
     }
     for (int32_t t = 0; t < m; t++)
         if (start[t] > hi) hi = start[t];
-    /* a bitmap of the correction's edges, then one bit byte per vertex */
+    /* a bitmap of the correction's edges, then one byte per vertex */
     int64_t words = hi_edge / 64 + 1;
     uint64_t *chosen = calloc((size_t)words * sizeof *chosen + (size_t)hi + 1, 1);
     if (!chosen) return INT64_MIN;
     uint8_t *bit = (uint8_t *)(chosen + words);
-    for (int64_t i = 0; i < n_defects; i++)
-        if (defects[i] >= 0) bit[defects[i]] = 1;
+    for (int64_t i = 0; i < k; i++) bit[edges[3 * i + 1]] = IN_TREE;
+    for (int32_t t = 0; t < m; t++)
+        if (!boundary[t]) bit[start[t]] = IN_TREE;
+    for (int64_t i = 0; i < n_defects; i++) {
+        int64_t v = defects[i];
+        if (v < 0 || v > hi || bit[v] != IN_TREE) {
+            free(chosen);
+            return PEEL_BAD_DEFECT - i;
+        }
+        bit[v] |= HELD;
+    }
     int64_t result = 0, j = 0;
     for (int32_t t = 0; t < m && !result; t++) {
         j += n_edges[t];
         for (int64_t i = j - 1; i >= j - n_edges[t]; i--) {
             int32_t e = edges[3 * i], child = edges[3 * i + 1], parent = edges[3 * i + 2];
-            uint8_t b = bit[child];
+            uint8_t b = bit[child] & HELD;
             bit[child] = 0;
             if (b) {
                 chosen[e >> 6] |= 1ULL << (e & 63);
-                if (!boundary[t] || parent != start[t]) bit[parent] ^= 1;
+                if (!boundary[t] || parent != start[t]) bit[parent] ^= HELD;
             }
         }
-        if (!boundary[t] && bit[start[t]]) result = -1 - (int64_t)start[t];
+        if (!boundary[t] && bit[start[t]] & HELD) result = -1 - (int64_t)start[t];
         bit[start[t]] = 0;
     }
     int32_t n = drain_bits(chosen, words, corr);

@@ -188,11 +188,16 @@ def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids: np.ndarray) -> np.
 
     O(k log k) in the number k of edge ids: the endpoints are sorted, the
     virtual ones (the largest ids) cut off, and a vertex is a defect iff its
-    run of equal ids is odd, so repeated edge ids cancel in pairs.
+    run of equal ids is odd, so repeated edge ids cancel in pairs. An id
+    outside [0, n_edges) raises ValueError.
     """
     edge_ids = np.asarray(edge_ids, dtype=np.int64)
     if edge_ids.size == 0:
         return np.empty(0, dtype=np.int32)
+    # one reduction: as uint64 a negative id is larger than any edge id
+    if edge_ids.view(np.uint64).max() >= graph.n_edges:
+        bad = edge_ids[(edge_ids < 0) | (edge_ids >= graph.n_edges)]
+        raise ValueError(f"edge ids must lie in [0, {graph.n_edges}), got {bad[:5].tolist()}")
     ends = np.concatenate((graph.edges_u[edge_ids], graph.edges_v[edge_ids]))
     ends.sort()
     ends = ends[: ends.searchsorted(graph.n_internal)]

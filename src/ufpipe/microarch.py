@@ -11,10 +11,17 @@ records; the zero data register (ZDR) flags the STM rows that hold any
 nonzero entry. Corrections, statistics and cluster partitions equal the
 engine's by construction.
 
-The counts are numpy reductions over the buffers the engine's kernel
-writes (`ClusterSet.log_arrays()` and the forest record), so the model
-costs a fixed number of array operations per stage rather than a Python
-step per touched vertex or edge.
+The Gr-Gen counts come from one walk of the engine's logs in its kernel
+(`ClusterSet.grgen_counts`) and the DFS and Corr counts from the forest
+record, so the model adds a fixed number of Python steps per stage to
+the engine's own cost rather than one per touched vertex or edge.
+
+State is reused: the model keeps one `ClusterSet` per process, holds it
+with a reference to its graph, and resets it over the entries the last
+decode touched, as `uf_core.Decoder` does; a new one is built only when a
+decode names another graph object. So a `PipelineState` is valid until
+the next pipeline decode, and pipeline decodes run on one thread at a
+time (single-threaded; one process per worker).
 
 Also evaluates the closed-form memory-cost table and the per-stage read
 estimates.
@@ -81,6 +88,10 @@ class AccessTrace:
 class PipelineState:
     """Engine state of one decode plus its access trace.
 
+    `cs` is the model's shared cluster set: the state is valid until the
+    next pipeline decode, which resets it. Read the signature and counts
+    before decoding again, on the same thread.
+
     A spanning tree with more than `stack_capacity` edges overflows the
     edge stack that holds it; each such tree is one overflow event.
     """
@@ -94,8 +105,19 @@ class PipelineState:
         return self.cs.signature()
 
 
+_cs: ClusterSet | None = None  # the cluster set of every pipeline decode
+
+
 def new_pipeline_state(graph: DecodingGraph, stack_capacity: int | None = None) -> PipelineState:
-    return PipelineState(ClusterSet(graph), stack_capacity)
+    """Empty state on the model's one cluster set: reset over the entries
+    the last decode touched, or built anew when `graph` is not the object
+    the set was built for."""
+    global _cs
+    if _cs is not None and _cs.graph is graph:
+        _cs.reset()
+    else:
+        _cs = ClusterSet(graph)
+    return PipelineState(_cs, stack_capacity)
 
 
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
@@ -103,19 +125,10 @@ def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
     cs, t = state.cs, state.trace
     cs.seed_defects(syn.defects)
     cs.grow()
-    touched_v, touched_e, log = cs.log_arrays()
-    n_v, n_e, n_fused = log.T
-    # an entry is in the ZDR from the first pass that starts after it was
-    # touched, and its row is read once per pass from the row's first such pass
-    g, passes = cs.graph, len(log)
-    row_first = np.full(g.d * g.d, passes)
-    np.minimum.at(row_first, touched_v // g._row_stride,
-                  n_v.searchsorted(np.arange(touched_v.size), "right"))
-    np.minimum.at(row_first, g.edges_u[touched_e] // g._row_stride,
-                  n_e.searchsorted(np.arange(touched_e.size), "right"))
-    t.stm_row_reads += passes * row_first.size - int(row_first.sum())
-    t.table_reads += int(n_v.sum()) + cs.table_reads
-    t.fes_pops += int(n_fused.sum())
+    stm_row_reads, member_scans, fes_pops = cs.grgen_counts()
+    t.stm_row_reads += stm_row_reads
+    t.table_reads += member_scans + cs.table_reads
+    t.fes_pops += fes_pops
     t.parity_scans = cs.passes + 1
     t.grgen = t.parity_scans + t.stm_row_reads + t.table_reads + t.fes_pops
     return t

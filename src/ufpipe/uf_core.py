@@ -80,6 +80,7 @@ def _load_kernel() -> ctypes.CDLL:
         ("uf_union", i32, [ctx, i32, i32]),
         ("uf_grow", None, [ctx]),
         ("uf_forest", i64, [ctx]),
+        ("uf_grgen_counts", None, [ctx, i64]),
         ("uf_peel", i64, [ctypes.c_void_p, ctypes.c_void_p, i64, ctypes.c_void_p]),
     ):
         fn = getattr(lib, name)
@@ -100,7 +101,7 @@ def _addr(a: np.ndarray) -> int:
 # (name, dtype, length as a function of n_internal and n_edges). Wider types
 # come first, so that one block holds them all, each aligned.
 _BUFFERS = (
-    ("counts", np.int64, lambda n, n_e: 4),
+    ("counts", np.int64, lambda n, n_e: 7),
     ("bits", np.uint64, lambda n, n_e: (n + 63) // 64),
     ("parent", np.int32, lambda n, n_e: n),
     ("size", np.int32, lambda n, n_e: n),
@@ -145,9 +146,19 @@ def _layout(n: int, n_e: int) -> tuple[int, tuple[int, ...], dict[str, tuple[int
 
 
 # slots of the counts buffer, as `_ufkernel.c` numbers them
-_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS = range(4)
+_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS, _STM_ROW_READS = range(5)
 _PEEL_NO_MEMORY = -(2**63)  # uf_peel's INT64_MIN
+_PEEL_BAD_DEFECT = -(2**32)  # uf_peel's PEEL_BAD_DEFECT
 _INT32 = np.dtype(np.int32)
+
+
+def _integer_ids(defects) -> np.ndarray:
+    """`defects` as an array; ValueError unless it is a 1-D integer sequence."""
+    ids = np.asarray(defects)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(
+            f"defect ids must be a 1-D integer sequence, got {ids.dtype} of shape {ids.shape}")
+    return ids
 
 
 class InvariantViolation(RuntimeError):
@@ -176,8 +187,8 @@ class ClusterSet:
       the forest makes no finds) and `pass_log`, one `(len(touched_v),
       len(touched_e), len(fes))` per growth pass, the first two taken at the
       start of the pass and the last the size of the pass's fusion edge
-      stack. These read int32 buffers as lists of plain ints;
-      `log_arrays()` gives the filled buffers themselves.
+      stack. These read int32 buffers as lists of plain ints.
+      `grgen_counts` derives the Gr-Gen read counts from them in the kernel.
     - scratch for the kernel and the forest record. Every buffer is sized
       for the worst case from `n_internal` and `n_edges`: each holds at
       most one entry per vertex or per edge, and there are at most
@@ -228,13 +239,6 @@ class ClusterSet:
     def table_reads(self) -> int:
         return int(self._counts[_TABLE_READS])
 
-    def log_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Filled views of the touched-vertex and touched-edge buffers and of
-        the pass log, shape (passes, 3)."""
-        c = self._counts
-        return (self._tv[:c[_N_TOUCHED_V]], self._te[:c[_N_TOUCHED_E]],
-                self._log[:3 * c[_PASSES]].reshape(-1, 3))
-
     @property
     def touched_v(self) -> list[int]:
         return self._tv[:self._counts[_N_TOUCHED_V]].tolist()
@@ -245,7 +249,16 @@ class ClusterSet:
 
     @property
     def pass_log(self) -> list[tuple[int, int, int]]:
-        return list(map(tuple, self.log_arrays()[2].tolist()))
+        return list(map(tuple, self._log[:3 * self._counts[_PASSES]].reshape(-1, 3).tolist()))
+
+    def grgen_counts(self) -> list[int]:
+        """`[stm_row_reads, member_scans, fes_pops]` of the last growth, as
+        `microarch.AccessTrace` defines them, summed over the passes of
+        `pass_log`: the STM rows (`graph.stm_row`) that hold a `touched_v`
+        vertex or the `edges_u` end of a `touched_e` edge when the pass
+        starts, the `touched_v` prefix the pass scans, and its fusion edges."""
+        _K.uf_grgen_counts(self._c, self.graph._row_stride)
+        return self._counts[_STM_ROW_READS:].tolist()
 
     @property
     def members(self) -> dict[int, list[int]]:
@@ -304,10 +317,7 @@ class ClusterSet:
         changes: a negative id would make growth loop forever, and a
         repeated id would silently decode as a single defect.
         """
-        ids = np.asarray(defects)
-        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-            raise ValueError(
-                f"defect ids must be a 1-D integer sequence, got {ids.dtype} of shape {ids.shape}")
+        ids = _integer_ids(defects)
         if ids.size:
             if (ids[1:] <= ids[:-1]).any():
                 raise ValueError("defect ids must be strictly ascending")
@@ -442,12 +452,21 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     """Reverse-order peeling: pop tree edges leaf-first; an edge whose
     leafward endpoint holds a defect joins the correction and flips the
     rootward endpoint's held bit. Boundary entry points absorb flips.
+
+    Every defect must be a distinct vertex of a tree of the forest, which
+    excludes the virtual entry points; anything else raises ValueError.
     """
-    defects = np.array(syn.defects, dtype=np.int32)
+    ids = _integer_ids(syn.defects)
+    defects = ids.astype(np.int64)  # uint64 ids past 2**63 wrap negative: rejected too
     out = np.empty(len(forest.edges), dtype=np.int32)
     n = _K.uf_peel(_addr(forest.record), _addr(defects), defects.size, _addr(out))
     if n == _PEEL_NO_MEMORY:
         raise MemoryError("no memory for the peeling kernel's scratch bits")
+    if n <= _PEEL_BAD_DEFECT:
+        i = _PEEL_BAD_DEFECT - n
+        v = ids[i].item()
+        why = "repeats an earlier one" if v in ids[:i].tolist() else "lies in no tree of the forest"
+        raise ValueError(f"defect {i} of the syndrome, {v}, {why}")
     if n < 0:
         raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
     return Correction(edge_ids=out[:n].astype(np.int64))

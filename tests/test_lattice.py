@@ -198,3 +198,13 @@ def test_syndrome_matches_bincount_reference(data, d):
     assert got.dtype == np.int32
     assert np.array_equal(got, ref)
     assert np.array_equal(syndrome_indices_of_edges(g, ids), ref)  # a plain list too
+
+
+@pytest.mark.parametrize("bad", [[-1], [51], [0, 2, -7], [2**40]])
+def test_syndrome_rejects_edge_ids_off_the_graph(g3, bad):
+    # -1 used to read the last edge's endpoints; n_edges raised IndexError
+    with pytest.raises(ValueError, match=r"\[0, 51\)"):
+        syndrome_indices_of_edges(g3, np.array(bad))
+    with pytest.raises(ValueError):
+        assess(g3, ErrorPattern(edge_ids=np.array(bad), n_edges=g3.n_edges),
+               Correction(edge_ids=np.empty(0, dtype=np.int64)))

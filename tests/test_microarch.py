@@ -19,6 +19,19 @@ def edge_between(g, u, w):
     raise AssertionError(f"no edge {u}-{w}")
 
 
+def reference_grgen_counts(g, cs):
+    """(stm_row_reads, table_reads, fes_pops) as the AccessTrace docstring
+    defines them, counted pass by pass from the engine's logs."""
+    tv, te = cs.touched_v, cs.touched_e
+    stm_row_reads, table_reads, fes_pops = 0, cs.table_reads, 0
+    for n_v, n_e, n_fused in cs.pass_log:
+        rows = {g.stm_row(v) for v in tv[:n_v]} | {g.stm_row(int(g.edges_u[e])) for e in te[:n_e]}
+        stm_row_reads += len(rows)
+        table_reads += n_v
+        fes_pops += n_fused
+    return stm_row_reads, table_reads, fes_pops
+
+
 def check_against_oracle(g, syn, stack_capacity=None):
     """Decode with the oracle and the pipeline model; require them to agree
     and the access trace to satisfy its defining identities."""
@@ -34,6 +47,7 @@ def check_against_oracle(g, syn, stack_capacity=None):
     assert t.corr == sum(stats.tree_edges)
     assert t.parity_scans == stats.passes + 1
     assert t.grgen == t.parity_scans + t.stm_row_reads + t.table_reads + t.fes_pops
+    assert (t.stm_row_reads, t.table_reads, t.fes_pops) == reference_grgen_counts(g, state.cs)
     return state, stats
 
 
@@ -171,3 +185,34 @@ def test_worst_case_syndromes_fit_the_kernel_buffers(d):
     for syn in syns:
         state, stats = check_against_oracle(g, syn)
         assert sum(stats.sizes) == state.trace.dfs
+
+
+def test_reused_state_matches_a_fresh_decoder_across_graphs():
+    # one interleaved sequence over three graphs: every switch of graph
+    # builds a new cluster set, every repeat resets the reused one
+    for k, d in enumerate([3, 11, 5, 5, 3, 11] * 6):
+        g = GRAPHS[d]
+        syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=77, trial_index=k)))
+        check_against_oracle(g, syn)
+
+
+def test_reused_state_after_a_rejected_input():
+    g = GRAPHS[5]
+    syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
+    decode_with_pipeline(g, syn)
+    for bad in ([3, 3], [-1, 4], [0, g.n_internal]):
+        with pytest.raises(ValueError):
+            decode_with_pipeline(g, Syndrome(defects=np.array(bad), length=g.n_internal))
+        check_against_oracle(g, syn)
+
+
+def test_pipeline_state_reuses_one_cluster_set_per_graph():
+    g3, g5 = GRAPHS[3], GRAPHS[5]
+    empty = Syndrome(defects=np.array([], dtype=np.int64), length=0)
+    cs = decode_with_pipeline(g3, empty)[1].cs
+    assert decode_with_pipeline(g3, empty)[1].cs is cs
+    other = decode_with_pipeline(g5, empty)[1].cs
+    assert other is not cs and other.graph is g5
+    # an equal graph that is another object gets its own cluster set
+    twin = build_decoding_graph(LatticeParams(5))
+    assert decode_with_pipeline(twin, empty)[1].cs.graph is twin

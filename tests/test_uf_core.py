@@ -306,6 +306,22 @@ def test_peel_leftover_defect_raises(g3):
         peel(SpanningForest.of_trees([tree]), syn_of(g3, [v1]))
 
 
+@pytest.mark.parametrize("defects,message", [
+    ([4, 5, 2**32 + 4], "lies in no tree"),  # used to wrap to 4 as int32: decoded as [4, 5]
+    ([-1, 4, 5], "lies in no tree"),         # used to be dropped
+    ([4, 5, 10**9], "lies in no tree"),      # used to allocate a 1 GB scratch
+    ([4, 5, 0], "lies in no tree"),          # a vertex outside every cluster
+    ([4, 5, 18], "lies in no tree"),         # LEFT, a virtual entry point
+    ([4, 5, 5], "repeats"),
+    (np.array([4.0, 5.0]), "integer"),
+])
+def test_peel_rejects_a_syndrome_that_is_not_the_forests(g3, defects, message):
+    forest = spanning_forest(g3, Decoder(g3).grow([4, 5]))
+    assert list(peel(forest, Syndrome(defects=[4, 5], length=g3.n_internal)).edge_ids) == [7]
+    with pytest.raises(ValueError, match=message):
+        peel(forest, Syndrome(defects=defects, length=g3.n_internal))
+
+
 # -- decode / assess -----------------------------------------------------
 
 
