@@ -1,0 +1,118 @@
+"""The compiled kernel `_ufkernel.c`: its build, its ctypes bindings and the
+conversion of id arrays for it.
+
+Build cache: importing this module compiles the kernel once with
+`cc -O2 -shared -fPIC` in a subprocess, into
+`__pycache__/_ufkernel-<sha256 of the source><interpreter's extension
+suffix>` next to the source, and loads it with `ctypes`. Later imports
+load the cached file without running `cc`. A missing or failing compiler
+raises ImportError.
+
+ctypes releases the interpreter lock for every kernel call, so two threads
+may call the kernel at once; every function that allocates scratch memory
+allocates its own.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+
+import numpy as np
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c")
+
+
+class GraphView(ctypes.Structure):
+    """`uf_graph` of `_ufkernel.c`: what syndrome extraction and assessment
+    read of a decoding graph. `eu` and `ev` are the addresses of its int32
+    `edges_u` and `edges_v`."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left")] + [
+        (name, ctypes.c_void_p) for name in ("eu", "ev")]
+
+
+def _build(source: str, target: str) -> None:
+    """Compile `source` into the shared object `target`, atomically."""
+    import subprocess  # only on a cache miss
+
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source]
+    try:
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` "
+                              f"did not run: {exc}") from exc
+        if proc.returncode:
+            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` exited "
+                              f"with status {proc.returncode}:\n{proc.stderr}")
+        os.replace(tmp, target)  # concurrent builds each replace the file whole
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_kernel() -> ctypes.CDLL:
+    with open(_SOURCE, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    target = os.path.join(os.path.dirname(_SOURCE), "__pycache__",
+                          f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
+    if not os.path.exists(target):
+        _build(_SOURCE, target)
+    lib = ctypes.CDLL(target)
+    ctx, i32, i64, ptr = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    for name, restype, argtypes in (
+        ("uf_init", None, [ctx]),
+        ("uf_reset", None, [ctx]),
+        ("uf_seed", None, [ctx, i64]),
+        ("uf_find", i32, [ctx, i32]),
+        ("uf_union", i32, [ctx, i32, i32]),
+        ("uf_grow", None, [ctx]),
+        ("uf_forest", i64, [ctx]),
+        ("uf_grgen_counts", None, [ctx, i64]),
+        ("uf_peel", i64, [ptr, ptr, i64, ptr]),
+        ("uf_syndrome", i64, [ptr, ptr, i64, ptr]),
+        ("uf_assess", i64, [ptr, ptr, i64, ptr, i64]),
+    ):
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+    return lib
+
+
+K = _load_kernel()
+NO_MEMORY = -(2**63)  # INT64_MIN: a kernel function could not allocate its scratch
+_BYTES = ctypes.c_char * 0
+_INT64 = np.dtype(np.int64)
+
+
+def addr(a: np.ndarray) -> int:
+    """Address of the data of a writable, C-contiguous array."""
+    return ctypes.addressof(_BYTES.from_buffer(a))
+
+
+def integer_ids(ids, what: str) -> np.ndarray:
+    """`ids` as an array; ValueError unless it is a 1-D integer sequence."""
+    a = np.asarray(ids)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise ValueError(
+            f"{what} ids must be a 1-D integer sequence, got {a.dtype} of shape {a.shape}")
+    return a
+
+
+def int64_ids(ids, what: str) -> tuple[np.ndarray, int]:
+    """`ids`, checked by `integer_ids`, as an int64 array the kernel may
+    read, and its address: `ids` itself when it is a writable, C-contiguous
+    int64 array, otherwise a copy, so that the caller's array is never
+    written or made writable. uint64 ids past 2**63 wrap negative."""
+    a = integer_ids(ids, what)
+    if a.dtype == _INT64:
+        try:
+            return a, addr(a)
+        except TypeError:  # read-only or not C-contiguous
+            pass
+    a = a.astype(np.int64)
+    return a, addr(a)

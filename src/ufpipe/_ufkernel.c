@@ -1,10 +1,13 @@
-/* Union-Find decoding kernel: growth, spanning forest and peeling.
+/* Union-Find decoding kernel: syndrome extraction, growth, spanning forest,
+ * peeling and assessment.
  *
- * `uf_core` compiles this file on first import and calls it through ctypes.
- * Every buffer belongs to a Python `ClusterSet` (one numpy block, sized from
- * the graph's n_internal and n_edges); the kernel allocates nothing except
- * the scratch bits of `uf_peel`. The struct below mirrors `uf_core._Ctx`
- * field for field.
+ * `_kernel.py` compiles this file on first import and binds it with ctypes.
+ * The decoding buffers belong to a Python `ClusterSet` (one numpy block,
+ * sized from the graph's n_internal and n_edges); the kernel allocates
+ * nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
+ * `uf_assess`, a fresh block per call, so that the graph is only read and
+ * can be shared between threads. `uf_ctx` mirrors `uf_core._Ctx` and
+ * `uf_graph` mirrors `_kernel.GraphView`, field for field.
  *
  * Iteration orders are fixed and equal to the reference algorithm's:
  * ascending vertex ids within a growth pass, each vertex's CSR adjacency in
@@ -56,6 +59,66 @@ static int32_t drain_bits(uint64_t *bits, int64_t words, int32_t *out) {
         }
     }
     return n;
+}
+
+/* The graph as syndrome extraction and assessment read it. */
+typedef struct {
+    int64_t n_internal, n_edges, left;
+    const int32_t *eu, *ev; /* internal endpoint; internal or virtual endpoint */
+} uf_graph;
+
+#define BAD_EDGE (-1)         /* an edge id outside [0, n_edges) */
+#define RESIDUAL_SYNDROME 2   /* uf_assess: the residual has a nonzero syndrome */
+
+/* Flip the bits of the internal endpoints of edges ids[0..k) in `bits`, so
+   that a vertex's bit ends up set iff it has odd incidence. Returns how many
+   of the edges end on LEFT, or BAD_EDGE at the first id off the graph. */
+static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint64_t *bits) {
+    int64_t on_left = 0;
+    for (int64_t i = 0; i < k; i++) {
+        int64_t e = ids[i];
+        if ((uint64_t)e >= (uint64_t)g->n_edges) return BAD_EDGE; /* negative ids too */
+        int32_t u = g->eu[e], v = g->ev[e];
+        bits[u >> 6] ^= 1ULL << (u & 63);
+        if (v < g->n_internal)
+            bits[v >> 6] ^= 1ULL << (v & 63);
+        else
+            on_left += v == g->left;
+    }
+    return on_left;
+}
+
+/* Syndrome of the edges ids[0..k), repeated ids cancelling in pairs: the
+   internal vertices of odd incidence, ascending, written to `out` (room for
+   min(2k, n_internal) vertices). Returns their number, BAD_EDGE for an id
+   off the graph, or INT64_MIN when the scratch bits cannot be allocated. */
+int64_t uf_syndrome(const uf_graph *g, const int64_t *ids, int64_t k, int32_t *out) {
+    int64_t words = (g->n_internal + 63) / 64;
+    uint64_t *bits = calloc((size_t)words, sizeof *bits);
+    if (!bits) return INT64_MIN;
+    int64_t n = flip_ends(g, ids, k, bits) < 0 ? BAD_EDGE : drain_bits(bits, words, out);
+    free(bits);
+    return n;
+}
+
+/* Assess the residual error err XOR corr, as edge-id multisets. Its syndrome
+   is the XOR of the two syndromes and its count of LEFT edges is the sum of
+   theirs mod 2, so both sets are flipped into one bitmap. Returns the
+   residual's crossing parity, 0 or 1, when its syndrome is zero;
+   RESIDUAL_SYNDROME when it is not; BAD_EDGE for an id off the graph in either
+   set; INT64_MIN when the scratch bits cannot be allocated. */
+int64_t uf_assess(const uf_graph *g, const int64_t *err, int64_t k_err, const int64_t *corr,
+                  int64_t k_corr) {
+    int64_t words = (g->n_internal + 63) / 64;
+    uint64_t *bits = calloc((size_t)words, sizeof *bits);
+    if (!bits) return INT64_MIN;
+    int64_t a = flip_ends(g, err, k_err, bits);
+    int64_t b = a < 0 ? a : flip_ends(g, corr, k_corr, bits);
+    int64_t result = b < 0 ? BAD_EDGE : (a + b) & 1;
+    for (int64_t w = 0; w < words && result >= 0; w++)
+        if (bits[w]) result = RESIDUAL_SYNDROME;
+    free(bits);
+    return result;
 }
 
 /* Drain the vertex bitmap of the context. */

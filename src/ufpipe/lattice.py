@@ -10,14 +10,21 @@ Everything the decoding kernel reads is a flat int32 array: the edge
 endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
 order. `neighbors` reads the CSR arrays.
+
+Syndrome extraction is one kernel call: it flips one bit per internal
+endpoint of each edge, so a vertex's bit ends up set iff it has odd
+incidence, and reads the set bits out in ascending order. It costs O(k) in
+the number k of edge ids plus O(n_internal / 64) for the bitmap.
 """
 
 from __future__ import annotations
 
-import functools
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._kernel import NO_MEMORY, GraphView, K, addr, int64_ids
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,7 @@ class DecodingGraph:
     left: int            # virtual boundary vertex id (= n_internal)
     right: int           # virtual boundary vertex id (= n_internal + 1)
     # endpoints as int32 arrays, for the decoding kernel, syndrome extraction
-    # and `assess`
+    # and `uf_core.assess`
     edges_u: np.ndarray  # internal endpoint
     edges_v: np.ndarray  # internal or virtual endpoint
     # the only neighbour index, int32 CSR over every vertex including LEFT and
@@ -69,16 +76,19 @@ class DecodingGraph:
     n_time_edges: int = 0
     _row_stride: int = field(default=0, repr=False)
 
+    def __post_init__(self):
+        # the kernel reads the arrays through fixed addresses, as the graph is
+        # immutable: a ClusterSet all five, syndrome extraction and
+        # `uf_core.assess` the endpoints through one `GraphView`; O(1)
+        self.kernel_addresses = tuple(a.ctypes.data for a in (
+            self.adj_start, self.adj_edge, self.adj_far, self.edges_u, self.edges_v))
+        self._view = GraphView(self.n_internal, len(self.edges_u), self.left,
+                               *self.kernel_addresses[3:])
+        self.kernel_view = ctypes.addressof(self._view)
+
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
-
-    @functools.cached_property
-    def kernel_addresses(self) -> tuple[int, ...]:
-        """Data addresses of adj_start, adj_edge, adj_far, edges_u and edges_v,
-        the arrays the decoding kernel reads; fixed, as the graph is immutable."""
-        return tuple(a.ctypes.data for a in (
-            self.adj_start, self.adj_edge, self.adj_far, self.edges_u, self.edges_v))
 
     def vertex_id(self, layer: int, row: int, col: int) -> int:
         d = self.d
@@ -183,26 +193,26 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     return g
 
 
-def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids: np.ndarray) -> np.ndarray:
-    """Internal vertices with odd incidence in the given edge set, ascending.
+def reject_off_graph(graph: DecodingGraph, *id_seqs) -> None:
+    """Raise the error for the integer edge ids outside [0, n_edges) in
+    `id_seqs`, listing them."""
+    bad = [e for ids in map(np.asarray, id_seqs)
+           for e in ids[(ids < 0) | (ids >= graph.n_edges)].tolist()]
+    raise ValueError(f"edge ids must lie in [0, {graph.n_edges}), got {bad[:5]}")
 
-    O(k log k) in the number k of edge ids: the endpoints are sorted, the
-    virtual ones (the largest ids) cut off, and a vertex is a defect iff its
-    run of equal ids is odd, so repeated edge ids cancel in pairs. An id
-    outside [0, n_edges) raises ValueError.
+
+def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids) -> np.ndarray:
+    """Internal vertices with odd incidence in the given edge set, as an
+    ascending int32 array; repeated edge ids cancel in pairs.
+
+    Bit parity in the kernel, see the module docstring. Non-integer ids
+    (float or bool) and ids outside [0, n_edges) raise ValueError.
     """
-    edge_ids = np.asarray(edge_ids, dtype=np.int64)
-    if edge_ids.size == 0:
-        return np.empty(0, dtype=np.int32)
-    # one reduction: as uint64 a negative id is larger than any edge id
-    if edge_ids.view(np.uint64).max() >= graph.n_edges:
-        bad = edge_ids[(edge_ids < 0) | (edge_ids >= graph.n_edges)]
-        raise ValueError(f"edge ids must lie in [0, {graph.n_edges}), got {bad[:5].tolist()}")
-    ends = np.concatenate((graph.edges_u[edge_ids], graph.edges_v[edge_ids]))
-    ends.sort()
-    ends = ends[: ends.searchsorted(graph.n_internal)]
-    first = np.ones(ends.size + 1, dtype=bool)
-    np.not_equal(ends[1:], ends[:-1], out=first[1:-1])
-    starts = first.nonzero()[0]  # start of every run, then ends.size
-    odd = (starts[1:] - starts[:-1]) & 1 == 1
-    return ends[starts[:-1][odd]]
+    ids, at = int64_ids(edge_ids, "edge")
+    out = np.empty(min(2 * ids.size, graph.n_internal), dtype=np.int32)
+    n = K.uf_syndrome(graph.kernel_view, at, ids.size, addr(out))
+    if n < 0:
+        if n == NO_MEMORY:
+            raise MemoryError("no memory for the syndrome kernel's scratch bits")
+        reject_off_graph(graph, edge_ids)
+    return out[:n]

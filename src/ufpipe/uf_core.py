@@ -1,9 +1,10 @@
-"""Union-Find decoder: growth, spanning forest, peeling.
+"""Union-Find decoder: growth, spanning forest, peeling, assessment.
 
 The only decoding engine in the package. Growth, the spanning forest and
-peeling run in one C kernel, `_ufkernel.c`, over flat buffers that a
-`ClusterSet` owns; this module validates input, owns the buffers and turns
-the kernel's output into Python values. All iteration orders are fixed
+peeling run in one C kernel, `_ufkernel.c` (built and loaded by `_kernel`),
+over flat buffers that a `ClusterSet` owns; `assess` is one call into the
+same kernel. This module validates input, owns the buffers and turns the
+kernel's output into Python values. All iteration orders are fixed
 (ascending vertex ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a
 decode is a deterministic function of the syndrome; the hardware pipeline
 model in `microarch` counts memory reads on top of this engine's state.
@@ -12,89 +13,22 @@ Growth policy: every odd, non-boundary cluster grows all of its incident
 half-edges by one increment per pass; edges reaching the fully-grown
 state are queued and merged after the pass. A cluster freezes as soon as
 a grown edge reaches a virtual boundary vertex.
-
-Build cache: importing this module compiles the kernel once with
-`cc -O2 -shared -fPIC` in a subprocess, into
-`__pycache__/_ufkernel-<sha256 of the source><interpreter's extension
-suffix>` next to the source, and loads it with `ctypes`. Later imports
-load the cached file without running `cc`. A missing or failing compiler
-raises ImportError.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
-from .lattice import DecodingGraph, syndrome_indices_of_edges
+from ._kernel import NO_MEMORY, K, addr, int64_ids, integer_ids
+from .lattice import DecodingGraph, reject_off_graph
 from .noise import ErrorPattern, Syndrome
 
 LEFT_SIDE = 1   # boundary_sides bits; `_ufkernel.c` defines the same values
 RIGHT_SIDE = 2
-
-_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c")
-
-
-def _build(source: str, target: str) -> None:
-    """Compile `source` into the shared object `target`, atomically."""
-    import subprocess  # only on a cache miss
-
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source]
-    try:
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-        except OSError as exc:
-            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` "
-                              f"did not run: {exc}") from exc
-        if proc.returncode:
-            raise ImportError(f"cannot build the Union-Find kernel: `{' '.join(cmd)}` exited "
-                              f"with status {proc.returncode}:\n{proc.stderr}")
-        os.replace(tmp, target)  # concurrent builds each replace the file whole
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
-def _load_kernel() -> ctypes.CDLL:
-    with open(_SOURCE, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
-    target = os.path.join(os.path.dirname(_SOURCE), "__pycache__",
-                          f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
-    if not os.path.exists(target):
-        _build(_SOURCE, target)
-    lib = ctypes.CDLL(target)
-    ctx, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
-    for name, restype, argtypes in (
-        ("uf_init", None, [ctx]),
-        ("uf_reset", None, [ctx]),
-        ("uf_seed", None, [ctx, i64]),
-        ("uf_find", i32, [ctx, i32]),
-        ("uf_union", i32, [ctx, i32, i32]),
-        ("uf_grow", None, [ctx]),
-        ("uf_forest", i64, [ctx]),
-        ("uf_grgen_counts", None, [ctx, i64]),
-        ("uf_peel", i64, [ctypes.c_void_p, ctypes.c_void_p, i64, ctypes.c_void_p]),
-    ):
-        fn = getattr(lib, name)
-        fn.restype, fn.argtypes = restype, argtypes
-    return lib
-
-
-_K = _load_kernel()
-_BYTES = ctypes.c_char * 0
-
-
-def _addr(a: np.ndarray) -> int:
-    """Address of the data of a writable, C-contiguous array."""
-    return ctypes.addressof(_BYTES.from_buffer(a))
 
 
 # The buffers of a ClusterSet, in the order of their fields in `uf_ctx`:
@@ -147,18 +81,9 @@ def _layout(n: int, n_e: int) -> tuple[int, tuple[int, ...], dict[str, tuple[int
 
 # slots of the counts buffer, as `_ufkernel.c` numbers them
 _N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS, _STM_ROW_READS = range(5)
-_PEEL_NO_MEMORY = -(2**63)  # uf_peel's INT64_MIN
 _PEEL_BAD_DEFECT = -(2**32)  # uf_peel's PEEL_BAD_DEFECT
+_BAD_EDGE, _RESIDUAL_SYNDROME = -1, 2  # uf_assess's BAD_EDGE and RESIDUAL_SYNDROME
 _INT32 = np.dtype(np.int32)
-
-
-def _integer_ids(defects) -> np.ndarray:
-    """`defects` as an array; ValueError unless it is a 1-D integer sequence."""
-    ids = np.asarray(defects)
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError(
-            f"defect ids must be a 1-D integer sequence, got {ids.dtype} of shape {ids.shape}")
-    return ids
 
 
 class InvariantViolation(RuntimeError):
@@ -204,9 +129,9 @@ class ClusterSet:
         nbytes, firsts, self._where = _layout(n, n_e)
         self._block = np.empty(nbytes, np.uint8)  # uf_init sets what is read before written
         self._ctx = _Ctx(n, n_e, graph.left, *graph.kernel_addresses,
-                         *map(_addr(self._block).__add__, firsts))
+                         *map(addr(self._block).__add__, firsts))
         self._c = ctypes.addressof(self._ctx)
-        _K.uf_init(self._c)
+        K.uf_init(self._c)
         # the buffers every decode reads, the int32 ones sliced from one view
         # of the int32 run of `_BUFFERS`; the others are viewed on first use
         first, _, _ = self._where["parent"]
@@ -229,7 +154,7 @@ class ClusterSet:
     _next = functools.cached_property(lambda self: self._view("next"))
 
     def reset(self) -> None:
-        _K.uf_reset(self._c)
+        K.uf_reset(self._c)
 
     @property
     def passes(self) -> int:
@@ -257,7 +182,7 @@ class ClusterSet:
         `pass_log`: the STM rows (`graph.stm_row`) that hold a `touched_v`
         vertex or the `edges_u` end of a `touched_e` edge when the pass
         starts, the `touched_v` prefix the pass scans, and its fusion edges."""
-        _K.uf_grgen_counts(self._c, self.graph._row_stride)
+        K.uf_grgen_counts(self._c, self.graph._row_stride)
         return self._counts[_STM_ROW_READS:].tolist()
 
     @property
@@ -281,7 +206,7 @@ class ClusterSet:
 
     def find(self, v: int) -> int:
         """Root of v's cluster; repoints at most the last 5 visited vertices."""
-        return _K.uf_find(self._c, self._check(v))
+        return K.uf_find(self._c, self._check(v))
 
     def union(self, u: int, v: int) -> int:
         """Make u and v members, then merge their clusters; returns the
@@ -291,7 +216,7 @@ class ClusterSet:
         Parity XORs, boundary flags OR, growth counts take the max. The
         loser's member list is appended to the winner's.
         """
-        return _K.uf_union(self._c, self._check(u), self._check(v))
+        return K.uf_union(self._c, self._check(u), self._check(v))
 
     def signature(self) -> frozenset:
         """Canonical cluster-set value for engine-equivalence checks.
@@ -317,7 +242,7 @@ class ClusterSet:
         changes: a negative id would make growth loop forever, and a
         repeated id would silently decode as a single defect.
         """
-        ids = _integer_ids(defects)
+        ids = integer_ids(defects, "defect")
         if ids.size:
             if (ids[1:] <= ids[:-1]).any():
                 raise ValueError("defect ids must be strictly ascending")
@@ -327,11 +252,11 @@ class ClusterSet:
         if self._counts[_N_TOUCHED_V]:
             raise ValueError("defects can only be seeded into a cluster set with no members")
         self._tv[:ids.size] = ids
-        _K.uf_seed(self._c, ids.size)
+        K.uf_seed(self._c, ids.size)
 
     def grow(self) -> None:
         """Run growth passes until every cluster is even or frozen."""
-        _K.uf_grow(self._c)
+        K.uf_grow(self._c)
 
 
 @dataclass
@@ -438,7 +363,7 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     """
     if graph is not cs.graph:
         raise ValueError("the cluster set was grown on another graph")
-    n = _K.uf_forest(cs._c)
+    n = K.uf_forest(cs._c)
     rec = cs._forest
     if n == -1:
         raise InvariantViolation(f"cluster at root {rec[0]} is odd and not on a boundary")
@@ -456,11 +381,11 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     Every defect must be a distinct vertex of a tree of the forest, which
     excludes the virtual entry points; anything else raises ValueError.
     """
-    ids = _integer_ids(syn.defects)
+    ids = integer_ids(syn.defects, "defect")
     defects = ids.astype(np.int64)  # uint64 ids past 2**63 wrap negative: rejected too
     out = np.empty(len(forest.edges), dtype=np.int32)
-    n = _K.uf_peel(_addr(forest.record), _addr(defects), defects.size, _addr(out))
-    if n == _PEEL_NO_MEMORY:
+    n = K.uf_peel(addr(forest.record), addr(defects), defects.size, addr(out))
+    if n == NO_MEMORY:
         raise MemoryError("no memory for the peeling kernel's scratch bits")
     if n <= _PEEL_BAD_DEFECT:
         i = _PEEL_BAD_DEFECT - n
@@ -509,12 +434,24 @@ def assess(
     corr: Correction,
     stats: DecodeStats | None = None,
 ) -> DecodeOutcome:
-    """Check the residual error err XOR corr for logical failure. Neither
-    may repeat an edge id; `sample_error` and `peel` never do."""
-    residual = np.setxor1d(err.edge_ids, corr.edge_ids, assume_unique=True)
-    if syndrome_indices_of_edges(graph, residual).size:
+    """Check the residual error err XOR corr for logical failure.
+
+    The residual is the symmetric difference of the two edge-id multisets:
+    ids may come in any order, and an id given twice, in one set or across
+    both, cancels. It fails when an odd number of its edges end on LEFT,
+    i.e. when it runs between the two boundaries. One kernel call: the
+    residual's syndrome is the XOR of the two syndromes and its LEFT count
+    the sum of theirs. Non-integer ids and ids outside [0, n_edges) raise
+    ValueError; a residual with a nonzero syndrome, a correction that does
+    not cancel the error's syndrome, raises InvariantViolation.
+    """
+    e, e_at = int64_ids(err.edge_ids, "edge")
+    c, c_at = int64_ids(corr.edge_ids, "edge")
+    bit = K.uf_assess(graph.kernel_view, e_at, e.size, c_at, c.size)
+    if bit == _RESIDUAL_SYNDROME:
         raise InvariantViolation("correction does not cancel the syndrome")
-    # crossing parity of the zero-syndrome residual: its LEFT-incident edges;
-    # odd means it runs between the two boundaries, a logical operator
-    bit = int(np.count_nonzero(graph.edges_v[residual] == graph.left) & 1) if residual.size else 0
+    if bit == _BAD_EDGE:
+        reject_off_graph(graph, err.edge_ids, corr.edge_ids)
+    if bit == NO_MEMORY:
+        raise MemoryError("no memory for the assessment kernel's scratch bits")
     return DecodeOutcome(success=(bit == 0), stats=stats)

@@ -1,9 +1,10 @@
-"""The Union-Find kernel builds itself on first import, once, with `cc`.
+"""The Union-Find kernel builds itself on first import, once, with `cc`,
+and compiles without warnings.
 
-Each test copies the package to a temporary directory, so that its build
-cache starts cold, and imports it in a subprocess. The build must not pull
-in setuptools, distutils or cffi: importing those raises the benchmark's
-peak RSS by several MiB.
+Each import test copies the package to a temporary directory, so that its
+build cache starts cold, and imports it in a subprocess. The build must not
+pull in setuptools, distutils or cffi: importing those raises the
+benchmark's peak RSS by several MiB.
 """
 
 import os
@@ -87,3 +88,10 @@ def test_compiler_failure_raises_import_error_with_its_stderr(tmp_path):
     assert "cc -O2 -shared -fPIC" in out.stderr
     assert "_ufkernel.c" in out.stderr and "error" in out.stderr  # the compiler's own message
     assert not kernels(root) and not list(cache(root).glob("*.tmp"))
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+           "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c")]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

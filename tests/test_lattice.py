@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from ufpipe.lattice import (
     syndrome_indices_of_edges,
 )
 from ufpipe.noise import ErrorPattern
-from ufpipe.uf_core import Correction, assess
+from ufpipe.uf_core import Correction, InvariantViolation, assess
 
 SYNDROME_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
 
@@ -200,7 +203,7 @@ def test_syndrome_matches_bincount_reference(data, d):
     assert np.array_equal(syndrome_indices_of_edges(g, ids), ref)  # a plain list too
 
 
-@pytest.mark.parametrize("bad", [[-1], [51], [0, 2, -7], [2**40]])
+@pytest.mark.parametrize("bad", [[-1], [51], [0, 2, -7], [2**40], [2**63]])
 def test_syndrome_rejects_edge_ids_off_the_graph(g3, bad):
     # -1 used to read the last edge's endpoints; n_edges raised IndexError
     with pytest.raises(ValueError, match=r"\[0, 51\)"):
@@ -208,3 +211,150 @@ def test_syndrome_rejects_edge_ids_off_the_graph(g3, bad):
     with pytest.raises(ValueError):
         assess(g3, ErrorPattern(edge_ids=np.array(bad), n_edges=g3.n_edges),
                Correction(edge_ids=np.empty(0, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("bad", [np.array([7.9]), [7.0], np.array([7, 8.5]), np.array([True]),
+                                 [False, True], np.array([[7]])])
+def test_syndrome_and_assess_reject_non_integer_edge_ids(g3, bad):
+    # a float id used to be truncated: [7.9] read as edge 7
+    with pytest.raises(ValueError, match="1-D integer sequence"):
+        syndrome_indices_of_edges(g3, bad)
+    none = np.empty(0, dtype=np.int64)
+    for err, corr in ((bad, none), (none, bad)):
+        with pytest.raises(ValueError, match="1-D integer sequence"):
+            assess(g3, ErrorPattern(edge_ids=err, n_edges=g3.n_edges), Correction(edge_ids=corr))
+
+
+def boundary_edges(g):
+    return [e for e, _ in g.neighbors(g.left) + g.neighbors(g.right)]
+
+
+def zero_syndrome_sets(g):
+    """Left-to-right row chains (logical) and square cycles (trivial)."""
+    d = g.d
+    return ([row_chain(g, l, r) for l in range(d) for r in range(d)]
+            + [square_cycle(g, l, r, c) for l in range(d) for r in range(d - 1)
+               for c in range(d - 2)])
+
+
+ZERO_SYNDROME_SETS = {d: zero_syndrome_sets(g) for d, g in SYNDROME_GRAPHS.items()}
+
+
+def assess_reference(g, err_ids, corr_ids):
+    """`assess` as first defined, for duplicate-free id arrays: the residual
+    by `setxor1d`, its syndrome by `bincount`, then its LEFT-incident count.
+    None when the residual's syndrome is not zero."""
+    residual = np.setxor1d(err_ids, corr_ids, assume_unique=True)
+    ends = np.concatenate((g.edges_u[residual], g.edges_v[residual]))
+    if (np.bincount(ends, minlength=g.n_internal + 2)[: g.n_internal] & 1).any():
+        return None
+    return int(np.count_nonzero(g.edges_v[residual] == g.left) & 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.sampled_from([3, 5]), cancel=st.booleans())
+def test_assess_matches_setxor_reference(data, d, cancel):
+    # cancelling pairs: corr is err XOR some chains and cycles; otherwise an
+    # unrelated set, which almost never cancels; both boundary heavy
+    g = SYNDROME_GRAPHS[d]
+    edge = st.one_of(st.integers(0, g.n_edges - 1), st.sampled_from(boundary_edges(g)))
+    err = data.draw(st.sets(edge, max_size=40))
+    if cancel:
+        corr = set(err)
+        for s in data.draw(st.lists(st.sampled_from(ZERO_SYNDROME_SETS[d]), max_size=4)):
+            corr ^= set(s)
+    else:
+        corr = data.draw(st.sets(edge, max_size=40))
+    e, c = (np.array(data.draw(st.permutations(sorted(x))), dtype=np.int64) for x in (err, corr))
+    want = assess_reference(g, e, c)
+    if cancel:
+        assert want is not None
+    err_p, corr_p = ErrorPattern(edge_ids=e, n_edges=g.n_edges), Correction(edge_ids=c)
+    if want is None:
+        with pytest.raises(InvariantViolation):
+            assess(g, err_p, corr_p)
+    else:
+        assert assess(g, err_p, corr_p).success == (want == 0)
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+INPUT_FORMS = {
+    "list": lambda a: a.tolist(),
+    "read-only": read_only,
+    "slice": lambda a: np.repeat(a, 2)[::2],  # int64, not C-contiguous
+    "int32": lambda a: a.astype(np.int32),
+    "uint32": lambda a: a.astype(np.uint32),
+}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+def test_syndrome_and_assess_take_any_integer_form_and_leave_it_unchanged(g5, form):
+    # a logical chain, a cycle, a repeated id and three loose edges; the
+    # correction cancels the syndrome, and the residual is the chain: a failure
+    chain = row_chain(g5, 2, 1)
+    loose = [3, 40, boundary_edges(g5)[7]]
+    err = np.array(chain + square_cycle(g5, 1, 1, 1) + [40, 40] + loose, dtype=np.int64)
+    corr = np.array(loose[::-1] + square_cycle(g5, 1, 1, 1), dtype=np.int64)
+    want_syn = syndrome_indices_of_edges(g5, err)
+    assert np.array_equal(want_syn, syndrome_indices_of_edges(g5, loose))
+    err_f, corr_f = INPUT_FORMS[form](err), INPUT_FORMS[form](corr)
+    kept = [np.array(x, copy=True) for x in (err_f, corr_f)]
+    got_syn = syndrome_indices_of_edges(g5, err_f)
+    assert got_syn.dtype == np.int32 and np.array_equal(got_syn, want_syn)
+    out = assess(g5, ErrorPattern(edge_ids=err_f, n_edges=g5.n_edges), Correction(edge_ids=corr_f))
+    assert not out.success
+    for x, before in zip((err_f, corr_f), kept):
+        assert np.array_equal(np.asarray(x), before) and np.asarray(x).dtype == before.dtype
+    if form == "read-only":
+        assert not err_f.flags.writeable and not corr_f.flags.writeable
+
+
+def test_two_threads_share_one_graph():
+    # scratch memory kept on the graph would mix the two threads' bits; the
+    # edge sets are large, so that both threads are often in the kernel at once
+    g = build_decoding_graph(LatticeParams(25))
+    rng = np.random.default_rng(5)
+    chain = np.array(row_chain(g, 3, 4))
+    cases = []
+    for i, k in enumerate(rng.integers(2000, 20000, 24)):
+        err = rng.integers(0, g.n_edges, k)
+        corr = (rng.permutation(err), np.concatenate((err, chain)), err[1:])[i % 3]
+        cases.append((ErrorPattern(edge_ids=err, n_edges=g.n_edges), Correction(edge_ids=corr)))
+
+    def outcome(err, corr):
+        try:
+            return assess(g, err, corr).success
+        except InvariantViolation:
+            return None
+
+    serial = [(syndrome_indices_of_edges(g, e.edge_ids).tolist(), outcome(e, c)) for e, c in cases]
+    assert {o for _, o in serial} == {True, False, None}  # every outcome is exercised
+    errors = []
+
+    def worker():
+        try:
+            for _ in range(10):
+                for (e, c), want in zip(cases, serial):
+                    got = (syndrome_indices_of_edges(g, e.edge_ids).tolist(), outcome(e, c))
+                    if got != want:
+                        errors.append((e.edge_ids.size, got[1], want[1]))
+        except Exception as exc:  # reported below: an exception in a thread is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
