@@ -5,7 +5,9 @@ Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` in a subprocess, into
 `__pycache__/_ufkernel-<sha256 of the source><interpreter's extension
 suffix>` next to the source, and loads it with `ctypes`. Later imports
-load the cached file without running `cc`. A missing or failing compiler
+load the cached file without running `cc`. An import that builds the
+kernel then removes the other `_ufkernel-*` builds with the same suffix,
+which older versions of the source left. A missing or failing compiler
 raises ImportError.
 
 ctypes releases the interpreter lock for every kernel call, so two threads
@@ -56,25 +58,43 @@ def _build(source: str, target: str) -> None:
             os.remove(tmp)
 
 
-def _load_kernel() -> ctypes.CDLL:
-    with open(_SOURCE, "rb") as f:
+def cache_path(source: str) -> str:
+    """Where the build of the kernel source `source` is cached."""
+    with open(source, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
-    target = os.path.join(os.path.dirname(_SOURCE), "__pycache__",
-                          f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
+    return os.path.join(os.path.dirname(source), "__pycache__",
+                        f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
+
+
+def _remove_stale_builds(target: str) -> None:
+    """Remove every `_ufkernel-*` build beside `target` with its suffix."""
+    cache, name = os.path.split(target)
+    for other in os.listdir(cache):
+        if other != name and other.startswith("_ufkernel-") and other.endswith(EXTENSION_SUFFIXES[0]):
+            try:
+                os.remove(os.path.join(cache, other))
+            except OSError:  # removed by a concurrent import
+                pass
+
+
+def _load_kernel() -> ctypes.CDLL:
+    target = cache_path(_SOURCE)
     if not os.path.exists(target):
         _build(_SOURCE, target)
+        _remove_stale_builds(target)
     lib = ctypes.CDLL(target)
     ctx, i32, i64, ptr = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     for name, restype, argtypes in (
         ("uf_init", None, [ctx]),
         ("uf_reset", None, [ctx]),
-        ("uf_seed", None, [ctx, i64]),
+        ("uf_seed", i64, [ctx, i64]),
         ("uf_find", i32, [ctx, i32]),
         ("uf_union", i32, [ctx, i32, i32]),
         ("uf_grow", None, [ctx]),
         ("uf_forest", i64, [ctx]),
-        ("uf_grgen_counts", None, [ctx, i64]),
         ("uf_peel", i64, [ptr, ptr, i64, ptr]),
+        ("uf_run_grgen", i64, [ctx, i64, i64]),
+        ("uf_run_corr", i64, [ctx]),
         ("uf_syndrome", i64, [ptr, ptr, i64, ptr]),
         ("uf_assess", i64, [ptr, ptr, i64, ptr, i64]),
     ):

@@ -2,6 +2,15 @@
  * peeling and assessment.
  *
  * `_kernel.py` compiles this file on first import and binds it with ctypes.
+ * Entry points, by caller:
+ *   - `uf_core.ClusterSet` and `uf_core.Decoder`, one layer per call:
+ *     `uf_init`, `uf_reset`, `uf_seed` (checks the defects), `uf_find`,
+ *     `uf_union`, `uf_grow`, `uf_forest` and `uf_peel`;
+ *   - the pipeline model of `microarch`, one call per stage, composing the
+ *     functions above: `uf_run_grgen` (seed, grow, Gr-Gen read counts), then
+ *     `uf_forest` itself, then `uf_run_corr` (`uf_peel` of the forest
+ *     record with the seeded defects);
+ *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`.
  * The decoding buffers belong to a Python `ClusterSet` (one numpy block,
  * sized from the graph's n_internal and n_edges); the kernel allocates
  * nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
@@ -24,22 +33,24 @@
 #define RIGHT_SIDE 2
 
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
-       N_COUNTS };
+       N_SEEDED, N_COUNTS };
 
 typedef struct {
     int64_t n_internal, n_edges, left;
     /* graph, read only: CSR adjacency over n_internal + 2 vertices, endpoints */
     const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
     /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
-    int64_t *counts; /* indexed by the enum above */
+    int64_t *counts;  /* indexed by the enum above */
+    int64_t *defects; /* defect ids for uf_seed, as the caller gave them; kept for uf_run_corr */
     uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
     /* per internal vertex: union-find tables and member lists (head = root) */
     int32_t *parent, *size, *growth_steps, *next, *tail;
     /* logs: member vertices in join order, edges in first-touch order, and
        per pass (len(touched_v), len(touched_e)) at its start and its FES size */
     int32_t *touched_v, *touched_e, *pass_log;
-    /* scratch: growth scan list, fusion edge stack, per-vertex auxiliary
-       slot, boundary entry list and DFS frames (vertex, adjacency position) */
+    /* scratch: growth scan list (and uf_run_corr's correction), fusion edge
+       stack, per-vertex auxiliary slot, boundary entry list and DFS frames
+       (vertex, adjacency position) */
     int32_t *scan, *fes, *aux, *entry, *stack;
     int32_t *forest; /* forest record, see uf_forest */
     uint8_t *parity, *boundary_sides, *member, *visited;
@@ -170,16 +181,28 @@ void uf_reset(uf_ctx *c) {
     }
     for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
     c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
+    c->counts[N_SEEDED] = 0;
 }
 
-/* The first k entries of touched_v hold validated, distinct defect ids. */
-void uf_seed(uf_ctx *c, int64_t k) {
+#define SEED_REFUSED 1 /* uf_seed: bad defect ids, or a cluster set with members */
+
+/* Make each of the first k ids in `defects` a one-vertex odd cluster of a
+   set with no members; they become the first k entries of touched_v.
+   Returns 0, or SEED_REFUSED before any state changes unless the ids are
+   strictly ascending in [0, n_internal) and the set has no members. */
+int64_t uf_seed(uf_ctx *c, int64_t k) {
+    const int64_t *ids = c->defects;
+    if (c->counts[N_TOUCHED_V] || k > c->n_internal) return SEED_REFUSED;
+    for (int64_t i = 0, prev = -1; i < k; prev = ids[i++])
+        if (ids[i] <= prev || ids[i] >= c->n_internal) return SEED_REFUSED;
     for (int64_t i = 0; i < k; i++) {
-        int32_t v = c->touched_v[i];
+        int32_t v = (int32_t)ids[i];
+        c->touched_v[i] = v;
         c->member[v] = 1;
         c->parity[v] = 1;
     }
-    c->counts[N_TOUCHED_V] = k;
+    c->counts[N_TOUCHED_V] = c->counts[N_SEEDED] = k;
+    return 0;
 }
 
 /* Root of v; 1 table read at a root, 2 at depth 1, len(path) + 1 deeper,
@@ -294,7 +317,7 @@ void uf_grow(uf_ctx *c) {
    starts; the member vertices scanned at each pass start; and the fusion
    edges popped. The vertex bitmap serves as the row bitmap and is left
    cleared. */
-void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
+static void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
     int64_t rows = 0, iv = 0, ie = 0, *counts = c->counts;
     counts[STM_ROW_READS] = counts[MEMBER_SCANS] = counts[FES_POPS] = 0;
     for (int64_t p = 0; p < counts[PASSES]; p++) {
@@ -310,10 +333,20 @@ void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
     memset(c->bits, 0, (size_t)((c->n_internal / row_stride + 63) / 64) * sizeof *c->bits);
 }
 
+/* The Gr-Gen stage: uf_seed, then uf_grow and uf_grgen_counts when the
+   seeding is accepted. Returns what uf_seed returns. */
+int64_t uf_run_grgen(uf_ctx *c, int64_t k, int64_t row_stride) {
+    int64_t refused = uf_seed(c, k);
+    if (refused) return refused;
+    uf_grow(c);
+    uf_grgen_counts(c, row_stride);
+    return 0;
+}
+
 /* DFS spanning tree per cluster over fully grown edges, written as one
-   int32 record: m, k, then root, start vertex, vertex count, boundary flag
-   and tree edge count of each of the m trees, then k (edge, leafward,
-   rootward) triples, tree by tree in DFS visit order.
+   int32 record: m, k, then root, start vertex, vertex count, boundary flag,
+   tree edge count and growth count of each of the m trees, then k (edge,
+   leafward, rootward) triples, tree by tree in DFS visit order.
 
    Trees are ordered by the smallest vertex of their cluster, the traversal
    root. A boundary cluster is entered instead from its virtual vertex (LEFT
@@ -334,7 +367,8 @@ int64_t uf_forest(uf_ctx *c) {
     }
     int32_t m = drain_vertices(c, c->scan); /* the clusters' smallest vertices, ascending */
     int32_t *root = rec + 2, *start = root + m, *n_vertices = start + m;
-    int32_t *boundary = n_vertices + m, *n_edges = boundary + m, *edges = n_edges + m;
+    int32_t *boundary = n_vertices + m, *n_edges = boundary + m, *growth = n_edges + m;
+    int32_t *edges = growth + m;
     int64_t k = 0;
     for (int32_t t = 0; t < m; t++) {
         int32_t low = c->scan[t];
@@ -405,10 +439,11 @@ int64_t uf_forest(uf_ctx *c) {
         n_vertices[t] = c->size[r];
         boundary[t] = sides != 0;
         n_edges[t] = (int32_t)(k - k0);
+        growth[t] = c->growth_steps[r];
     }
     rec[0] = m;
     rec[1] = (int32_t)k;
-    return 2 + 5 * (int64_t)m + 3 * k;
+    return 2 + 6 * (int64_t)m + 3 * k;
 }
 
 /* Reverse-order peeling of a forest record: pop tree edges leaf first; an
@@ -427,7 +462,7 @@ enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's scratch byte */
 int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, int32_t *corr) {
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
-    const int32_t *edges = n_edges + m;
+    const int32_t *edges = n_edges + 2 * m; /* past the growth counts */
     int32_t hi = 0, hi_edge = 0;
     for (int64_t i = 0; i < k; i++) {
         if (edges[3 * i] > hi_edge) hi_edge = edges[3 * i];
@@ -470,4 +505,10 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
     int32_t n = drain_bits(chosen, words, corr);
     free(chosen);
     return result ? result : n;
+}
+
+/* The Corr stage: uf_peel of the context's forest record with the defects
+   that uf_seed took, still in `defects`, writing the correction to `scan`. */
+int64_t uf_run_corr(uf_ctx *c) {
+    return uf_peel(c->forest, c->defects, c->counts[N_SEEDED], c->scan);
 }

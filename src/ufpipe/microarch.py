@@ -11,16 +11,21 @@ records; the zero data register (ZDR) flags the STM rows that hold any
 nonzero entry. Corrections, statistics and cluster partitions equal the
 engine's by construction.
 
-The Gr-Gen counts come from one walk of the engine's logs in its kernel
-(`ClusterSet.grgen_counts`) and the DFS and Corr counts from the forest
-record, so the model adds a fixed number of Python steps per stage to
-the engine's own cost rather than one per touched vertex or edge.
+Each stage is one call into the engine's kernel plus O(1) Python:
+Gr-Gen checks and seeds the defects, grows the clusters and counts its
+reads in one walk of the engine's logs (`ClusterSet.grgen`); the DFS
+engine writes the forest record (`ClusterSet.forest_view`), and the Corr
+engine peels it (`ClusterSet.peel_seeded`). The DFS and Corr counts are
+the member count and the forest's edge count, so no stage does Python
+work per touched vertex or edge.
 
 State is reused: the model keeps one `ClusterSet` per process, holds it
 with a reference to its graph, and resets it over the entries the last
 decode touched, as `uf_core.Decoder` does; a new one is built only when a
-decode names another graph object. So a `PipelineState` is valid until
-the next pipeline decode, and pipeline decodes run on one thread at a
+decode names another graph object. So a `PipelineState`, the
+`SpanningForest` of `run_dfs` and the `Correction` of `run_corr`, which
+view the cluster set's buffers, are valid until the next pipeline decode
+(copy what must outlive it), and pipeline decodes run on one thread at a
 time (single-threaded; one process per worker).
 
 Also evaluates the closed-form memory-cost table and the per-stage read
@@ -36,15 +41,7 @@ import numpy as np
 
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
-from .uf_core import (
-    ClusterSet,
-    Correction,
-    DecodeStats,
-    SpanningForest,
-    cluster_stats,
-    peel,
-    spanning_forest,
-)
+from .uf_core import ClusterSet, Correction, DecodeStats, SpanningForest, cluster_stats
 
 
 @dataclass
@@ -121,43 +118,51 @@ def new_pipeline_state(graph: DecodingGraph, stack_capacity: int | None = None) 
 
 
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
-    """Gr-Gen: seed the defects, grow the clusters and count the stage's reads."""
-    cs, t = state.cs, state.trace
-    cs.seed_defects(syn.defects)
-    cs.grow()
-    stm_row_reads, member_scans, fes_pops = cs.grgen_counts()
-    t.stm_row_reads += stm_row_reads
-    t.table_reads += member_scans + cs.table_reads
-    t.fes_pops += fes_pops
-    t.parity_scans = cs.passes + 1
-    t.grgen = t.parity_scans + t.stm_row_reads + t.table_reads + t.fes_pops
+    """Gr-Gen: seed the defects, grow the clusters and count the stage's
+    reads, in one kernel call that first checks the defects (ValueError, as
+    `ClusterSet.seed_defects`, with the state unchanged)."""
+    passes, table_reads, stm_row_reads, member_scans, fes_pops = state.cs.grgen(syn.defects)
+    t = state.trace
+    t.parity_scans = passes + 1
+    t.stm_row_reads = stm_row_reads
+    t.table_reads = member_scans + table_reads
+    t.fes_pops = fes_pops
+    t.grgen = t.parity_scans + stm_row_reads + t.table_reads + fes_pops
     return t
 
 
 def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
-    cluster's edge stack."""
-    forest = spanning_forest(state.cs.graph, state.cs)
-    state.trace.dfs += int(forest.n_vertices.sum())
+    cluster's edge stack, in one kernel call. The forest views the cluster
+    set's record: it is valid until the next pipeline decode. The engine
+    reads each member vertex once, and the clusters' sizes sum to the
+    member count."""
+    cs = state.cs
+    forest = cs.forest_view()
+    state.trace.dfs = cs.n_members
     if state.stack_capacity is not None:
         state.overflow_events += int(np.count_nonzero(forest.tree_edges > state.stack_capacity))
     return forest
 
 
-def run_corr(state: PipelineState, forest: SpanningForest, syn: Syndrome) -> Correction:
-    """Corr engine: peel every edge stack, one pop per tree edge."""
-    state.trace.corr += len(forest.edges)
-    return peel(forest, syn)
+def run_corr(state: PipelineState, forest: SpanningForest) -> Correction:
+    """Corr engine: peel every edge stack of `forest`, the record `run_dfs`
+    left in the cluster set, one pop per tree edge, with the defects Gr-Gen
+    seeded as the syndrome, in one kernel call. The correction views a
+    buffer of the cluster set: it is valid until the next pipeline decode."""
+    state.trace.corr = forest.k
+    return state.cs.peel_seeded()
 
 
 def decode_with_pipeline(
     graph: DecodingGraph, syn: Syndrome, stack_capacity: int | None = None
 ) -> tuple[Correction, PipelineState, DecodeStats]:
-    """Full hardware decode: Gr-Gen, DFS engine, Corr engine in sequence."""
+    """Full hardware decode: Gr-Gen, DFS engine, Corr engine in sequence.
+    The correction and the state are valid until the next pipeline decode."""
     state = new_pipeline_state(graph, stack_capacity)
     run_grgen(state, syn)
     forest = run_dfs(state)
-    corr = run_corr(state, forest, syn)
+    corr = run_corr(state, forest)
     return corr, state, cluster_stats(state.cs, forest)
 
 

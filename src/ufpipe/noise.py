@@ -11,12 +11,14 @@ costs O(|E| p) draws instead of O(|E|), as in Stim's sparse sampling
 Sampling is counter based: trial t of a run draws from a Philox stream
 keyed by the 64-bit seed with counter block t, so (seed, trial_index)
 fully determines the pattern and trials can be farmed out to workers in
-any order.
+any order. A trial index is an integer in [0, 2**64), the counter block's
+range; anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +36,18 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 <= self.p < 0.5:
             raise ValueError(f"edge error probability must be in [0, 0.5), got {self.p}")
-        if self.trial_index < 0:
-            raise ValueError("trial_index must be non-negative")
+        _check_trial_index(self.trial_index)
+
+
+def _check_trial_index(trial_index) -> int:
+    """`trial_index` as an int; ValueError unless it is an integer in [0, 2**64)."""
+    try:
+        trial_index = operator.index(trial_index)
+    except TypeError:
+        raise ValueError(f"trial_index must be an integer, got {trial_index!r}") from None
+    if not 0 <= trial_index < 2**64:
+        raise ValueError(f"trial_index must lie in [0, 2**64), got {trial_index}")
+    return trial_index
 
 
 @dataclass
@@ -64,7 +76,8 @@ class Syndrome:
 
 def trial_generator(seed: int, trial_index: int) -> Generator:
     """Independent generator for one trial; streams are 2^192 apart."""
-    return Generator(Philox(key=seed, counter=[0, 0, 0, trial_index]))
+    counter = np.array([0, 0, 0, _check_trial_index(trial_index)], dtype=np.uint64)
+    return Generator(Philox(key=seed, counter=counter))
 
 
 def sample_error(graph: DecodingGraph, noise: NoiseParams) -> ErrorPattern:
@@ -120,7 +133,7 @@ class TrialSampler:
         self._start = self._bg.state  # fresh state: empty buffer, no cached word
 
     def sample(self, trial_index: int) -> np.ndarray:
-        self._start["state"]["counter"][:] = (0, 0, 0, trial_index)
+        self._start["state"]["counter"][:] = (0, 0, 0, _check_trial_index(trial_index))
         self._bg.state = self._start
         return _failed_edge_ids(self._gen, self.n_edges, self.p)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,7 +36,8 @@ RIGHT_SIDE = 2
 # (name, dtype, length as a function of n_internal and n_edges). Wider types
 # come first, so that one block holds them all, each aligned.
 _BUFFERS = (
-    ("counts", np.int64, lambda n, n_e: 7),
+    ("counts", np.int64, lambda n, n_e: 8),
+    ("defects", np.int64, lambda n, n_e: n),
     ("bits", np.uint64, lambda n, n_e: (n + 63) // 64),
     ("parent", np.int32, lambda n, n_e: n),
     ("size", np.int32, lambda n, n_e: n),
@@ -50,7 +52,7 @@ _BUFFERS = (
     ("aux", np.int32, lambda n, n_e: n),
     ("entry", np.int32, lambda n, n_e: n),
     ("stack", np.int32, lambda n, n_e: 2 * n),
-    ("forest", np.int32, lambda n, n_e: 8 * n + 2),
+    ("forest", np.int32, lambda n, n_e: 9 * n + 2),
     ("parity", np.uint8, lambda n, n_e: n),
     ("boundary_sides", np.uint8, lambda n, n_e: n),
     ("member", np.uint8, lambda n, n_e: n),
@@ -80,10 +82,12 @@ def _layout(n: int, n_e: int) -> tuple[int, tuple[int, ...], dict[str, tuple[int
 
 
 # slots of the counts buffer, as `_ufkernel.c` numbers them
-_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS, _STM_ROW_READS = range(5)
+_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS = range(4)
+_N_SEEDED = 7
 _PEEL_BAD_DEFECT = -(2**32)  # uf_peel's PEEL_BAD_DEFECT
 _BAD_EDGE, _RESIDUAL_SYNDROME = -1, 2  # uf_assess's BAD_EDGE and RESIDUAL_SYNDROME
 _INT32 = np.dtype(np.int32)
+_COLUMNS = 6  # per-tree columns of a forest record
 
 
 class InvariantViolation(RuntimeError):
@@ -113,7 +117,7 @@ class ClusterSet:
       len(touched_e), len(fes))` per growth pass, the first two taken at the
       start of the pass and the last the size of the pass's fusion edge
       stack. These read int32 buffers as lists of plain ints.
-      `grgen_counts` derives the Gr-Gen read counts from them in the kernel.
+      `grgen` derives the Gr-Gen read counts from them in the kernel.
     - scratch for the kernel and the forest record. Every buffer is sized
       for the worst case from `n_internal` and `n_edges`: each holds at
       most one entry per vertex or per edge, and there are at most
@@ -137,10 +141,10 @@ class ClusterSet:
         first, _, _ = self._where["parent"]
         _, last, _ = self._where["forest"]
         i32 = self._block[first:last].view(np.int32)
-        self._tv, self._te, self._log, self._forest, self.growth_steps = (
+        self._tv, self._te, self._log, self._scan, self._forest, self.growth_steps = (
             i32[(a - first) // 4:(b - first) // 4] for a, b, _ in map(self._where.get, (
-                "touched_v", "touched_e", "pass_log", "forest", "growth_steps")))
-        self._counts = self._view("counts")
+                "touched_v", "touched_e", "pass_log", "scan", "forest", "growth_steps")))
+        self._counts, self._defects = self._view("counts"), self._view("defects")
 
     def _view(self, name: str) -> np.ndarray:
         start, end, dtype = self._where[name]
@@ -165,6 +169,10 @@ class ClusterSet:
         return int(self._counts[_TABLE_READS])
 
     @property
+    def n_members(self) -> int:
+        return int(self._counts[_N_TOUCHED_V])
+
+    @property
     def touched_v(self) -> list[int]:
         return self._tv[:self._counts[_N_TOUCHED_V]].tolist()
 
@@ -175,15 +183,6 @@ class ClusterSet:
     @property
     def pass_log(self) -> list[tuple[int, int, int]]:
         return list(map(tuple, self._log[:3 * self._counts[_PASSES]].reshape(-1, 3).tolist()))
-
-    def grgen_counts(self) -> list[int]:
-        """`[stm_row_reads, member_scans, fes_pops]` of the last growth, as
-        `microarch.AccessTrace` defines them, summed over the passes of
-        `pass_log`: the STM rows (`graph.stm_row`) that hold a `touched_v`
-        vertex or the `edges_u` end of a `touched_e` edge when the pass
-        starts, the `touched_v` prefix the pass scans, and its fusion edges."""
-        K.uf_grgen_counts(self._c, self.graph._row_stride)
-        return self._counts[_STM_ROW_READS:].tolist()
 
     @property
     def members(self) -> dict[int, list[int]]:
@@ -242,7 +241,22 @@ class ClusterSet:
         changes: a negative id would make growth loop forever, and a
         repeated id would silently decode as a single defect.
         """
+        ids = self._stage(defects)
+        if K.uf_seed(self._c, ids.size):
+            self._refuse(ids)
+
+    def _stage(self, defects) -> np.ndarray:
+        """Copy integer defect ids to the buffer the kernel seeds from, where
+        uint64 ids past 2**63 wrap negative; returns them as an array."""
         ids = integer_ids(defects, "defect")
+        if ids.size > self.graph.n_internal:  # so many cannot be valid, and do not fit
+            self._refuse(ids)
+        self._defects[:ids.size] = ids
+        return ids
+
+    def _refuse(self, ids: np.ndarray) -> NoReturn:
+        """Raise the ValueError for defect ids `ids` that the kernel refused
+        to seed, naming the first rule they break."""
         if ids.size:
             if (ids[1:] <= ids[:-1]).any():
                 raise ValueError("defect ids must be strictly ascending")
@@ -251,12 +265,41 @@ class ClusterSet:
                     f"defect ids must lie in [0, {self.graph.n_internal}), got {ids[0]}..{ids[-1]}")
         if self._counts[_N_TOUCHED_V]:
             raise ValueError("defects can only be seeded into a cluster set with no members")
-        self._tv[:ids.size] = ids
-        K.uf_seed(self._c, ids.size)
+        raise InvariantViolation(f"the kernel refused to seed the defects {ids.tolist()}")
 
     def grow(self) -> None:
         """Run growth passes until every cluster is even or frozen."""
         K.uf_grow(self._c)
+
+    # -- one kernel call per pipeline stage ------------------------------
+
+    def grgen(self, defects) -> list[int]:
+        """`seed_defects`, `grow` and the Gr-Gen read counts in one kernel
+        call. Returns `[passes, table_reads, stm_row_reads, member_scans,
+        fes_pops]`: the last three as `microarch.AccessTrace` defines them,
+        summed over the passes of `pass_log` (the STM rows, `graph.stm_row`,
+        that hold a `touched_v` vertex or the `edges_u` end of a `touched_e`
+        edge when the pass starts; the `touched_v` prefix the pass scans;
+        its fusion edges)."""
+        ids = self._stage(defects)
+        if K.uf_run_grgen(self._c, ids.size, self.graph._row_stride):
+            self._refuse(ids)
+        return self._counts[_PASSES:_N_SEEDED].tolist()
+
+    def forest_view(self) -> SpanningForest:
+        """`spanning_forest` of this set without the copy: the forest views
+        the set's record, so it is valid until the set is reset or grown."""
+        return SpanningForest._unchecked(_forest_record(self))
+
+    def peel_seeded(self) -> Correction:
+        """`peel` of the record that `forest_view` left, with the seeded
+        defects as the syndrome, in one kernel call. The correction is an
+        int32 view of a buffer of the set, valid until the set is grown
+        again."""
+        n = K.uf_run_corr(self._c)
+        if n < 0:
+            _check_peeled(n, self._defects[:self._counts[_N_SEEDED]])
+        return Correction(self._scan[:n])
 
 
 @dataclass
@@ -273,28 +316,40 @@ class ClusterTree:
     edges: list[tuple[int, int, int]]
     n_vertices: int
     boundary: bool
+    growth_steps: int = 0
 
 
 class SpanningForest:
     """Spanning trees of one decode, as the kernel's int32 record:
 
     `[m, k, root × m, start vertex × m, n_vertices × m, boundary × m,
-    tree edge count × m, (edge, leafward, rootward) × k]`
+    tree edge count × m, growth steps × m, (edge, leafward, rootward) × k]`
 
-    `columns` is the (5, m) per-tree part and `edges` the (k, 3) rest, both
-    views of the record; `trees` gives the same as `ClusterTree` objects
-    holding plain ints.
+    `m` and `k` are plain ints; `columns` is the (6, m) per-tree part and
+    `edges` the (k, 3) rest, both views of the record; `trees` gives the
+    same as `ClusterTree` objects holding plain ints.
     """
 
     def __init__(self, record: np.ndarray):
         m, k = int(record[0]), int(record[1])
-        if record.dtype != _INT32 or record.shape != (2 + 5 * m + 3 * k,):
-            raise ValueError(f"a forest record of {m} trees and {k} edges has {2 + 5 * m + 3 * k} "
-                             f"int32 entries, got {record.dtype} of shape {record.shape}")
-        self.record = record
-        self.columns = record[2:2 + 5 * m].reshape(5, m)
-        self.edges = record[2 + 5 * m:].reshape(k, 3)
+        if record.dtype != _INT32 or record.shape != (2 + _COLUMNS * m + 3 * k,):
+            raise ValueError(f"a forest record of {m} trees and {k} edges has "
+                             f"{2 + _COLUMNS * m + 3 * k} int32 entries, "
+                             f"got {record.dtype} of shape {record.shape}")
+        self.record, self.m, self.k = record, m, k
 
+    @classmethod
+    def _unchecked(cls, record: np.ndarray) -> SpanningForest:
+        """The forest of a record that `uf_forest` wrote, taken as valid."""
+        self = cls.__new__(cls)
+        self.record = record
+        self.m, self.k = record[:2].tolist()
+        return self
+
+    columns = functools.cached_property(
+        lambda self: self.record[2:2 + _COLUMNS * self.m].reshape(_COLUMNS, self.m))
+    edges = functools.cached_property(
+        lambda self: self.record[2 + _COLUMNS * self.m:].reshape(self.k, 3))
     root = property(lambda self: self.columns[0])
     n_vertices = property(lambda self: self.columns[2])
     tree_edges = property(lambda self: self.columns[4])
@@ -302,7 +357,8 @@ class SpanningForest:
     @classmethod
     def of_trees(cls, trees: list[ClusterTree]) -> SpanningForest:
         """The record of hand-built trees; every id must fit int32 and be >= 0."""
-        cols = [(t.root, t.start_vertex, t.n_vertices, t.boundary, len(t.edges)) for t in trees]
+        cols = [(t.root, t.start_vertex, t.n_vertices, t.boundary, len(t.edges), t.growth_steps)
+                for t in trees]
         edges = [x for t in trees for x in t.edges]
         record = np.array([len(trees), len(edges), *np.ravel(np.transpose(cols)), *np.ravel(edges)],
                           dtype=np.int64)
@@ -314,9 +370,9 @@ class SpanningForest:
     def trees(self) -> list[ClusterTree]:
         edges = list(map(tuple, self.edges.tolist()))
         out, i = [], 0
-        for root, start, nv, bnd, ne in zip(*self.columns.tolist()):
+        for root, start, nv, bnd, ne, gs in zip(*self.columns.tolist()):
             out.append(ClusterTree(root=root, start_vertex=start, edges=edges[i:i + ne],
-                                   n_vertices=nv, boundary=bool(bnd)))
+                                   n_vertices=nv, boundary=bool(bnd), growth_steps=gs))
             i += ne
         return out
 
@@ -363,6 +419,11 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     """
     if graph is not cs.graph:
         raise ValueError("the cluster set was grown on another graph")
+    return SpanningForest._unchecked(_forest_record(cs).copy())
+
+
+def _forest_record(cs: ClusterSet) -> np.ndarray:
+    """Run `uf_forest` on `cs` and return the record it wrote, a view."""
     n = K.uf_forest(cs._c)
     rec = cs._forest
     if n == -1:
@@ -370,7 +431,7 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     if n == -2:
         raise InvariantViolation(
             f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
-    return SpanningForest(rec[:n].copy())
+    return rec[:n]
 
 
 def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
@@ -383,8 +444,16 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     """
     ids = integer_ids(syn.defects, "defect")
     defects = ids.astype(np.int64)  # uint64 ids past 2**63 wrap negative: rejected too
-    out = np.empty(len(forest.edges), dtype=np.int32)
+    out = np.empty(forest.k, dtype=np.int32)
     n = K.uf_peel(addr(forest.record), addr(defects), defects.size, addr(out))
+    if n < 0:
+        _check_peeled(n, ids)
+    return Correction(edge_ids=out[:n].astype(np.int64))
+
+
+def _check_peeled(n: int, ids: np.ndarray) -> NoReturn:
+    """Raise for the error `n` < 0 that the peeling kernel returned; `ids`
+    are the defects it peeled."""
     if n == NO_MEMORY:
         raise MemoryError("no memory for the peeling kernel's scratch bits")
     if n <= _PEEL_BAD_DEFECT:
@@ -392,9 +461,7 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
         v = ids[i].item()
         why = "repeats an earlier one" if v in ids[:i].tolist() else "lies in no tree of the forest"
         raise ValueError(f"defect {i} of the syndrome, {v}, {why}")
-    if n < 0:
-        raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
-    return Correction(edge_ids=out[:n].astype(np.int64))
+    raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
 
 
 class Decoder:
@@ -417,15 +484,12 @@ class Decoder:
 
 
 def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
-    roots, _, sizes, boundary, tree_edges = forest.columns.tolist()
-    return DecodeStats(
-        m=len(roots),
-        sizes=tuple(sizes),
-        growth_steps=tuple(cs.growth_steps[forest.root].tolist()),
-        boundary=tuple(map(bool, boundary)),
-        tree_edges=tuple(tree_edges),
-        passes=cs.passes,
-    )
+    """The statistics of the clusters of `forest`, grown in `cs`: one read
+    of the forest record's per-tree columns."""
+    m = forest.m
+    c = forest.record[2 + 2 * m:2 + _COLUMNS * m].tolist()  # sizes, boundary, tree edges, growth
+    return DecodeStats(m, tuple(c[:m]), tuple(c[3 * m:]), tuple(map(bool, c[m:2 * m])),
+                       tuple(c[2 * m:3 * m]), cs.passes)
 
 
 def assess(

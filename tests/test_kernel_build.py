@@ -1,5 +1,6 @@
 """The Union-Find kernel builds itself on first import, once, with `cc`,
-and compiles without warnings.
+removes the builds of older sources, compiles without warnings and runs
+clean under the undefined-behaviour sanitizer.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -11,7 +12,12 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
+
+import pytest
+
+from ufpipe._kernel import cache_path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "ufpipe"
 HEAVY = ("setuptools", "distutils", "cffi")
@@ -69,6 +75,25 @@ def test_concurrent_cold_imports_both_succeed(tmp_path):
     assert not list(cache(root).glob("*.tmp"))
 
 
+def test_a_build_removes_stale_builds_with_its_suffix(tmp_path):
+    root = cold_copy(tmp_path)
+    cache(root).mkdir()
+    stale = cache(root) / f"_ufkernel-0123456789abcdef{EXTENSION_SUFFIXES[0]}"
+    other = cache(root) / "_ufkernel-0123456789abcdef.cpython-39-x86_64-linux-gnu.so"
+    for path in (stale, other):
+        path.write_bytes(b"an old build")
+    out = run_import(root)
+    assert out.returncode == 0, out.stderr
+    assert not stale.exists()
+    assert other.exists()  # another interpreter's build
+    (so,) = (k for k in kernels(root) if k != other)
+    # an import that finds its build in the cache removes nothing
+    stale.write_bytes(b"an old build")
+    out = run_import(root)
+    assert out.returncode == 0, out.stderr
+    assert stale.exists() and so.exists()
+
+
 def test_missing_compiler_raises_import_error_naming_the_command(tmp_path):
     root = cold_copy(tmp_path)
     out = run_import(root, path="")
@@ -95,3 +120,65 @@ def test_kernel_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c")]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+UBSAN_WORKLOAD = """
+import os
+import numpy as np
+from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
+from ufpipe.microarch import decode_with_pipeline
+from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, sample_error, syndrome_of
+from ufpipe.uf_core import Decoder, assess
+
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        assert "ubsan" in f.read(), "the sanitizer runtime is not loaded"
+for d in (3, 5, 11, 25):
+    g = build_decoding_graph(LatticeParams(d))
+    dec = Decoder(g)
+    errs = [sample_error(g, NoiseParams(p=p, seed=d, trial_index=t))
+            for p in (1e-3, 0.02, 0.05, 0.2, 0.45) for t in range(4)]
+    syns = [syndrome_of(g, err) for err in errs]
+    syns.append(Syndrome(defects=np.arange(g.n_internal), length=g.n_internal))
+    for syn in syns:
+        corr, stats = dec.decode(syn)
+        pcorr, state, pstats = decode_with_pipeline(g, syn, stack_capacity=8)
+        assert np.array_equal(corr.edge_ids, pcorr.edge_ids) and stats == pstats
+        assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
+    for err in errs:
+        assess(g, err, dec.decode(syndrome_of(g, err))[0])
+    for bad in ([-1], [0, 0], np.array([5, 2**63 + 1], dtype=np.uint64), [g.n_internal]):
+        for decode in (dec.grow, lambda ids: decode_with_pipeline(g, Syndrome(ids, g.n_internal))):
+            try:
+                decode(bad)
+            except ValueError:
+                continue
+            raise AssertionError(f"defects {bad} were accepted")
+    for bad in ([-1], [g.n_edges]):
+        try:
+            syndrome_indices_of_edges(g, bad)
+        except ValueError:
+            continue
+        raise AssertionError(f"edge ids {bad} were accepted")
+"""
+
+
+def test_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # a sanitized build in the cache of a cold copy, loaded with no compiler
+    # on PATH, so that no other build can take its place
+    probe = subprocess.run(["cc", "-fsanitize=undefined", "-x", "c", "-o", str(tmp_path / "probe"),
+                            "-"], input="int main(void) { return 0; }\n",
+                           capture_output=True, text=True, timeout=120)
+    if probe.returncode:
+        pytest.skip(f"cc cannot link libubsan: {probe.stderr.strip()}")
+    root = cold_copy(tmp_path)
+    source = root / "ufpipe" / "_ufkernel.c"
+    target = Path(cache_path(str(source)))
+    target.parent.mkdir()
+    cmd = ["cc", "-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=undefined",
+           "-shared", "-fPIC", "-o", str(target), str(source)]
+    build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert build.returncode == 0, build.stderr
+    out = run_import(root, UBSAN_WORKLOAD, path="")
+    assert out.returncode == 0, out.stderr
+    assert kernels(root) == [target]

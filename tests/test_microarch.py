@@ -197,12 +197,26 @@ def test_reused_state_matches_a_fresh_decoder_across_graphs():
 
 
 def test_reused_state_after_a_rejected_input():
+    # the pipeline refuses what the oracle refuses, with the same text, and
+    # its reused cluster set then decodes as a fresh one does
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
     decode_with_pipeline(g, syn)
-    for bad in ([3, 3], [-1, 4], [0, g.n_internal]):
-        with pytest.raises(ValueError):
-            decode_with_pipeline(g, Syndrome(defects=np.array(bad), length=g.n_internal))
+    n = g.n_internal
+    for bad, text in (
+        (np.array([1.0, 2.0]), "1-D integer sequence"),
+        (np.array([[1, 2]]), "1-D integer sequence"),
+        (np.array([-1, 4]), rf"lie in \[0, {n}\), got -1\.\.4"),
+        (np.array([3, 3]), "strictly ascending"),
+        (np.array([4, 3]), "strictly ascending"),
+        (np.array([0, n]), rf"lie in \[0, {n}\), got 0\.\.{n}"),
+        (np.array([5, 2**63 + 1], dtype=np.uint64), r"got 5\.\.9223372036854775809"),
+    ):
+        with pytest.raises(ValueError, match=text) as oracle:
+            Decoder(g).grow(bad)
+        with pytest.raises(ValueError) as pipeline:
+            decode_with_pipeline(g, Syndrome(defects=bad, length=g.n_internal))
+        assert str(pipeline.value) == str(oracle.value)
         check_against_oracle(g, syn)
 
 

@@ -47,16 +47,32 @@ def test_trial_sampler_matches_sample_error(g11):
 
 
 def test_mean_weight_matches_binomial(g11):
-    # binomial mean with exact edge count: 3531 * 1e-3 = 3.531
-    from ufpipe.noise import TrialSampler
-
-    trials = 10**6
+    # binomial mean with exact edge count: 3531 * 1e-3 = 3.531, and variance
+    # below that mean, so the bound is five standard errors (about 1.2%)
+    trials = 5 * 10**4
     s = TrialSampler(g11.n_edges, 1e-3, seed=2024)
-    total = 0
-    for t in range(trials):
-        total += s.sample(t).size
-    mean = total / trials
-    assert abs(mean - 3.531) / 3.531 < 0.05
+    mean = sum(s.sample(t).size for t in range(trials)) / trials
+    assert abs(mean - 3.531) < 5 * np.sqrt(3.531 / trials)
+
+
+@pytest.mark.parametrize("t", [2**63 + 5, 2**64 - 1])
+def test_both_sampling_paths_agree_on_trial_indices_past_2_63(g11, t):
+    ref = sample_edge_ids(g11.n_edges, 0.3, 7, t)
+    assert np.array_equal(TrialSampler(g11.n_edges, 0.3, seed=7).sample(t), ref)
+    assert np.array_equal(sample_error(g11, NoiseParams(p=0.3, seed=7, trial_index=t)).edge_ids,
+                          ref)
+    # neighbouring counter blocks draw other patterns
+    assert not np.array_equal(sample_edge_ids(g11.n_edges, 0.3, 7, t - 1), ref)
+
+
+@pytest.mark.parametrize("t", [-1, 2**64, 1.5])
+def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
+    s = TrialSampler(g11.n_edges, 0.01, seed=7)
+    for sample in (lambda: NoiseParams(p=0.01, seed=7, trial_index=t),
+                   lambda: sample_edge_ids(g11.n_edges, 0.01, 7, t),
+                   lambda: s.sample(t)):
+        with pytest.raises(ValueError, match="trial_index must"):
+            sample()
 
 
 @pytest.mark.parametrize("p", [1e-20, 1e-3, 2e-2, 0.3, 0.49])
