@@ -77,27 +77,28 @@ def _remove_stale_builds(target: str) -> None:
                 pass
 
 
+_CTX, _I32, _I64, _PTR = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
+    ("uf_init", None, [_CTX]),
+    ("uf_find", _I32, [_CTX, _I32]),
+    ("uf_union", _I32, [_CTX, _I32, _I32]),
+    ("uf_grow", _I64, [_CTX, _I64]),
+    ("uf_forest", _I64, [_CTX]),
+    ("uf_peel", _I64, [_PTR, _PTR, _I64, _PTR]),
+    ("uf_run_grgen", _I64, [_CTX, _I64, _I64]),
+    ("uf_run_corr", _I64, [_CTX]),
+    ("uf_syndrome", _I64, [_PTR, _PTR, _I64, _PTR]),
+    ("uf_assess", _I64, [_PTR, _PTR, _I64, _PTR, _I64]),
+)
+
+
 def _load_kernel() -> ctypes.CDLL:
     target = cache_path(_SOURCE)
     if not os.path.exists(target):
         _build(_SOURCE, target)
         _remove_stale_builds(target)
     lib = ctypes.CDLL(target)
-    ctx, i32, i64, ptr = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    for name, restype, argtypes in (
-        ("uf_init", None, [ctx]),
-        ("uf_reset", None, [ctx]),
-        ("uf_seed", i64, [ctx, i64]),
-        ("uf_find", i32, [ctx, i32]),
-        ("uf_union", i32, [ctx, i32, i32]),
-        ("uf_grow", None, [ctx]),
-        ("uf_forest", i64, [ctx]),
-        ("uf_peel", i64, [ptr, ptr, i64, ptr]),
-        ("uf_run_grgen", i64, [ctx, i64, i64]),
-        ("uf_run_corr", i64, [ctx]),
-        ("uf_syndrome", i64, [ptr, ptr, i64, ptr]),
-        ("uf_assess", i64, [ptr, ptr, i64, ptr, i64]),
-    ):
+    for name, restype, argtypes in BINDINGS:
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
     return lib

@@ -4,12 +4,13 @@
  * `_kernel.py` compiles this file on first import and binds it with ctypes.
  * Entry points, by caller:
  *   - `uf_core.ClusterSet` and `uf_core.Decoder`, one layer per call:
- *     `uf_init`, `uf_reset`, `uf_seed` (checks the defects), `uf_find`,
- *     `uf_union`, `uf_grow`, `uf_forest` and `uf_peel`;
+ *     `uf_init`, `uf_grow` (checks the defects, resets over the last
+ *     decode's entries, seeds and grows), `uf_forest` and `uf_peel`, and
+ *     for the tests of hand-built tables `uf_find` and `uf_union`;
  *   - the pipeline model of `microarch`, one call per stage, composing the
- *     functions above: `uf_run_grgen` (seed, grow, Gr-Gen read counts), then
- *     `uf_forest` itself, then `uf_run_corr` (`uf_peel` of the forest
- *     record with the seeded defects);
+ *     functions above: `uf_run_grgen` (`uf_grow`, then the Gr-Gen read
+ *     counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of the
+ *     forest record with the seeded defects);
  *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`.
  * The decoding buffers belong to a Python `ClusterSet` (one numpy block,
  * sized from the graph's n_internal and n_edges); the kernel allocates
@@ -41,7 +42,7 @@ typedef struct {
     const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
     /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
-    int64_t *defects; /* defect ids for uf_seed, as the caller gave them; kept for uf_run_corr */
+    int64_t *defects; /* defect ids for uf_grow, as the caller gave them; kept for uf_run_corr */
     uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
     /* per internal vertex: union-find tables and member lists (head = root) */
     int32_t *parent, *size, *growth_steps, *next, *tail;
@@ -167,7 +168,7 @@ void uf_init(uf_ctx *c) {
 }
 
 /* Restore the initial state over the entries the last decode touched. */
-void uf_reset(uf_ctx *c) {
+static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t v = c->touched_v[i];
         c->parent[v] = v;
@@ -181,28 +182,18 @@ void uf_reset(uf_ctx *c) {
     }
     for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
     c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
-    c->counts[N_SEEDED] = 0;
 }
 
-#define SEED_REFUSED 1 /* uf_seed: bad defect ids, or a cluster set with members */
-
 /* Make each of the first k ids in `defects` a one-vertex odd cluster of a
-   set with no members; they become the first k entries of touched_v.
-   Returns 0, or SEED_REFUSED before any state changes unless the ids are
-   strictly ascending in [0, n_internal) and the set has no members. */
-int64_t uf_seed(uf_ctx *c, int64_t k) {
-    const int64_t *ids = c->defects;
-    if (c->counts[N_TOUCHED_V] || k > c->n_internal) return SEED_REFUSED;
-    for (int64_t i = 0, prev = -1; i < k; prev = ids[i++])
-        if (ids[i] <= prev || ids[i] >= c->n_internal) return SEED_REFUSED;
+   reset set; they become the first k entries of touched_v. */
+static void uf_seed(uf_ctx *c, int64_t k) {
     for (int64_t i = 0; i < k; i++) {
-        int32_t v = (int32_t)ids[i];
+        int32_t v = (int32_t)c->defects[i];
         c->touched_v[i] = v;
         c->member[v] = 1;
         c->parity[v] = 1;
     }
     c->counts[N_TOUCHED_V] = c->counts[N_SEEDED] = k;
-    return 0;
 }
 
 /* Root of v; 1 table read at a root, 2 at depth 1, len(path) + 1 deeper,
@@ -261,11 +252,22 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     return ru;
 }
 
-/* Growth passes until every cluster is even or frozen on a boundary. Each
+#define SEED_REFUSED 1 /* uf_grow: bad defect ids */
+
+/* One decode's growth from the first k ids in `defects`: uf_reset, uf_seed,
+   then passes until every cluster is even or frozen on a boundary. Each
    pass grows every incident half-edge of every odd, unfrozen cluster by one
    step; an edge reaching the fully grown state goes on the fusion edge stack
-   (FES), which is drained last in first out after the pass. */
-void uf_grow(uf_ctx *c) {
+   (FES), which is drained last in first out after the pass. Returns 0, or
+   SEED_REFUSED before any state changes unless the ids are strictly
+   ascending in [0, n_internal). */
+int64_t uf_grow(uf_ctx *c, int64_t k) {
+    const int64_t *ids = c->defects;
+    if (k > c->n_internal) return SEED_REFUSED;
+    for (int64_t i = 0, prev = -1; i < k; prev = ids[i++])
+        if (ids[i] <= prev || ids[i] >= c->n_internal) return SEED_REFUSED;
+    uf_reset(c);
+    uf_seed(c, k);
     int64_t *counts = c->counts;
     for (;;) {
         /* every cluster root is a member vertex */
@@ -277,15 +279,15 @@ void uf_grow(uf_ctx *c) {
             for (int32_t x = r; x >= 0; x = c->next[x]) set_bit(c, x);
             grows = 1;
         }
-        if (!grows) return;
+        if (!grows) return 0;
         counts[PASSES]++;
         int32_t n_scan = drain_vertices(c, c->scan);
         int64_t n_touched_e = counts[N_TOUCHED_E];
         int32_t n_fes = 0;
         for (int32_t i = 0; i < n_scan; i++) {
             int32_t v = c->scan[i];
-            for (int32_t k = c->adj_start[v]; k < c->adj_start[v + 1]; k++) {
-                int32_t e = c->adj_edge[k];
+            for (int32_t j = c->adj_start[v]; j < c->adj_start[v + 1]; j++) {
+                int32_t e = c->adj_edge[j];
                 uint8_t s = c->edge_state[e];
                 if (s == 0) {
                     c->edge_state[e] = 1;
@@ -333,14 +335,12 @@ static void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
     memset(c->bits, 0, (size_t)((c->n_internal / row_stride + 63) / 64) * sizeof *c->bits);
 }
 
-/* The Gr-Gen stage: uf_seed, then uf_grow and uf_grgen_counts when the
-   seeding is accepted. Returns what uf_seed returns. */
+/* The Gr-Gen stage: uf_grow, then uf_grgen_counts when the defects are
+   accepted. Returns what uf_grow returns. */
 int64_t uf_run_grgen(uf_ctx *c, int64_t k, int64_t row_stride) {
-    int64_t refused = uf_seed(c, k);
-    if (refused) return refused;
-    uf_grow(c);
-    uf_grgen_counts(c, row_stride);
-    return 0;
+    int64_t refused = uf_grow(c, k);
+    if (!refused) uf_grgen_counts(c, row_stride);
+    return refused;
 }
 
 /* DFS spanning tree per cluster over fully grown edges, written as one
@@ -508,7 +508,7 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
 }
 
 /* The Corr stage: uf_peel of the context's forest record with the defects
-   that uf_seed took, still in `defects`, writing the correction to `scan`. */
+   that uf_grow seeded, still in `defects`, writing the correction to `scan`. */
 int64_t uf_run_corr(uf_ctx *c) {
     return uf_peel(c->forest, c->defects, c->counts[N_SEEDED], c->scan);
 }

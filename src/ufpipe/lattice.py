@@ -94,6 +94,7 @@ class DecodingGraph:
         d = self.d
         return layer * d * (d - 1) + row * (d - 1) + col
 
+    # No decoder calls `vertex_coords` or `neighbors`; they stay as the tests' edge lookups.
     def vertex_coords(self, v: int) -> tuple[int, int, int]:
         d = self.d
         layer, rest = divmod(v, d * (d - 1))

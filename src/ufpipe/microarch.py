@@ -12,17 +12,17 @@ nonzero entry. Corrections, statistics and cluster partitions equal the
 engine's by construction.
 
 Each stage is one call into the engine's kernel plus O(1) Python:
-Gr-Gen checks and seeds the defects, grows the clusters and counts its
-reads in one walk of the engine's logs (`ClusterSet.grgen`); the DFS
+Gr-Gen is the oracle's growth call (check, reset, seed, grow) plus one
+walk of the engine's logs for its reads (`ClusterSet.grgen`); the DFS
 engine writes the forest record (`ClusterSet.forest_view`), and the Corr
 engine peels it (`ClusterSet.peel_seeded`). The DFS and Corr counts are
 the member count and the forest's edge count, so no stage does Python
 work per touched vertex or edge.
 
 State is reused: the model keeps one `ClusterSet` per process, holds it
-with a reference to its graph, and resets it over the entries the last
-decode touched, as `uf_core.Decoder` does; a new one is built only when a
-decode names another graph object. So a `PipelineState`, the
+with a reference to its graph, and lets Gr-Gen reset it as it grows, as
+`uf_core.Decoder` does; a new one is built only when a decode names
+another graph object. So a `PipelineState`, the
 `SpanningForest` of `run_dfs` and the `Correction` of `run_corr`, which
 view the cluster set's buffers, are valid until the next pipeline decode
 (copy what must outlive it), and pipeline decodes run on one thread at a
@@ -35,6 +35,7 @@ estimates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,21 +107,28 @@ _cs: ClusterSet | None = None  # the cluster set of every pipeline decode
 
 
 def new_pipeline_state(graph: DecodingGraph, stack_capacity: int | None = None) -> PipelineState:
-    """Empty state on the model's one cluster set: reset over the entries
-    the last decode touched, or built anew when `graph` is not the object
-    the set was built for."""
+    """State on the model's one cluster set, built anew when `graph` is not
+    the object the set was built for; `run_grgen` resets it. ValueError
+    unless `stack_capacity` is None or an integer >= 0."""
     global _cs
-    if _cs is not None and _cs.graph is graph:
-        _cs.reset()
-    else:
+    if stack_capacity is not None:
+        stack_capacity = _entry_count(stack_capacity, "stack_capacity")
+    if _cs is None or _cs.graph is not graph:
         _cs = ClusterSet(graph)
     return PipelineState(_cs, stack_capacity)
 
 
+def _entry_count(n, name: str) -> int:
+    """`n` as an int; ValueError unless it is an integer >= 0."""
+    if not hasattr(type(n), "__index__") or (n := operator.index(n)) < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {n!r}")
+    return n
+
+
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
-    """Gr-Gen: seed the defects, grow the clusters and count the stage's
-    reads, in one kernel call that first checks the defects (ValueError, as
-    `ClusterSet.seed_defects`, with the state unchanged)."""
+    """Gr-Gen: reset the cluster set, seed the defects, grow the clusters and
+    count the stage's reads, in one kernel call that first checks the
+    defects (ValueError, as `ClusterSet.grow`, with the state unchanged)."""
     passes, table_reads, stm_row_reads, member_scans, fes_pops = state.cs.grgen(syn.defects)
     t = state.trace
     t.parity_scans = passes + 1
@@ -211,8 +219,8 @@ def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprin
     d^3, ZDR 3d^3, edge stacks 3d^3 log2 d each (worst case) or
     3 S log2 d when sized to S entries."""
     LatticeParams(d)  # raises ValueError for a distance no graph has
-    if stack_entries is not None and stack_entries < 0:
-        raise ValueError(f"stack_entries must be >= 0, got {stack_entries}")
+    if stack_entries is not None:
+        stack_entries = _entry_count(stack_entries, "stack_entries")
     log2d = math.log2(d)
     cube = float(d**3)
     stack = 3 * cube * log2d if stack_entries is None else 3 * stack_entries * log2d

@@ -123,8 +123,8 @@ class ClusterSet:
       most one entry per vertex or per edge, and there are at most
       2 * n_edges growth passes, since each pass advances an edge state.
 
-    State is reusable across decodes: `reset()` restores only the entries
-    touched by the previous run.
+    State is reusable across decodes: `grow` starts by restoring the
+    initial state over the entries the last growth touched.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -156,9 +156,6 @@ class ClusterSet:
     boundary_sides = functools.cached_property(lambda self: self._view("boundary_sides"))
     edge_state = functools.cached_property(lambda self: self._view("edge_state"))
     _next = functools.cached_property(lambda self: self._view("next"))
-
-    def reset(self) -> None:
-        K.uf_reset(self._c)
 
     @property
     def passes(self) -> int:
@@ -197,6 +194,8 @@ class ClusterSet:
         return out
 
     # -- core union-find ------------------------------------------------
+    # Growth makes its finds and unions in the kernel; these wrappers stay as the tests'
+    # only handle on the find compression cap, its reads and the union tie rule.
 
     def _check(self, v: int) -> int:
         if not 0 <= v < self.graph.n_internal:
@@ -233,8 +232,10 @@ class ClusterSet:
 
     # -- growth ----------------------------------------------------------
 
-    def seed_defects(self, defects) -> None:
-        """Make every defect a one-vertex odd cluster of a set with no members.
+    def grow(self, defects) -> None:
+        """One decode's growth in one kernel call: reset over the entries the
+        last growth touched, make every defect a one-vertex odd cluster, then
+        run growth passes until every cluster is even or frozen.
 
         `defects` must be strictly ascending integer vertex ids in
         [0, n_internal). Anything else raises ValueError before any state
@@ -242,7 +243,7 @@ class ClusterSet:
         repeated id would silently decode as a single defect.
         """
         ids = self._stage(defects)
-        if K.uf_seed(self._c, ids.size):
+        if K.uf_grow(self._c, ids.size):
             self._refuse(ids)
 
     def _stage(self, defects) -> np.ndarray:
@@ -255,32 +256,24 @@ class ClusterSet:
         return ids
 
     def _refuse(self, ids: np.ndarray) -> NoReturn:
-        """Raise the ValueError for defect ids `ids` that the kernel refused
-        to seed, naming the first rule they break."""
-        if ids.size:
-            if (ids[1:] <= ids[:-1]).any():
-                raise ValueError("defect ids must be strictly ascending")
-            if ids[0] < 0 or ids[-1] >= self.graph.n_internal:
-                raise ValueError(
-                    f"defect ids must lie in [0, {self.graph.n_internal}), got {ids[0]}..{ids[-1]}")
-        if self._counts[_N_TOUCHED_V]:
-            raise ValueError("defects can only be seeded into a cluster set with no members")
+        """Raise the ValueError for defect ids `ids`, never empty, that the
+        kernel refused to seed, naming the first rule they break."""
+        if (ids[1:] <= ids[:-1]).any():
+            raise ValueError("defect ids must be strictly ascending")
+        if ids[0] < 0 or ids[-1] >= self.graph.n_internal:
+            raise ValueError(
+                f"defect ids must lie in [0, {self.graph.n_internal}), got {ids[0]}..{ids[-1]}")
         raise InvariantViolation(f"the kernel refused to seed the defects {ids.tolist()}")
-
-    def grow(self) -> None:
-        """Run growth passes until every cluster is even or frozen."""
-        K.uf_grow(self._c)
 
     # -- one kernel call per pipeline stage ------------------------------
 
     def grgen(self, defects) -> list[int]:
-        """`seed_defects`, `grow` and the Gr-Gen read counts in one kernel
-        call. Returns `[passes, table_reads, stm_row_reads, member_scans,
-        fes_pops]`: the last three as `microarch.AccessTrace` defines them,
-        summed over the passes of `pass_log` (the STM rows, `graph.stm_row`,
-        that hold a `touched_v` vertex or the `edges_u` end of a `touched_e`
-        edge when the pass starts; the `touched_v` prefix the pass scans;
-        its fusion edges)."""
+        """`grow` and the Gr-Gen read counts in one kernel call. Returns
+        `[passes, table_reads, stm_row_reads, member_scans, fes_pops]`: the
+        last three as `microarch.AccessTrace` defines them, summed over the
+        passes of `pass_log` (the STM rows, `graph.stm_row`, that hold a
+        `touched_v` vertex or the `edges_u` end of a `touched_e` edge when
+        the pass starts; the `touched_v` prefix it scans; its fusion edges)."""
         ids = self._stage(defects)
         if K.uf_run_grgen(self._c, ids.size, self.graph._row_stride):
             self._refuse(ids)
@@ -288,7 +281,7 @@ class ClusterSet:
 
     def forest_view(self) -> SpanningForest:
         """`spanning_forest` of this set without the copy: the forest views
-        the set's record, so it is valid until the set is reset or grown."""
+        the set's record, so it is valid until the set is grown again."""
         return SpanningForest._unchecked(_forest_record(self))
 
     def peel_seeded(self) -> Correction:
@@ -350,8 +343,6 @@ class SpanningForest:
         lambda self: self.record[2:2 + _COLUMNS * self.m].reshape(_COLUMNS, self.m))
     edges = functools.cached_property(
         lambda self: self.record[2 + _COLUMNS * self.m:].reshape(self.k, 3))
-    root = property(lambda self: self.columns[0])
-    n_vertices = property(lambda self: self.columns[2])
     tree_edges = property(lambda self: self.columns[4])
 
     @classmethod
@@ -472,9 +463,7 @@ class Decoder:
         self.cs = ClusterSet(graph)
 
     def grow(self, defects) -> ClusterSet:
-        self.cs.reset()
-        self.cs.seed_defects(defects)
-        self.cs.grow()
+        self.cs.grow(defects)
         return self.cs
 
     def decode(self, syn: Syndrome) -> tuple[Correction, DecodeStats]:

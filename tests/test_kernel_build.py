@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ufpipe._kernel import cache_path
+from ufpipe._kernel import BINDINGS, cache_path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "ufpipe"
 HEAVY = ("setuptools", "distutils", "cffi")
@@ -116,10 +116,23 @@ def test_compiler_failure_raises_import_error_with_its_stderr(tmp_path):
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+    cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-pedantic", "-Wconversion",
+           "-Wshadow", "-shared", "-fPIC",
            "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c")]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_kernel_exports_exactly_the_functions_python_binds():
+    # a function no binding names is dead code or should be static
+    if shutil.which("nm") is None:
+        pytest.skip("nm is not on PATH")
+    out = subprocess.run(["nm", "-D", "--defined-only", cache_path(str(PKG / "_ufkernel.c"))],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    exported = {line.split()[-1] for line in out.stdout.splitlines() if line.strip()}
+    assert {name for name in exported if name.startswith("uf_")} == {
+        name for name, _, _ in BINDINGS}
 
 
 UBSAN_WORKLOAD = """

@@ -124,6 +124,14 @@ def test_overflow_events_at_small_stack_capacity():
     assert seen > 0
 
 
+@pytest.mark.parametrize("capacity", [-1, 2.5, "8"])
+def test_pipeline_rejects_a_stack_capacity_no_stack_has(capacity):
+    g = GRAPHS[5]
+    syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
+    with pytest.raises(ValueError, match="stack_capacity must be"):
+        decode_with_pipeline(g, syn, stack_capacity=capacity)
+
+
 @pytest.mark.parametrize("d", [3, 5, 11, 25])
 @pytest.mark.parametrize("entries", [None, 0, 64])
 def test_memory_footprint_total_is_sum_of_rows(d, entries):
@@ -139,10 +147,11 @@ def test_memory_footprint_total_is_sum_of_rows(d, entries):
     assert fp.total_bits == pytest.approx(expect)
 
 
-@pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5, -10)])
+@pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5, -10),
+                                       (5, 2.5), (5, "8")])
 def test_memory_footprint_rejects_what_no_decoder_has(d, entries):
     # the distance must be one a decoding graph can have, and a sized stack
-    # cannot hold a negative number of edges
+    # holds a whole, non-negative number of edges
     with pytest.raises(ValueError):
         memory_footprint(d, entries)
 
@@ -197,11 +206,19 @@ def test_reused_state_matches_a_fresh_decoder_across_graphs():
 
 
 def test_reused_state_after_a_rejected_input():
-    # the pipeline refuses what the oracle refuses, with the same text, and
-    # its reused cluster set then decodes as a fresh one does
+    # the pipeline refuses what the oracle refuses, with the same text; a
+    # refused growth leaves the last accepted decode's state in place, and
+    # the reused cluster set then decodes as a fresh one does
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
-    decode_with_pipeline(g, syn)
+    dec = Decoder(g)
+    pcs = decode_with_pipeline(g, syn)[1].cs
+
+    def state(cs):
+        return cs.touched_v, cs.pass_log, cs.signature()
+
+    grown = state(dec.grow(syn.defects))
+    assert grown[0] and grown[1] and state(pcs) == grown
     n = g.n_internal
     for bad, text in (
         (np.array([1.0, 2.0]), "1-D integer sequence"),
@@ -214,9 +231,13 @@ def test_reused_state_after_a_rejected_input():
     ):
         with pytest.raises(ValueError, match=text) as oracle:
             Decoder(g).grow(bad)
+        with pytest.raises(ValueError, match=text):
+            dec.grow(bad)
+        assert state(dec.cs) == grown
         with pytest.raises(ValueError) as pipeline:
             decode_with_pipeline(g, Syndrome(defects=bad, length=g.n_internal))
         assert str(pipeline.value) == str(oracle.value)
+        assert state(pcs) == grown
         check_against_oracle(g, syn)
 
 

@@ -119,9 +119,11 @@ def test_union_tie_smaller_root(g3):
     cs = ClusterSet(g3)
     assert cs.union(4, 9) == 4
     assert cs.union(11, 10) == 10
-    # a vertex with no member list wins the tie against a seeded defect
+    # a vertex with no member list wins the tie against a one-vertex odd
+    # cluster, as growth seeds a defect
     cs = ClusterSet(g3)
-    cs.seed_defects([5])
+    cs.parity[5] = 1
+    cs.union(5, 5)
     assert cs.union(5, 3) == 3
     assert cs.members == {3: [3, 5]}
 
@@ -222,7 +224,8 @@ def test_forest_tree_sizes_and_determinism(g5):
 
 def test_forest_rejects_odd_unfrozen_cluster(g3):
     cs = ClusterSet(g3)
-    cs.seed_defects([5])
+    cs.parity[5] = 1
+    cs.union(5, 5)
     with pytest.raises(InvariantViolation):
         spanning_forest(g3, cs)
 
