@@ -28,12 +28,14 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c"
 
 
 class GraphView(ctypes.Structure):
-    """`uf_graph` of `_ufkernel.c`: what syndrome extraction and assessment
-    read of a decoding graph. `eu` and `ev` are the addresses of its int32
-    `edges_u` and `edges_v`."""
+    """`uf_graph` of `_ufkernel.c`, field for field: the kernel's only
+    description of a decoding graph, owned by the `DecodingGraph` and read by
+    every kernel function. `row_stride` is the number of vertices per STM
+    row; the pointers are the addresses of the graph's int32 arrays
+    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left")] + [
-        (name, ctypes.c_void_p) for name in ("eu", "ev")]
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left", "row_stride")]
+    _fields_ += [(name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")]
 
 
 def _build(source: str, target: str) -> None:
@@ -85,7 +87,7 @@ BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
     ("uf_grow", _I64, [_CTX, _I64]),
     ("uf_forest", _I64, [_CTX]),
     ("uf_peel", _I64, [_PTR, _PTR, _I64, _PTR]),
-    ("uf_run_grgen", _I64, [_CTX, _I64, _I64]),
+    ("uf_run_grgen", _I64, [_CTX, _I64]),
     ("uf_run_corr", _I64, [_CTX]),
     ("uf_syndrome", _I64, [_PTR, _PTR, _I64, _PTR]),
     ("uf_assess", _I64, [_PTR, _PTR, _I64, _PTR, _I64]),

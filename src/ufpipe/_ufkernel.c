@@ -4,20 +4,22 @@
  * `_kernel.py` compiles this file on first import and binds it with ctypes.
  * Entry points, by caller:
  *   - `uf_core.ClusterSet` and `uf_core.Decoder`, one layer per call:
- *     `uf_init`, `uf_grow` (checks the defects, resets over the last
- *     decode's entries, seeds and grows), `uf_forest` and `uf_peel`, and
- *     for the tests of hand-built tables `uf_find` and `uf_union`;
+ *     `uf_init`, `uf_grow(ctx, k)` (checks the first k staged defects,
+ *     resets over the last decode's entries, seeds and grows), `uf_forest`
+ *     and `uf_peel`, and for the tests of hand-built tables `uf_find` and
+ *     `uf_union`;
  *   - the pipeline model of `microarch`, one call per stage, composing the
- *     functions above: `uf_run_grgen` (`uf_grow`, then the Gr-Gen read
- *     counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of the
- *     forest record with the seeded defects);
+ *     functions above: `uf_run_grgen(ctx, k)` (`uf_grow`, then the Gr-Gen
+ *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of
+ *     the forest record with the seeded defects);
  *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`.
- * The decoding buffers belong to a Python `ClusterSet` (one numpy block,
- * sized from the graph's n_internal and n_edges); the kernel allocates
- * nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
+ * Every function reads a graph through the one `uf_graph` that its Python
+ * `DecodingGraph` owns; a `uf_ctx` points to it and holds the addresses of
+ * the decoding buffers, one numpy block of a Python `ClusterSet`. The kernel
+ * allocates nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
  * `uf_assess`, a fresh block per call, so that the graph is only read and
- * can be shared between threads. `uf_ctx` mirrors `uf_core._Ctx` and
- * `uf_graph` mirrors `_kernel.GraphView`, field for field.
+ * can be shared between threads. `uf_graph` mirrors `_kernel.GraphView` and
+ * `uf_ctx` mirrors `uf_core._Ctx`, field for field.
  *
  * Iteration orders are fixed and equal to the reference algorithm's:
  * ascending vertex ids within a growth pass, each vertex's CSR adjacency in
@@ -36,10 +38,16 @@
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
        N_SEEDED, N_COUNTS };
 
+/* A decoding graph, read only: sizes, LEFT, vertices per STM row, the CSR
+   adjacency over n_internal + 2 vertices, each edge's internal endpoint eu
+   and internal or virtual endpoint ev. */
 typedef struct {
-    int64_t n_internal, n_edges, left;
-    /* graph, read only: CSR adjacency over n_internal + 2 vertices, endpoints */
+    int64_t n_internal, n_edges, left, row_stride;
     const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
+} uf_graph;
+
+typedef struct {
+    const uf_graph *g; /* the graph decoded on */
     /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
     int64_t *defects; /* defect ids for uf_grow, as the caller gave them; kept for uf_run_corr */
@@ -72,12 +80,6 @@ static int32_t drain_bits(uint64_t *bits, int64_t words, int32_t *out) {
     }
     return n;
 }
-
-/* The graph as syndrome extraction and assessment read it. */
-typedef struct {
-    int64_t n_internal, n_edges, left;
-    const int32_t *eu, *ev; /* internal endpoint; internal or virtual endpoint */
-} uf_graph;
 
 #define BAD_EDGE (-1)         /* an edge id outside [0, n_edges) */
 #define RESIDUAL_SYNDROME 2   /* uf_assess: the residual has a nonzero syndrome */
@@ -135,7 +137,7 @@ int64_t uf_assess(const uf_graph *g, const int64_t *err, int64_t k_err, const in
 
 /* Drain the vertex bitmap of the context. */
 static int32_t drain_vertices(uf_ctx *c, int32_t *out) {
-    return drain_bits(c->bits, (c->n_internal + 63) / 64, out);
+    return drain_bits(c->bits, (c->g->n_internal + 63) / 64, out);
 }
 
 static inline void set_bit(uf_ctx *c, int32_t v) { c->bits[v >> 6] |= 1ULL << (v & 63); }
@@ -152,7 +154,7 @@ static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
 __attribute__((optimize("tree-vectorize"))) /* gcc -O2 leaves these fills scalar */
 #endif
 void uf_init(uf_ctx *c) {
-    int32_t n = (int32_t)c->n_internal;
+    int32_t n = (int32_t)c->g->n_internal;
     for (int32_t v = 0; v < n; v++) c->parent[v] = v;
     for (int32_t v = 0; v < n; v++) c->tail[v] = v;
     for (int32_t v = 0; v < n; v++) c->size[v] = 1;
@@ -164,7 +166,7 @@ void uf_init(uf_ctx *c) {
     memset(c->boundary_sides, 0, (size_t)n);
     memset(c->member, 0, (size_t)n);
     memset(c->visited, 0, (size_t)n);
-    memset(c->edge_state, 0, (size_t)c->n_edges);
+    memset(c->edge_state, 0, (size_t)c->g->n_edges);
 }
 
 /* Restore the initial state over the entries the last decode touched. */
@@ -262,10 +264,11 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
    SEED_REFUSED before any state changes unless the ids are strictly
    ascending in [0, n_internal). */
 int64_t uf_grow(uf_ctx *c, int64_t k) {
+    const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     const int64_t *ids = c->defects;
-    if (k > c->n_internal) return SEED_REFUSED;
+    if (k > g.n_internal) return SEED_REFUSED;
     for (int64_t i = 0, prev = -1; i < k; prev = ids[i++])
-        if (ids[i] <= prev || ids[i] >= c->n_internal) return SEED_REFUSED;
+        if (ids[i] <= prev || ids[i] >= g.n_internal) return SEED_REFUSED;
     uf_reset(c);
     uf_seed(c, k);
     int64_t *counts = c->counts;
@@ -286,8 +289,8 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         int32_t n_fes = 0;
         for (int32_t i = 0; i < n_scan; i++) {
             int32_t v = c->scan[i];
-            for (int32_t j = c->adj_start[v]; j < c->adj_start[v + 1]; j++) {
-                int32_t e = c->adj_edge[j];
+            for (int32_t j = g.adj_start[v]; j < g.adj_start[v + 1]; j++) {
+                int32_t e = g.adj_edge[j];
                 uint8_t s = c->edge_state[e];
                 if (s == 0) {
                     c->edge_state[e] = 1;
@@ -304,43 +307,40 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         log[2] = n_fes;
         while (n_fes) {
             int32_t e = c->fes[--n_fes];
-            int32_t u = c->eu[e], w = c->ev[e];
-            if (w >= c->n_internal)
-                c->boundary_sides[uf_find(c, u)] |= w == c->left ? LEFT_SIDE : RIGHT_SIDE;
+            int32_t u = g.eu[e], w = g.ev[e];
+            if (w >= g.n_internal)
+                c->boundary_sides[uf_find(c, u)] |= w == g.left ? LEFT_SIDE : RIGHT_SIDE;
             else
                 uf_union(c, u, w);
         }
     }
 }
 
-/* Gr-Gen read counts of the last growth, into counts[STM_ROW_READS..FES_POPS]:
-   per pass, the STM rows (v / row_stride) that hold a member vertex or file
-   a touched edge (under the row of its internal endpoint eu) before the pass
-   starts; the member vertices scanned at each pass start; and the fusion
-   edges popped. The vertex bitmap serves as the row bitmap and is left
-   cleared. */
-static void uf_grgen_counts(uf_ctx *c, int64_t row_stride) {
+/* The Gr-Gen stage: uf_grow, then, when it accepts the defects, the Gr-Gen
+   read counts of the growth into counts[STM_ROW_READS..FES_POPS]: per pass,
+   the STM rows (v / g->row_stride) that hold a member vertex or file a touched
+   edge (under the row of its internal endpoint eu) before the pass starts;
+   the member vertices scanned at each pass start; and the fusion edges
+   popped. The vertex bitmap serves as the row bitmap and is left cleared.
+   Returns what uf_grow returns. */
+int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
+    int64_t refused = uf_grow(c, k);
+    if (refused) return refused;
+    const uf_graph g = *c->g;
     int64_t rows = 0, iv = 0, ie = 0, *counts = c->counts;
     counts[STM_ROW_READS] = counts[MEMBER_SCANS] = counts[FES_POPS] = 0;
     for (int64_t p = 0; p < counts[PASSES]; p++) {
         const int32_t *log = c->pass_log + 3 * p;
         for (; iv < log[0]; iv++)
-            rows += set_new_bit(c, (int32_t)(c->touched_v[iv] / row_stride));
+            rows += set_new_bit(c, (int32_t)(c->touched_v[iv] / g.row_stride));
         for (; ie < log[1]; ie++)
-            rows += set_new_bit(c, (int32_t)(c->eu[c->touched_e[ie]] / row_stride));
+            rows += set_new_bit(c, (int32_t)(g.eu[c->touched_e[ie]] / g.row_stride));
         counts[STM_ROW_READS] += rows;
         counts[MEMBER_SCANS] += log[0];
         counts[FES_POPS] += log[2];
     }
-    memset(c->bits, 0, (size_t)((c->n_internal / row_stride + 63) / 64) * sizeof *c->bits);
-}
-
-/* The Gr-Gen stage: uf_grow, then uf_grgen_counts when the defects are
-   accepted. Returns what uf_grow returns. */
-int64_t uf_run_grgen(uf_ctx *c, int64_t k, int64_t row_stride) {
-    int64_t refused = uf_grow(c, k);
-    if (!refused) uf_grgen_counts(c, row_stride);
-    return refused;
+    memset(c->bits, 0, (size_t)((g.n_internal / g.row_stride + 63) / 64) * sizeof *c->bits);
+    return 0;
 }
 
 /* DFS spanning tree per cluster over fully grown edges, written as one
@@ -355,7 +355,8 @@ int64_t uf_run_grgen(uf_ctx *c, int64_t k, int64_t row_stride) {
    -1 (odd cluster off the boundary; record[0] = root) or -2 (tree of the
    wrong size; record[0..2] = root, edges, expected edges). */
 int64_t uf_forest(uf_ctx *c) {
-    int32_t n_int = (int32_t)c->n_internal, *rec = c->forest;
+    const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
+    int32_t n_int = (int32_t)g.n_internal, *rec = c->forest;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) c->visited[c->touched_v[i]] = 0;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t r = c->touched_v[i], low = r;
@@ -382,11 +383,11 @@ int64_t uf_forest(uf_ctx *c) {
         int64_t k0 = k;
         c->entry[0] = low;
         if (sides) {
-            s = sides & LEFT_SIDE ? (int32_t)c->left : n_int + 1;
+            s = sides & LEFT_SIDE ? (int32_t)g.left : n_int + 1;
             for (int32_t x = r; x >= 0; x = c->next[x])
-                for (int32_t j = c->adj_start[x]; j < c->adj_start[x + 1]; j++)
-                    if (c->adj_far[j] == s && c->edge_state[c->adj_edge[j]] == 2) {
-                        c->aux[x] = c->adj_edge[j];
+                for (int32_t j = g.adj_start[x]; j < g.adj_start[x + 1]; j++)
+                    if (g.adj_far[j] == s && c->edge_state[g.adj_edge[j]] == 2) {
+                        c->aux[x] = g.adj_edge[j];
                         set_bit(c, x);
                     }
             n_entries = drain_vertices(c, c->entry);
@@ -405,26 +406,26 @@ int64_t uf_forest(uf_ctx *c) {
             /* each frame resumes its vertex's adjacency where it left off */
             int32_t sp = 1;
             c->stack[0] = u;
-            c->stack[1] = c->adj_start[u];
+            c->stack[1] = g.adj_start[u];
             while (sp) {
                 int32_t x = c->stack[2 * sp - 2], j = c->stack[2 * sp - 1];
-                for (; j < c->adj_start[x + 1]; j++) {
-                    int32_t e = c->adj_edge[j], w = c->adj_far[j];
+                for (; j < g.adj_start[x + 1]; j++) {
+                    int32_t e = g.adj_edge[j], w = g.adj_far[j];
                     if (c->edge_state[e] == 2 && w < n_int && !c->visited[w]) break;
                 }
-                if (j == c->adj_start[x + 1]) {
+                if (j == g.adj_start[x + 1]) {
                     sp--;
                     continue;
                 }
-                int32_t w = c->adj_far[j];
+                int32_t w = g.adj_far[j];
                 c->stack[2 * sp - 1] = j + 1;
                 c->visited[w] = 1;
-                edges[3 * k] = c->adj_edge[j];
+                edges[3 * k] = g.adj_edge[j];
                 edges[3 * k + 1] = w;
                 edges[3 * k + 2] = x;
                 k++;
                 c->stack[2 * sp] = w;
-                c->stack[2 * sp + 1] = c->adj_start[w];
+                c->stack[2 * sp + 1] = g.adj_start[w];
                 sp++;
             }
         }

@@ -9,7 +9,10 @@ immutable after construction and safe to share between workers.
 Everything the decoding kernel reads is a flat int32 array: the edge
 endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
-order. `neighbors` reads the CSR arrays.
+order. `neighbors` reads the CSR arrays. The graph describes itself to the
+kernel once, in one `_kernel.GraphView` it owns (sizes, LEFT, the STM row
+stride and the addresses of the five arrays, which are immutable); every
+kernel call and every `uf_core.ClusterSet` reads it at `kernel_view`.
 
 Syndrome extraction is one kernel call: it flips one bit per internal
 endpoint of each edge, so a vertex's bit ends up set iff it has odd
@@ -74,16 +77,12 @@ class DecodingGraph:
     adj_far: np.ndarray = field(repr=False)
     n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
     n_time_edges: int = 0
-    _row_stride: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        # the kernel reads the arrays through fixed addresses, as the graph is
-        # immutable: a ClusterSet all five, syndrome extraction and
-        # `uf_core.assess` the endpoints through one `GraphView`; O(1)
-        self.kernel_addresses = tuple(a.ctypes.data for a in (
-            self.adj_start, self.adj_edge, self.adj_far, self.edges_u, self.edges_v))
-        self._view = GraphView(self.n_internal, len(self.edges_u), self.left,
-                               *self.kernel_addresses[3:])
+        # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
+        self._view = GraphView(self.n_internal, len(self.edges_u), self.left, self.d - 1, *(
+            a.ctypes.data for a in (self.adj_start, self.adj_edge, self.adj_far, self.edges_u,
+                                    self.edges_v)))
         self.kernel_view = ctypes.addressof(self._view)
 
     @property
@@ -103,7 +102,7 @@ class DecodingGraph:
 
     def stm_row(self, v: int) -> int:
         """(layer, row) pair index of an internal vertex; one STM row each."""
-        return v // self._row_stride
+        return v // self._view.row_stride
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """Incident (edge, far-vertex) pairs in fixed W,E,N,S,D,U order.
@@ -185,7 +184,6 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adj_far=np.concatenate((v, u))[order],
         n_space_edges=n_space,
         n_time_edges=u.size - n_space,
-        _row_stride=cols,
     )
     for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far):
         a.flags.writeable = False  # the kernel reads them through fixed addresses

@@ -33,52 +33,41 @@ RIGHT_SIDE = 2
 
 
 # The buffers of a ClusterSet, in the order of their fields in `uf_ctx`:
-# (name, dtype, length as a function of n_internal and n_edges). Wider types
+# (name, dtype, length as a function of n_internal and n_edges, the ClusterSet
+# attribute that views it, or None for the kernel's own buffers). Wider types
 # come first, so that one block holds them all, each aligned.
+_INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, np.uint8))
 _BUFFERS = (
-    ("counts", np.int64, lambda n, n_e: 8),
-    ("defects", np.int64, lambda n, n_e: n),
-    ("bits", np.uint64, lambda n, n_e: (n + 63) // 64),
-    ("parent", np.int32, lambda n, n_e: n),
-    ("size", np.int32, lambda n, n_e: n),
-    ("growth_steps", np.int32, lambda n, n_e: n),
-    ("next", np.int32, lambda n, n_e: n),
-    ("tail", np.int32, lambda n, n_e: n),
-    ("touched_v", np.int32, lambda n, n_e: n),
-    ("touched_e", np.int32, lambda n, n_e: n_e),
-    ("pass_log", np.int32, lambda n, n_e: 6 * n_e),
-    ("scan", np.int32, lambda n, n_e: n),
-    ("fes", np.int32, lambda n, n_e: n_e),
-    ("aux", np.int32, lambda n, n_e: n),
-    ("entry", np.int32, lambda n, n_e: n),
-    ("stack", np.int32, lambda n, n_e: 2 * n),
-    ("forest", np.int32, lambda n, n_e: 9 * n + 2),
-    ("parity", np.uint8, lambda n, n_e: n),
-    ("boundary_sides", np.uint8, lambda n, n_e: n),
-    ("member", np.uint8, lambda n, n_e: n),
-    ("visited", np.uint8, lambda n, n_e: n),
-    ("edge_state", np.uint8, lambda n, n_e: n_e),
+    ("counts", _INT64, lambda n, n_e: 8, "_counts"),
+    ("defects", _INT64, lambda n, n_e: n, "_defects"),
+    ("bits", _UINT64, lambda n, n_e: (n + 63) // 64, None),
+    ("parent", _INT32, lambda n, n_e: n, "parent"),
+    ("size", _INT32, lambda n, n_e: n, "size"),
+    ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
+    ("next", _INT32, lambda n, n_e: n, "_next"),
+    ("tail", _INT32, lambda n, n_e: n, None),
+    ("touched_v", _INT32, lambda n, n_e: n, "_tv"),
+    ("touched_e", _INT32, lambda n, n_e: n_e, "_te"),
+    ("pass_log", _INT32, lambda n, n_e: 6 * n_e, "_log"),
+    ("scan", _INT32, lambda n, n_e: n, "_scan"),
+    ("fes", _INT32, lambda n, n_e: n_e, None),
+    ("aux", _INT32, lambda n, n_e: n, None),
+    ("entry", _INT32, lambda n, n_e: n, None),
+    ("stack", _INT32, lambda n, n_e: 2 * n, None),
+    ("forest", _INT32, lambda n, n_e: 9 * n + 2, "_forest"),
+    ("parity", _UINT8, lambda n, n_e: n, "parity"),
+    ("boundary_sides", _UINT8, lambda n, n_e: n, "boundary_sides"),
+    ("member", _UINT8, lambda n, n_e: n, None),
+    ("visited", _UINT8, lambda n, n_e: n, None),
+    ("edge_state", _UINT8, lambda n, n_e: n_e, "edge_state"),
 )
 
 
 class _Ctx(ctypes.Structure):
-    """`uf_ctx` of `_ufkernel.c`, field for field: every pointer is a buffer address."""
+    """`uf_ctx` of `_ufkernel.c`, field for field: the address of the graph's
+    `GraphView`, then every buffer's address."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left")] + [
-        (name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")
-    ] + [(name, ctypes.c_void_p) for name, _, _ in _BUFFERS]
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(n: int, n_e: int) -> tuple[int, tuple[int, ...], dict[str, tuple[int, int, type]]]:
-    """Size in bytes of a ClusterSet's block, the first byte of every buffer
-    in it in `_BUFFERS` order, and name -> (first byte, end byte, dtype)."""
-    off, where = 0, {}
-    for name, dtype, length in _BUFFERS:
-        end = off + np.dtype(dtype).itemsize * length(n, n_e)
-        where[name] = (off, end, dtype)
-        off = end
-    return off, tuple(first for first, _, _ in where.values()), where
+    _fields_ = [("g", ctypes.c_void_p)] + [(name, ctypes.c_void_p) for name, *_ in _BUFFERS]
 
 
 # slots of the counts buffer, as `_ufkernel.c` numbers them
@@ -86,7 +75,6 @@ _N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS = range(4)
 _N_SEEDED = 7
 _PEEL_BAD_DEFECT = -(2**32)  # uf_peel's PEEL_BAD_DEFECT
 _BAD_EDGE, _RESIDUAL_SYNDROME = -1, 2  # uf_assess's BAD_EDGE and RESIDUAL_SYNDROME
-_INT32 = np.dtype(np.int32)
 _COLUMNS = 6  # per-tree columns of a forest record
 
 
@@ -99,7 +87,10 @@ class ClusterSet:
     growth count, plus the half-edge growth counters.
 
     All state lives in one numpy block, cut into the buffers `_BUFFERS`
-    lists, which the kernel reads and writes:
+    lists, which the kernel reads and writes. The set's kernel context,
+    `_Ctx`, holds the address of the graph's `GraphView` and of each buffer,
+    nothing else; the buffers Python reads are numpy views, made once in
+    `__init__` as plain attributes:
 
     - per internal vertex: the root and size tables `parent` and `size`,
       `growth_steps` (int32), `parity` and `boundary_sides` (uint8), a
@@ -124,38 +115,25 @@ class ClusterSet:
       2 * n_edges growth passes, since each pass advances an edge state.
 
     State is reusable across decodes: `grow` starts by restoring the
-    initial state over the entries the last growth touched.
+    initial state over the entries the last growth touched. A refused growth
+    changes no state, the defects `peel_seeded` peels included.
     """
 
     def __init__(self, graph: DecodingGraph):
         self.graph = graph
         n, n_e = graph.n_internal, graph.n_edges
-        nbytes, firsts, self._where = _layout(n, n_e)
-        self._block = np.empty(nbytes, np.uint8)  # uf_init sets what is read before written
-        self._ctx = _Ctx(n, n_e, graph.left, *graph.kernel_addresses,
-                         *map(addr(self._block).__add__, firsts))
+        firsts, off = [], 0  # the first byte of every buffer in the block
+        for _, dtype, length, _ in _BUFFERS:
+            firsts.append(off)
+            off += dtype.itemsize * length(n, n_e)
+        self._block = block = np.empty(off, np.uint8)  # uf_init sets what is read before written
+        for (_, dtype, length, attr), first in zip(_BUFFERS, firsts):
+            if attr:
+                setattr(self, attr, np.frombuffer(block, dtype, length(n, n_e), first))
+        base = addr(block)
+        self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
         K.uf_init(self._c)
-        # the buffers every decode reads, the int32 ones sliced from one view
-        # of the int32 run of `_BUFFERS`; the others are viewed on first use
-        first, _, _ = self._where["parent"]
-        _, last, _ = self._where["forest"]
-        i32 = self._block[first:last].view(np.int32)
-        self._tv, self._te, self._log, self._scan, self._forest, self.growth_steps = (
-            i32[(a - first) // 4:(b - first) // 4] for a, b, _ in map(self._where.get, (
-                "touched_v", "touched_e", "pass_log", "scan", "forest", "growth_steps")))
-        self._counts, self._defects = self._view("counts"), self._view("defects")
-
-    def _view(self, name: str) -> np.ndarray:
-        start, end, dtype = self._where[name]
-        return self._block[start:end].view(dtype)
-
-    parent = functools.cached_property(lambda self: self._view("parent"))
-    size = functools.cached_property(lambda self: self._view("size"))
-    parity = functools.cached_property(lambda self: self._view("parity"))
-    boundary_sides = functools.cached_property(lambda self: self._view("boundary_sides"))
-    edge_state = functools.cached_property(lambda self: self._view("edge_state"))
-    _next = functools.cached_property(lambda self: self._view("next"))
 
     @property
     def passes(self) -> int:
@@ -257,7 +235,10 @@ class ClusterSet:
 
     def _refuse(self, ids: np.ndarray) -> NoReturn:
         """Raise the ValueError for defect ids `ids`, never empty, that the
-        kernel refused to seed, naming the first rule they break."""
+        kernel refused to seed, naming the first rule they break, after putting
+        back the last growth's staged defects (`touched_v` starts with them)."""
+        seeded = self._counts[_N_SEEDED]
+        self._defects[:seeded] = self._tv[:seeded]
         if (ids[1:] <= ids[:-1]).any():
             raise ValueError("defect ids must be strictly ascending")
         if ids[0] < 0 or ids[-1] >= self.graph.n_internal:
@@ -273,9 +254,10 @@ class ClusterSet:
         last three as `microarch.AccessTrace` defines them, summed over the
         passes of `pass_log` (the STM rows, `graph.stm_row`, that hold a
         `touched_v` vertex or the `edges_u` end of a `touched_e` edge when
-        the pass starts; the `touched_v` prefix it scans; its fusion edges)."""
+        the pass starts; the `touched_v` prefix it scans; its fusion edges),
+        with the row stride of the graph's `GraphView`. Refuses as `grow`."""
         ids = self._stage(defects)
-        if K.uf_run_grgen(self._c, ids.size, self.graph._row_stride):
+        if K.uf_run_grgen(self._c, ids.size):
             self._refuse(ids)
         return self._counts[_PASSES:_N_SEEDED].tolist()
 
@@ -324,11 +306,16 @@ class SpanningForest:
     """
 
     def __init__(self, record: np.ndarray):
+        """ValueError unless `record` has this layout, no negative entry and
+        tree edge counts that sum to k: `peel` reads no other within bounds."""
         m, k = int(record[0]), int(record[1])
         if record.dtype != _INT32 or record.shape != (2 + _COLUMNS * m + 3 * k,):
             raise ValueError(f"a forest record of {m} trees and {k} edges has "
                              f"{2 + _COLUMNS * m + 3 * k} int32 entries, "
                              f"got {record.dtype} of shape {record.shape}")
+        if record.min() < 0 or record[2 + 4 * m:2 + 5 * m].sum() != k:
+            raise ValueError("a forest record's entries must be >= 0 and its tree edge "
+                             f"counts must sum to its edge count k = {k}")
         self.record, self.m, self.k = record, m, k
 
     @classmethod

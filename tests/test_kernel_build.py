@@ -1,6 +1,7 @@
 """The Union-Find kernel builds itself on first import, once, with `cc`,
-removes the builds of older sources, compiles without warnings and runs
-clean under the undefined-behaviour sanitizer.
+removes the builds of older sources, compiles without warnings, runs clean
+under the undefined-behaviour sanitizer, and has ctypes mirrors of its structs
+that declare their fields in order.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -8,7 +9,9 @@ pull in setuptools, distutils or cffi: importing those raises the
 benchmark's peak RSS by several MiB.
 """
 
+import ctypes
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from ufpipe._kernel import BINDINGS, cache_path
+from ufpipe._kernel import BINDINGS, GraphView, cache_path
+from ufpipe.uf_core import _Ctx
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "ufpipe"
 HEAVY = ("setuptools", "distutils", "cffi")
@@ -133,6 +137,24 @@ def test_kernel_exports_exactly_the_functions_python_binds():
     exported = {line.split()[-1] for line in out.stdout.splitlines() if line.strip()}
     assert {name for name in exported if name.startswith("uf_")} == {
         name for name, _, _ in BINDINGS}
+
+
+def c_struct_fields(source: str, name: str) -> list[tuple[str, bool]]:
+    """(field, is a pointer) of every field of the typedef'd struct `name`
+    in the C source `source`, in declaration order."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    (body,) = re.findall(r"typedef struct \{([^}]*)\} " + name + ";", code)
+    return [(re.findall(r"\w+", declarator)[-1], "*" in declarator)
+            for declaration in body.split(";") if declaration.strip()
+            for declarator in declaration.split(",")]
+
+
+@pytest.mark.parametrize("struct,mirror", [("uf_graph", GraphView), ("uf_ctx", _Ctx)])
+def test_ctypes_mirrors_declare_the_c_structs_fields_in_order(struct, mirror):
+    # a field out of step shifts every later one: the kernel then reads and
+    # writes the wrong memory, with no error
+    fields = c_struct_fields((PKG / "_ufkernel.c").read_text(), struct)
+    assert fields == [(name, kind is ctypes.c_void_p) for name, kind in mirror._fields_]
 
 
 UBSAN_WORKLOAD = """

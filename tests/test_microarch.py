@@ -212,7 +212,8 @@ def test_reused_state_after_a_rejected_input():
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
     dec = Decoder(g)
-    pcs = decode_with_pipeline(g, syn)[1].cs
+    pcorr, pstate, _ = decode_with_pipeline(g, syn)
+    pcs, pcorr = pstate.cs, pcorr.edge_ids.copy()
 
     def state(cs):
         return cs.touched_v, cs.pass_log, cs.signature()
@@ -226,6 +227,7 @@ def test_reused_state_after_a_rejected_input():
         (np.array([-1, 4]), rf"lie in \[0, {n}\), got -1\.\.4"),
         (np.array([3, 3]), "strictly ascending"),
         (np.array([4, 3]), "strictly ascending"),
+        (np.array([0, 1, 2, 2]), "strictly ascending"),
         (np.array([0, n]), rf"lie in \[0, {n}\), got 0\.\.{n}"),
         (np.array([5, 2**63 + 1], dtype=np.uint64), r"got 5\.\.9223372036854775809"),
     ):
@@ -238,6 +240,8 @@ def test_reused_state_after_a_rejected_input():
             decode_with_pipeline(g, Syndrome(defects=bad, length=g.n_internal))
         assert str(pipeline.value) == str(oracle.value)
         assert state(pcs) == grown
+        # the Corr engine still peels the last accepted decode's defects
+        assert np.array_equal(microarch.run_corr(pstate, microarch.run_dfs(pstate)).edge_ids, pcorr)
         check_against_oracle(g, syn)
 
 

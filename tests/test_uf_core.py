@@ -325,6 +325,21 @@ def test_peel_rejects_a_syndrome_that_is_not_the_forests(g3, defects, message):
         peel(forest, Syndrome(defects=defects, length=g3.n_internal))
 
 
+@pytest.mark.parametrize("record", [
+    [1, 0, 0, 0, 1, 0, 1000000, 0],  # tree edge counts past k: peel read past the record
+    [1, 1, 0, 0, 2, 0, 2, 1, 7, 1, 0],  # tree edge counts past k, within the record
+    [1, 2, 0, 0, 3, 0, 1, 1, 7, 1, 0, 8, 2, 1],  # tree edge counts short of k
+    [-1, 2],  # m < 0, of the length m and k give
+    [1, -1, 0, 0, 1],  # k < 0, likewise
+    [1, 0, 0, -5, 1, 0, 0, 0],  # a negative start vertex: peel wrote before its scratch
+    [1, 1, 0, 0, 2, 0, 1, 1, 7, -3, 0],  # a negative leafward vertex
+    [1, 1, 0, 0, 2, 0, 1, 1, -7, 1, 0],  # a negative edge id
+])
+def test_forest_rejects_a_record_peel_cannot_read(record):
+    with pytest.raises(ValueError, match="must be >= 0 and its tree edge counts must sum"):
+        SpanningForest(np.array(record, dtype=np.int32))
+
+
 # -- decode / assess -----------------------------------------------------
 
 
