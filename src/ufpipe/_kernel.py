@@ -2,13 +2,14 @@
 conversion of id arrays for it.
 
 Build cache: importing this module compiles the kernel once with
-`cc -O2 -shared -fPIC` in a subprocess, into
-`__pycache__/_ufkernel-<sha256 of the source><interpreter's extension
-suffix>` next to the source, and loads it with `ctypes`. Later imports
-load the cached file without running `cc`. An import that builds the
+`cc -O2 -shared -fPIC` in a subprocess, linking numpy's static distribution
+library `libnpyrandom.a` (see `link_args`), into
+`__pycache__/_ufkernel-<sha256 of the source and the library><interpreter's
+extension suffix>` next to the source, and loads it with `ctypes`. Later
+imports load the cached file without running `cc`. An import that builds the
 kernel then removes the other `_ufkernel-*` builds with the same suffix,
-which older versions of the source left. A missing or failing compiler
-raises ImportError.
+which older versions of the source left. A missing or failing compiler, or a
+numpy without the library, raises ImportError.
 
 ctypes releases the interpreter lock for every kernel call, so two threads
 may call the kernel at once; every function that allocates scratch memory
@@ -25,6 +26,9 @@ from importlib.machinery import EXTENSION_SUFFIXES
 import numpy as np
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c")
+# found from numpy's directory, not through numpy.random, whose import would
+# cost every process that imports ufpipe about 3 MiB
+_ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 
 
 class GraphView(ctypes.Structure):
@@ -38,13 +42,28 @@ class GraphView(ctypes.Structure):
     _fields_ += [(name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")]
 
 
+def _archive() -> str:
+    """Path of numpy's static distribution library; ImportError if it is missing."""
+    if not os.path.isfile(_ARCHIVE):
+        raise ImportError(f"cannot build the Union-Find kernel: numpy's static library "
+                          f"{_ARCHIVE} is missing")
+    return _ARCHIVE
+
+
+def link_args() -> list[str]:
+    """The arguments `cc` takes after the kernel source, for every build of
+    the kernel: numpy's static distribution library, whose symbols stay out of
+    the kernel's exports, and the maths library it calls."""
+    return [_archive(), "-lm", "-Wl,--exclude-libs,ALL"]
+
+
 def _build(source: str, target: str) -> None:
     """Compile `source` into the shared object `target`, atomically."""
     import subprocess  # only on a cache miss
 
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.{os.getpid()}.tmp"
-    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source]
+    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source, *link_args()]
     try:
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -62,8 +81,11 @@ def _build(source: str, target: str) -> None:
 
 def cache_path(source: str) -> str:
     """Where the build of the kernel source `source` is cached."""
-    with open(source, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
+    h = hashlib.sha256()
+    for path in (source, _archive()):
+        with open(path, "rb") as f:
+            h.update(f.read())
+    digest = h.hexdigest()
     return os.path.join(os.path.dirname(source), "__pycache__",
                         f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")
 
@@ -80,6 +102,7 @@ def _remove_stale_builds(target: str) -> None:
 
 
 _CTX, _I32, _I64, _PTR = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+_U64 = ctypes.c_uint64
 BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
     ("uf_init", None, [_CTX]),
     ("uf_find", _I32, [_CTX, _I32]),
@@ -91,6 +114,7 @@ BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
     ("uf_run_corr", _I64, [_CTX]),
     ("uf_syndrome", _I64, [_PTR, _PTR, _I64, _PTR]),
     ("uf_assess", _I64, [_PTR, _PTR, _I64, _PTR, _I64]),
+    ("uf_sample", _I64, [_U64, _U64, _U64, ctypes.c_double, _I64, _PTR]),
 )
 
 

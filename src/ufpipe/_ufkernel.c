@@ -12,7 +12,10 @@
  *     functions above: `uf_run_grgen(ctx, k)` (`uf_grow`, then the Gr-Gen
  *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of
  *     the forest record with the seeded defects);
- *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`.
+ *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`;
+ *   - `noise.TrialSampler`: `uf_sample`, the failed edges of one trial, drawn
+ *     with numpy's own `random_geometric` (linked from numpy's static
+ *     library `libnpyrandom.a`) from a Philox4x64-10 stream on the stack.
  * Every function reads a graph through the one `uf_graph` that its Python
  * `DecodingGraph` owns; a `uf_ctx` points to it and holds the addresses of
  * the decoding buffers, one numpy block of a Python `ClusterSet`. The kernel
@@ -512,4 +515,94 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
    that uf_grow seeded, still in `defects`, writing the correction to `scan`. */
 int64_t uf_run_corr(uf_ctx *c) {
     return uf_peel(c->forest, c->defects, c->counts[N_SEEDED], c->scan);
+}
+
+/* Sampling. `bitgen_t` is numpy's bit generator interface, declared as in
+   `numpy/random/bitgen.h`, and `random_geometric` is numpy's geometric
+   distribution, linked from numpy's static library `libnpyrandom.a`; both are
+   declared here so that the kernel compiles without numpy's headers. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+int64_t random_geometric(bitgen_t *bitgen_state, double p);
+
+/* Philox4x64-10 (Salmon et al., SC 2011) with the state and output order of
+   `numpy.random.Philox`: each refill first increments the 256-bit counter,
+   then buffers the four words of its block. */
+__extension__ typedef unsigned __int128 uint128;
+
+typedef struct {
+    uint64_t ctr[4], key[2], buffer[4];
+    int buffer_pos, has_uint32; /* buffer_pos 4: the buffer is empty */
+    uint32_t uinteger;          /* the high half of a word whose low half was used */
+} philox_state;
+
+static void philox4x64_10(const uint64_t ctr[4], const uint64_t key[2], uint64_t out[4]) {
+    uint64_t c0 = ctr[0], c1 = ctr[1], c2 = ctr[2], c3 = ctr[3], k0 = key[0], k1 = key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        uint128 p0 = (uint128)0xD2E7470EE14C6C93ULL * c0, p1 = (uint128)0xCA5A826395121157ULL * c2;
+        c0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        c1 = (uint64_t)p1;
+        c2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c3 = (uint64_t)p0;
+    }
+    out[0] = c0;
+    out[1] = c1;
+    out[2] = c2;
+    out[3] = c3;
+}
+
+static uint64_t philox_next64(void *st) {
+    philox_state *s = st;
+    if (s->buffer_pos < 4) return s->buffer[s->buffer_pos++];
+    for (int i = 0; i < 4 && ++s->ctr[i] == 0; i++) continue; /* carry */
+    philox4x64_10(s->ctr, s->key, s->buffer);
+    s->buffer_pos = 1;
+    return s->buffer[0];
+}
+
+static uint32_t philox_next32(void *st) {
+    philox_state *s = st;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t x = philox_next64(st);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(x >> 32);
+    return (uint32_t)x;
+}
+
+static double philox_next_double(void *st) {
+    return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The failed edges of one trial, as `numpy.random.Generator(Philox(key,
+   counter)).geometric(p)` draws them, with the key (key0, key1) and the
+   counter (0, 0, 0, trial) of a fresh `Philox`: each draw is the gap to the
+   next failed edge, clipped to n_edges + 1 (a tiny p saturates it at
+   INT64_MAX), and the gaps accumulate from edge -1. Writes the ascending ids
+   below n_edges to `out` (room for n_edges) and returns their number. p
+   must lie in [0, 0.5); p = 0 draws nothing. */
+int64_t uf_sample(uint64_t key0, uint64_t key1, uint64_t trial, double p, int64_t n_edges,
+                  int64_t *out) {
+    if (!(p > 0.0)) return 0;
+    philox_state s = {{0, 0, 0, trial}, {key0, key1}, {0, 0, 0, 0}, 4, 0, 0};
+    bitgen_t gen = {&s, philox_next64, philox_next32, philox_next_double, philox_next64};
+    int64_t n = 0;
+    for (int64_t e = -1;;) {
+        int64_t gap = random_geometric(&gen, p);
+        e += gap < n_edges + 1 ? gap : n_edges + 1;
+        if (e >= n_edges) return n;
+        out[n++] = e;
+    }
 }

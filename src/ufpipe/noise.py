@@ -8,22 +8,26 @@ and their cumulative sums are the ascending failed-edge ids. A trial thus
 costs O(|E| p) draws instead of O(|E|), as in Stim's sparse sampling
 (Gidney, arXiv:2103.02202).
 
-Sampling is counter based: trial t of a run draws from a Philox stream
-keyed by the 64-bit seed with counter block t, so (seed, trial_index)
+Sampling is counter based: trial t of a run draws from a Philox4x64-10
+stream keyed by the seed with counter block t, so (seed, trial_index)
 fully determines the pattern and trials can be farmed out to workers in
-any order. A trial index is an integer in [0, 2**64), the counter block's
-range; anything else raises ValueError.
+any order. The kernel draws a trial in one call (`uf_sample`), and its
+stream is numpy's: the draws equal `numpy.random.Generator(Philox(key=seed,
+counter=(0, 0, 0, t))).geometric(p)`, through numpy's own geometric
+distribution code, so this module never imports `numpy.random`. A seed is an
+integer in [0, 2**128), the key's range, a trial index an integer in
+[0, 2**64), the counter block's range, and p lies in [0, 0.5); anything else
+raises ValueError.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
+from ._kernel import K, addr
 from .lattice import DecodingGraph, syndrome_indices_of_edges
 
 
@@ -34,20 +38,37 @@ class NoiseParams:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.p < 0.5:
-            raise ValueError(f"edge error probability must be in [0, 0.5), got {self.p}")
+        _check_p(self.p)
+        _check_seed(self.seed)
         _check_trial_index(self.trial_index)
+
+
+def _check_p(p) -> float:
+    """`p` as a float; ValueError unless it lies in [0, 0.5), NaN excluded."""
+    if not 0.0 <= p < 0.5:
+        raise ValueError(f"edge error probability must be in [0, 0.5), got {p}")
+    return float(p)
+
+
+def _check_integer(value, name: str, bits: int) -> int:
+    """`value` as an int; ValueError unless it is an integer in [0, 2**bits)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 2**bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    return value
+
+
+def _check_seed(seed) -> int:
+    """`seed` as an int; ValueError unless it is an integer in [0, 2**128)."""
+    return _check_integer(seed, "seed", 128)
 
 
 def _check_trial_index(trial_index) -> int:
     """`trial_index` as an int; ValueError unless it is an integer in [0, 2**64)."""
-    try:
-        trial_index = operator.index(trial_index)
-    except TypeError:
-        raise ValueError(f"trial_index must be an integer, got {trial_index!r}") from None
-    if not 0 <= trial_index < 2**64:
-        raise ValueError(f"trial_index must lie in [0, 2**64), got {trial_index}")
-    return trial_index
+    return _check_integer(trial_index, "trial_index", 64)
 
 
 @dataclass
@@ -74,68 +95,37 @@ class Syndrome:
         return int(self.defects.size)
 
 
-def trial_generator(seed: int, trial_index: int) -> Generator:
-    """Independent generator for one trial; streams are 2^192 apart."""
-    counter = np.array([0, 0, 0, _check_trial_index(trial_index)], dtype=np.uint64)
-    return Generator(Philox(key=seed, counter=counter))
-
-
 def sample_error(graph: DecodingGraph, noise: NoiseParams) -> ErrorPattern:
     ids = sample_edge_ids(graph.n_edges, noise.p, noise.seed, noise.trial_index)
     return ErrorPattern(edge_ids=ids, n_edges=graph.n_edges)
 
 
 def sample_edge_ids(n_edges: int, p: float, seed: int, trial_index: int) -> np.ndarray:
-    return _failed_edge_ids(trial_generator(seed, trial_index), n_edges, p)
-
-
-def _failed_edge_ids(gen: Generator, n_edges: int, p: float) -> np.ndarray:
-    """Ascending ids of the failed edges among n_edges, from geometric gaps.
-
-    Gaps are drawn in batches sized a few standard deviations above the
-    expected failure count, so a second batch is rarely needed.
-    """
-    if p == 0.0:
-        return np.empty(0, dtype=np.int64)
-    mean = n_edges * p
-    batch = int(mean + 4.0 * math.sqrt(mean)) + 8
-    gaps = gen.geometric(p, batch)
-    # A gap beyond the last edge ends the pattern, so clip it there: for tiny p
-    # `geometric` saturates at INT64_MAX and the cumulative sum would wrap.
-    np.minimum(gaps, n_edges + 1, out=gaps)
-    gaps[0] -= 1  # the first gap counts from edge -1
-    ids = gaps.cumsum()
-    while ids[-1] < n_edges:  # the batch ended before the last edge
-        gaps = gen.geometric(p, batch)
-        np.minimum(gaps, n_edges + 1, out=gaps)
-        gaps[0] += ids[-1]
-        ids = np.concatenate((ids, gaps.cumsum()))
-    return ids[: ids.searchsorted(n_edges)]
+    return TrialSampler(n_edges, p, seed).sample(trial_index)
 
 
 class TrialSampler:
-    """Fast path for trial loops: one Philox instance, counter reset per trial.
+    """The failed-edge ids of trial after trial of one (n_edges, p, seed).
 
-    Produces exactly the same failed-edge ids as `sample_error` for the same
-    (seed, trial_index): both draw geometric gaps through `_failed_edge_ids`
-    from the stream with counter block trial_index. Reusing the generator
-    saves building a Philox instance per trial.
+    `sample(t)` is one kernel call that writes the ascending ids into a
+    scratch buffer of n_edges entries that the sampler owns, and returns a
+    copy of them. It gives exactly what `sample_error` gives for the same
+    (seed, trial_index), which samples through a sampler of its own. Two
+    threads may sample at once with a sampler each, not with one.
     """
 
     def __init__(self, n_edges: int, p: float, seed: int):
-        if not 0.0 <= p < 0.5:
-            raise ValueError(f"edge error probability must be in [0, 0.5), got {p}")
-        self.n_edges = n_edges
-        self.p = p
-        self.seed = seed
-        self._bg = Philox(key=seed)
-        self._gen = Generator(self._bg)
-        self._start = self._bg.state  # fresh state: empty buffer, no cached word
+        self.n_edges = operator.index(n_edges)
+        self.p = _check_p(p)
+        self.seed = _check_seed(seed)
+        self._key = (self.seed & (2**64 - 1), self.seed >> 64)
+        self._buf = np.empty(self.n_edges, dtype=np.int64)
+        self._addr = addr(self._buf)
 
     def sample(self, trial_index: int) -> np.ndarray:
-        self._start["state"]["counter"][:] = (0, 0, 0, _check_trial_index(trial_index))
-        self._bg.state = self._start
-        return _failed_edge_ids(self._gen, self.n_edges, self.p)
+        n = K.uf_sample(*self._key, _check_trial_index(trial_index), self.p, self.n_edges,
+                        self._addr)
+        return self._buf[:n].copy()
 
 
 def syndrome_of(graph: DecodingGraph, err: ErrorPattern) -> Syndrome:

@@ -308,11 +308,13 @@ class SpanningForest:
     def __init__(self, record: np.ndarray):
         """ValueError unless `record` has this layout, no negative entry and
         tree edge counts that sum to k: `peel` reads no other within bounds."""
-        m, k = int(record[0]), int(record[1])
-        if record.dtype != _INT32 or record.shape != (2 + _COLUMNS * m + 3 * k,):
-            raise ValueError(f"a forest record of {m} trees and {k} edges has "
-                             f"{2 + _COLUMNS * m + 3 * k} int32 entries, "
+        if record.ndim != 1 or record.dtype != _INT32 or record.size < 2:
+            raise ValueError("a forest record is a 1-D int32 array of at least 2 entries, "
                              f"got {record.dtype} of shape {record.shape}")
+        m, k = int(record[0]), int(record[1])
+        if record.size != 2 + _COLUMNS * m + 3 * k:
+            raise ValueError(f"a forest record of {m} trees and {k} edges has "
+                             f"{2 + _COLUMNS * m + 3 * k} int32 entries, got {record.size}")
         if record.min() < 0 or record[2 + 4 * m:2 + 5 * m].sum() != k:
             raise ValueError("a forest record's entries must be >= 0 and its tree edge "
                              f"counts must sum to its edge count k = {k}")

@@ -1,7 +1,8 @@
 """The Union-Find kernel builds itself on first import, once, with `cc`,
-removes the builds of older sources, compiles without warnings, runs clean
-under the undefined-behaviour sanitizer, and has ctypes mirrors of its structs
-that declare their fields in order.
+linking numpy's static distribution library, removes the builds of older
+sources, compiles without warnings, runs clean under the undefined-behaviour
+sanitizer, and has ctypes mirrors of its structs, and a copy of numpy's
+`bitgen_t`, that declare their fields in order.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -18,9 +19,11 @@ import sys
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ufpipe._kernel import BINDINGS, GraphView, cache_path
+from ufpipe import _kernel
+from ufpipe._kernel import BINDINGS, GraphView, cache_path, link_args
 from ufpipe.uf_core import _Ctx
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "ufpipe"
@@ -119,33 +122,50 @@ def test_compiler_failure_raises_import_error_with_its_stderr(tmp_path):
     assert not kernels(root) and not list(cache(root).glob("*.tmp"))
 
 
+def test_missing_numpy_archive_raises_import_error_naming_it(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernel, "_ARCHIVE", str(tmp_path / "libnpyrandom.a"))
+    source = str(PKG / "_ufkernel.c")
+    for build in (lambda: cache_path(source), lambda: _kernel._build(source, str(tmp_path / "k.so"))):
+        with pytest.raises(ImportError, match="numpy's static library .*libnpyrandom.a is missing"):
+            build()
+    assert not list(tmp_path.iterdir())
+
+
 def test_kernel_compiles_without_warnings(tmp_path):
     cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-pedantic", "-Wconversion",
            "-Wshadow", "-shared", "-fPIC",
-           "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c")]
+           "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c"), *link_args()]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
 
 
 def test_kernel_exports_exactly_the_functions_python_binds():
-    # a function no binding names is dead code or should be static
+    # a function no binding names is dead code or should be static, and
+    # numpy's distributions, linked in, stay out of the exports
     if shutil.which("nm") is None:
         pytest.skip("nm is not on PATH")
     out = subprocess.run(["nm", "-D", "--defined-only", cache_path(str(PKG / "_ufkernel.c"))],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     exported = {line.split()[-1] for line in out.stdout.splitlines() if line.strip()}
-    assert {name for name in exported if name.startswith("uf_")} == {
+    # names with a leading underscore are the linker's own (_edata, _end, ...)
+    assert {name for name in exported if not name.startswith("_")} == {
         name for name, _, _ in BINDINGS}
+
+
+def c_struct_declarations(source: str, name: str) -> list[str]:
+    """The field declarations of the typedef'd struct `name` in the C source
+    `source`, in order, each with its white space collapsed."""
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+    (body,) = re.findall(r"typedef struct (?:\w+ )?\{([^}]*)\}\s*" + name + ";", code)
+    return [" ".join(declaration.split()) for declaration in body.split(";") if declaration.strip()]
 
 
 def c_struct_fields(source: str, name: str) -> list[tuple[str, bool]]:
     """(field, is a pointer) of every field of the typedef'd struct `name`
     in the C source `source`, in declaration order."""
-    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
-    (body,) = re.findall(r"typedef struct \{([^}]*)\} " + name + ";", code)
     return [(re.findall(r"\w+", declarator)[-1], "*" in declarator)
-            for declaration in body.split(";") if declaration.strip()
+            for declaration in c_struct_declarations(source, name)
             for declarator in declaration.split(",")]
 
 
@@ -157,12 +177,19 @@ def test_ctypes_mirrors_declare_the_c_structs_fields_in_order(struct, mirror):
     assert fields == [(name, kind is ctypes.c_void_p) for name, kind in mirror._fields_]
 
 
+def test_kernel_declares_the_fields_of_numpys_bitgen_t_in_order():
+    # numpy's random_geometric calls through the kernel's own bitgen_t
+    header = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+    assert c_struct_declarations((PKG / "_ufkernel.c").read_text(), "bitgen_t") == \
+        c_struct_declarations(header.read_text(), "bitgen_t")
+
+
 UBSAN_WORKLOAD = """
 import os
 import numpy as np
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.microarch import decode_with_pipeline
-from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, sample_error, syndrome_of
+from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, TrialSampler, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder, assess
 
 if os.path.exists("/proc/self/maps"):
@@ -182,6 +209,12 @@ for d in (3, 5, 11, 25):
         assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
     for err in errs:
         assess(g, err, dec.decode(syndrome_of(g, err))[0])
+    for p in (5e-324, 1e-3, 0.34, 0.45):
+        sampler = TrialSampler(g.n_edges, p, 2**64 + d)
+        for t in (0, 2**63 + 1, 2**64 - 1):
+            ids = sampler.sample(t)
+            assert ids.size == 0 or (np.all(np.diff(ids) > 0) and ids[0] >= 0
+                                     and ids[-1] < g.n_edges)
     for bad in ([-1], [0, 0], np.array([5, 2**63 + 1], dtype=np.uint64), [g.n_internal]):
         for decode in (dec.grow, lambda ids: decode_with_pipeline(g, Syndrome(ids, g.n_internal))):
             try:
@@ -211,7 +244,7 @@ def test_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
     target = Path(cache_path(str(source)))
     target.parent.mkdir()
     cmd = ["cc", "-O1", "-g", "-fsanitize=undefined", "-fno-sanitize-recover=undefined",
-           "-shared", "-fPIC", "-o", str(target), str(source)]
+           "-shared", "-fPIC", "-o", str(target), str(source), *link_args()]
     build = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert build.returncode == 0, build.stderr
     out = run_import(root, UBSAN_WORKLOAD, path="")

@@ -1,7 +1,14 @@
+import math
+import os
 import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from ufpipe.lattice import LatticeParams, build_decoding_graph
 from ufpipe.noise import (
@@ -21,6 +28,82 @@ def g3():
 @pytest.fixture(scope="module")
 def g11():
     return build_decoding_graph(LatticeParams(11))
+
+
+def reference_edge_ids(n_edges, p, seed, trial_index):
+    """The sampler's definition in numpy: geometric gaps from the Philox
+    stream keyed by `seed` with counter block `trial_index`."""
+    counter = np.array([0, 0, 0, trial_index], dtype=np.uint64)
+    return _failed_edge_ids(Generator(Philox(key=seed, counter=counter)), n_edges, p)
+
+
+def _failed_edge_ids(gen, n_edges, p):
+    """Ascending ids of the failed edges among n_edges, from geometric gaps.
+
+    Gaps are drawn in batches sized a few standard deviations above the
+    expected failure count, so a second batch is rarely needed.
+    """
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    mean = n_edges * p
+    batch = int(mean + 4.0 * math.sqrt(mean)) + 8
+    gaps = gen.geometric(p, batch)
+    # A gap beyond the last edge ends the pattern, so clip it there: for tiny p
+    # `geometric` saturates at INT64_MAX and the cumulative sum would wrap.
+    np.minimum(gaps, n_edges + 1, out=gaps)
+    gaps[0] -= 1  # the first gap counts from edge -1
+    ids = gaps.cumsum()
+    while ids[-1] < n_edges:  # the batch ended before the last edge
+        gaps = gen.geometric(p, batch)
+        np.minimum(gaps, n_edges + 1, out=gaps)
+        gaps[0] += ids[-1]
+        ids = np.concatenate((ids, gaps.cumsum()))
+    return ids[: ids.searchsorted(n_edges)]
+
+
+@pytest.mark.parametrize("d", [3, 11, 25])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 1e-20, 1e-3, 0.02, 0.2, 1 / 3, 0.34, 0.45, 0.49])
+def test_kernel_sampler_draws_numpys_stream(d, p):
+    # p = 0 draws nothing, 5e-324 and 1e-20 saturate the gap, p < 1/3 takes
+    # numpy's inversion branch and p >= 1/3 its search branch; the seeds and
+    # trial indices cover the key's second word and the counter's top bit
+    n_edges = build_decoding_graph(LatticeParams(d)).n_edges
+    for seed in (0, 7, 2**64 + 9, 2**128 - 1):
+        s = TrialSampler(n_edges, p, seed)
+        for t in (0, 1, 2**32 + 5, 2**63 + 1, 2**64 - 1):
+            ref = reference_edge_ids(n_edges, p, seed, t)
+            assert np.array_equal(s.sample(t), ref), (seed, t)
+            assert np.array_equal(sample_edge_ids(n_edges, p, seed, t), ref), (seed, t)
+
+
+def test_importing_ufpipe_leaves_numpy_random_unimported():
+    # numpy.random costs every process that imports it about 3 MiB
+    code = ("import sys, ufpipe.lattice, ufpipe.noise, ufpipe.uf_core, ufpipe.microarch; "
+            "print('numpy.random' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
+def test_two_threads_sample_as_they_do_serially(g11):
+    samplers = [TrialSampler(g11.n_edges, 0.02, seed) for seed in (1, 2)]
+    trials = range(2000)
+    serial = [[s.sample(t) for t in trials] for s in samplers]
+    threaded = [None, None]
+
+    def run(i):
+        threaded[i] = [samplers[i].sample(t) for t in trials]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    for a, b in zip(serial, threaded):
+        assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_zero_probability_empty(g3):
@@ -72,6 +155,25 @@ def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
                    lambda: sample_edge_ids(g11.n_edges, 0.01, 7, t),
                    lambda: s.sample(t)):
         with pytest.raises(ValueError, match="trial_index must"):
+            sample()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.9, "1", None])
+def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
+    # a float or string seed used to draw another seed's stream
+    for sample in (lambda: NoiseParams(p=0.01, seed=seed),
+                   lambda: sample_edge_ids(g11.n_edges, 0.01, seed, 0),
+                   lambda: TrialSampler(g11.n_edges, 0.01, seed)):
+        with pytest.raises(ValueError, match="seed must"):
+            sample()
+
+
+@pytest.mark.parametrize("p", [-0.1, 0.5, 0.7, 1.0, float("nan"), float("inf")])
+def test_every_sampling_entry_rejects_a_p_off_its_range(g11, p):
+    for sample in (lambda: NoiseParams(p=p, seed=7),
+                   lambda: sample_edge_ids(g11.n_edges, p, 7, 0),
+                   lambda: TrialSampler(g11.n_edges, p, 7)):
+        with pytest.raises(ValueError, match=r"edge error probability must be in \[0, 0.5\)"):
             sample()
 
 
@@ -131,10 +233,8 @@ class ConstantGaps:
 
 @pytest.mark.parametrize("gap", [1, 2, 7])
 def test_later_gap_batches_continue_from_the_last_failure(gap):
-    # the first batch holds 13 gaps here, so every further batch must pick up
-    # from the previous batch's last failure
-    from ufpipe.noise import _failed_edge_ids
-
+    # the reference's first batch holds 13 gaps here, so every further batch
+    # must pick up from the previous batch's last failure
     ids = _failed_edge_ids(ConstantGaps(gap), 100, 0.01)
     assert np.array_equal(ids, np.arange(gap - 1, 100, gap))
 

@@ -334,10 +334,15 @@ def test_peel_rejects_a_syndrome_that_is_not_the_forests(g3, defects, message):
     [1, 0, 0, -5, 1, 0, 0, 0],  # a negative start vertex: peel wrote before its scratch
     [1, 1, 0, 0, 2, 0, 1, 1, 7, -3, 0],  # a negative leafward vertex
     [1, 1, 0, 0, 2, 0, 1, 1, -7, 1, 0],  # a negative edge id
+    [],  # no m or k: raised IndexError
+    [[1, 0]],  # 2-D: raised TypeError
 ])
 def test_forest_rejects_a_record_peel_cannot_read(record):
-    with pytest.raises(ValueError, match="must be >= 0 and its tree edge counts must sum"):
-        SpanningForest(np.array(record, dtype=np.int32))
+    record = np.array(record, dtype=np.int32)
+    message = ("must be >= 0 and its tree edge counts must sum" if record.ndim == 1 and record.size
+               else "a forest record is a 1-D int32 array of at least 2 entries")
+    with pytest.raises(ValueError, match=message):
+        SpanningForest(record)
 
 
 # -- decode / assess -----------------------------------------------------
