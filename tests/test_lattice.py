@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 
@@ -40,6 +41,29 @@ def brute_counts(d):
     vert = sum(1 for _l in range(d) for _r in range(d - 1) for _c in range(d - 1))
     time = sum(1 for _g in range(d - 1) for _r in range(d) for _c in range(d - 1))
     return verts, horiz + vert, time
+
+
+# sha256 over each array's name, dtype and bytes, in this order: the
+# numbering every decode, digest and access count rests on
+GRAPH_ARRAYS = ("edges_u", "edges_v", "adj_start", "adj_edge", "adj_far")
+GRAPH_DIGESTS = {
+    3: "3c6b4ff853fbdf74de16651ba903126ab4eb26e6bd049f3f3f453ca62335fd7e",
+    5: "2be9c76448933bb506135ce648b866b99c7b8ecd5a36091cf9087c73f5dc7675",
+    11: "0c5accfb95a18a706123789796ee31ab889386bdb91f335d66f9b94af0d2df64",
+    25: "3bcaab08e731b1865922589bcc5161869dd5b2436fa92fb35b965ec47e0b4d6b",
+}
+
+
+@pytest.mark.parametrize("d", sorted(GRAPH_DIGESTS))
+def test_graph_arrays_are_pinned(d):
+    g = build_decoding_graph(LatticeParams(d))
+    h = hashlib.sha256()
+    for name in GRAPH_ARRAYS:
+        a = getattr(g, name)
+        h.update(name.encode())
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    assert h.hexdigest() == GRAPH_DIGESTS[d]
 
 
 def test_d3_counts(g3):
