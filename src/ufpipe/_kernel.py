@@ -2,14 +2,15 @@
 conversion of id arrays for it.
 
 Build cache: importing this module compiles the kernel once with
-`cc -O2 -shared -fPIC` in a subprocess, linking numpy's static distribution
-library `libnpyrandom.a` (see `link_args`), into
-`__pycache__/_ufkernel-<sha256 of the source and the library><interpreter's
-extension suffix>` next to the source, and loads it with `ctypes`. Later
-imports load the cached file without running `cc`. An import that builds the
-kernel then removes the other `_ufkernel-*` builds with the same suffix,
-which older versions of the source left. A missing or failing compiler, or a
-numpy without the library, raises ImportError.
+`cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static
+distribution library `libnpyrandom.a` (see `link_args`), into
+`__pycache__/_ufkernel-<sha256 of the source, the library and the build
+flags><interpreter's extension suffix>` next to the source, and loads it with
+`ctypes`, so a change to the flags builds the kernel anew. Later imports
+load the cached file without running `cc`. An import that builds the kernel
+then removes the other `_ufkernel-*` builds with the same suffix, which
+older versions of the source or flags left. A missing or failing compiler,
+or a numpy without the library, raises ImportError.
 
 ctypes releases the interpreter lock for every kernel call, so two threads
 may call the kernel at once; every function that allocates scratch memory
@@ -29,6 +30,7 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ufkernel.c"
 # found from numpy's directory, not through numpy.random, whose import would
 # cost every process that imports ufpipe about 3 MiB
 _ARCHIVE = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+CC_FLAGS = ("-O2", "-shared", "-fPIC")  # of every cached build; `cache_path` hashes them
 
 
 class GraphView(ctypes.Structure):
@@ -63,7 +65,7 @@ def _build(source: str, target: str) -> None:
 
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.{os.getpid()}.tmp"
-    cmd = ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, source, *link_args()]
+    cmd = ["cc", *CC_FLAGS, "-o", tmp, source, *link_args()]
     try:
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -80,11 +82,13 @@ def _build(source: str, target: str) -> None:
 
 
 def cache_path(source: str) -> str:
-    """Where the build of the kernel source `source` is cached."""
+    """Where the build of the kernel source `source` with `CC_FLAGS` and
+    `link_args` is cached."""
     h = hashlib.sha256()
     for path in (source, _archive()):
         with open(path, "rb") as f:
             h.update(f.read())
+    h.update("\0".join((*CC_FLAGS, *link_args())).encode())
     digest = h.hexdigest()
     return os.path.join(os.path.dirname(source), "__pycache__",
                         f"_ufkernel-{digest[:16]}{EXTENSION_SUFFIXES[0]}")

@@ -153,9 +153,6 @@ static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
 }
 
 /* Initial state: every vertex its own root, nothing touched. */
-#if defined(__GNUC__) && !defined(__clang__)
-__attribute__((optimize("tree-vectorize"))) /* gcc -O2 leaves these fills scalar */
-#endif
 void uf_init(uf_ctx *c) {
     int32_t n = (int32_t)c->g->n_internal;
     for (int32_t v = 0; v < n; v++) c->parent[v] = v;

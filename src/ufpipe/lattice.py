@@ -4,7 +4,9 @@ One layer per measurement round. Each layer holds a d x (d-1) grid of
 syndrome vertices; horizontal (W/E) data-qubit edges terminate on two
 virtual boundary vertices shared by all layers. Consecutive layers are
 connected by time edges modelling measurement errors. The graph is
-immutable after construction and safe to share between workers.
+immutable after construction and safe to share between workers. It is
+built from slices of one grid of vertex ids, indexed [layer, row, col], with
+no loop over vertices or edges.
 
 Everything the decoding kernel reads is a flat int32 array: the edge
 endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
@@ -37,7 +39,7 @@ class LatticeParams:
     d: int
 
     def __post_init__(self):
-        if self.d < 3 or self.d % 2 == 0:
+        if not hasattr(type(self.d), "__index__") or self.d < 3 or self.d % 2 == 0:
             raise ValueError(f"code distance must be an odd integer >= 3, got {self.d}")
 
 
@@ -124,39 +126,22 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     then in-plane verticals row-major); all time edges follow, gap-major.
     """
     d = params.d
-    layers = d
     n_int = num_internal_vertices(d)
     left = n_int
     right = n_int + 1
-    cols = d - 1
 
-    eu: list[int] = []
-    ev: list[int] = []
-
-    def vid(layer, row, col):
-        return layer * d * cols + row * cols + col
-
-    for layer in range(layers):
-        for row in range(d):
-            eu.append(vid(layer, row, 0))
-            ev.append(left)
-            for col in range(cols - 1):
-                eu.append(vid(layer, row, col))
-                ev.append(vid(layer, row, col + 1))
-            eu.append(vid(layer, row, cols - 1))
-            ev.append(right)
-        for row in range(d - 1):
-            for col in range(cols):
-                eu.append(vid(layer, row, col))
-                ev.append(vid(layer, row + 1, col))
-    n_space = len(eu)
-    for gap in range(layers - 1):
-        for row in range(d):
-            for col in range(cols):
-                eu.append(vid(gap, row, col))
-                ev.append(vid(gap + 1, row, col))
-    u = np.asarray(eu, dtype=np.int32)
-    v = np.asarray(ev, dtype=np.int32)
+    vid = np.arange(n_int, dtype=np.int32).reshape(d, d, d - 1)  # [layer, row, col]
+    first, last = vid[..., :1], vid[..., -1:]
+    # per row: W boundary, interior horizontals, E boundary
+    hu = np.concatenate((first, vid[..., :-1], last), axis=2)
+    hv = np.concatenate((np.full_like(first, left), vid[..., 1:], np.full_like(last, right)), axis=2)
+    # per layer: its rows' horizontals, then its in-plane verticals
+    su = np.concatenate((hu.reshape(d, -1), vid[:, :-1].reshape(d, -1)), axis=1)
+    sv = np.concatenate((hv.reshape(d, -1), vid[:, 1:].reshape(d, -1)), axis=1)
+    n_space = su.size
+    # then every time edge
+    u = np.concatenate((su.ravel(), vid[:-1].ravel()))
+    v = np.concatenate((sv.ravel(), vid[1:].ravel()))
 
     # W/E/N/S/D/U slot of each edge at each end; LEFT and RIGHT list their
     # edges in ascending edge id, so every boundary edge has slot 0 there

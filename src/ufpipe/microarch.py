@@ -28,6 +28,9 @@ view the cluster set's buffers, are valid until the next pipeline decode
 (copy what must outlive it), and pipeline decodes run on one thread at a
 time (single-threaded; one process per worker).
 
+Edge-stack overflows are counted after a decode, for any stack capacity,
+from the tree sizes in its `DecodeStats` (`stack_overflows`).
+
 Also evaluates the closed-form memory-cost table and the per-stage read
 estimates.
 """
@@ -37,8 +40,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
@@ -90,14 +91,11 @@ class PipelineState:
     next pipeline decode, which resets it. Read the signature and counts
     before decoding again, on the same thread.
 
-    A spanning tree with more than `stack_capacity` edges overflows the
-    edge stack that holds it; each such tree is one overflow event.
+    Edge-stack overflows are not state: `stack_overflows` counts them.
     """
 
     cs: ClusterSet
-    stack_capacity: int | None = None
     trace: AccessTrace = field(default_factory=AccessTrace)
-    overflow_events: int = 0
 
     def cluster_signature(self) -> frozenset:
         return self.cs.signature()
@@ -106,16 +104,13 @@ class PipelineState:
 _cs: ClusterSet | None = None  # the cluster set of every pipeline decode
 
 
-def new_pipeline_state(graph: DecodingGraph, stack_capacity: int | None = None) -> PipelineState:
+def new_pipeline_state(graph: DecodingGraph) -> PipelineState:
     """State on the model's one cluster set, built anew when `graph` is not
-    the object the set was built for; `run_grgen` resets it. ValueError
-    unless `stack_capacity` is None or an integer >= 0."""
+    the object the set was built for; `run_grgen` resets it."""
     global _cs
-    if stack_capacity is not None:
-        stack_capacity = _entry_count(stack_capacity, "stack_capacity")
     if _cs is None or _cs.graph is not graph:
         _cs = ClusterSet(graph)
-    return PipelineState(_cs, stack_capacity)
+    return PipelineState(_cs)
 
 
 def _entry_count(n, name: str) -> int:
@@ -148,8 +143,6 @@ def run_dfs(state: PipelineState) -> SpanningForest:
     cs = state.cs
     forest = cs.forest_view()
     state.trace.dfs = cs.n_members
-    if state.stack_capacity is not None:
-        state.overflow_events += int(np.count_nonzero(forest.tree_edges > state.stack_capacity))
     return forest
 
 
@@ -162,16 +155,23 @@ def run_corr(state: PipelineState, forest: SpanningForest) -> Correction:
     return state.cs.peel_seeded()
 
 
-def decode_with_pipeline(
-    graph: DecodingGraph, syn: Syndrome, stack_capacity: int | None = None
-) -> tuple[Correction, PipelineState, DecodeStats]:
+def decode_with_pipeline(graph: DecodingGraph,
+                         syn: Syndrome) -> tuple[Correction, PipelineState, DecodeStats]:
     """Full hardware decode: Gr-Gen, DFS engine, Corr engine in sequence.
     The correction and the state are valid until the next pipeline decode."""
-    state = new_pipeline_state(graph, stack_capacity)
+    state = new_pipeline_state(graph)
     run_grgen(state, syn)
     forest = run_dfs(state)
     corr = run_corr(state, forest)
     return corr, state, cluster_stats(state.cs, forest)
+
+
+def stack_overflows(stats: DecodeStats, stack_capacity: int) -> int:
+    """Overflow events of the decode of `stats` with edge stacks of
+    `stack_capacity` entries: the trees with more edges, each of which
+    overflows its stack. ValueError unless `stack_capacity` is an integer >= 0."""
+    stack_capacity = _entry_count(stack_capacity, "stack_capacity")
+    return sum(n > stack_capacity for n in stats.tree_edges)
 
 
 # -- memory cost model -----------------------------------------------------
@@ -236,7 +236,11 @@ def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprin
 
 
 def grgen_read_estimate(stats: DecodeStats) -> int:
-    """Growth-stage read estimate: sum over clusters of 1^2 + ... + g^2."""
+    """Growth-stage read estimate: sum over clusters of 1^2 + ... + g^2.
+
+    This is not the traced Gr-Gen count `AccessTrace.grgen`: on perfbench's
+    workloads it is 0.04-0.10 times the trace. It stays only because perfbench
+    reports that ratio (`microarch.grgen_estimate_ratio`)."""
     return sum(g * (g + 1) * (2 * g + 1) // 6 for g in stats.growth_steps)
 
 

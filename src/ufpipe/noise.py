@@ -45,7 +45,11 @@ class NoiseParams:
 
 def _check_p(p) -> float:
     """`p` as a float; ValueError unless it lies in [0, 0.5), NaN excluded."""
-    if not 0.0 <= p < 0.5:
+    try:
+        in_range = 0.0 <= p < 0.5
+    except TypeError:  # a string, None, a complex number: no order with floats
+        in_range = False
+    if not in_range:
         raise ValueError(f"edge error probability must be in [0, 0.5), got {p}")
     return float(p)
 

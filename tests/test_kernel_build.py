@@ -1,8 +1,9 @@
 """The Union-Find kernel builds itself on first import, once, with `cc`,
-linking numpy's static distribution library, removes the builds of older
-sources, compiles without warnings, runs clean under the undefined-behaviour
-sanitizer, and has ctypes mirrors of its structs, and a copy of numpy's
-`bitgen_t`, that declare their fields in order.
+linking numpy's static distribution library, keys its build cache on its
+flags too, removes the builds of older sources, compiles without warnings,
+runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
+its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
+order.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -131,6 +132,21 @@ def test_missing_numpy_archive_raises_import_error_naming_it(tmp_path, monkeypat
     assert not list(tmp_path.iterdir())
 
 
+def test_a_changed_flag_list_gives_another_cache_path(tmp_path, monkeypatch):
+    # a cached build made with other flags is never loaded in place of this one
+    source = str(PKG / "_ufkernel.c")
+    paths = {cache_path(source)}
+    monkeypatch.setattr(_kernel, "CC_FLAGS", (*_kernel.CC_FLAGS, "-fno-such-flag"))
+    paths.add(cache_path(source))
+    monkeypatch.setattr(_kernel, "link_args", lambda: [*link_args(), "-lc"])
+    paths.add(cache_path(source))
+    assert len(paths) == 3
+    # and the build runs the flags the path was hashed from
+    with pytest.raises(ImportError, match="-fno-such-flag"):
+        _kernel._build(source, str(tmp_path / "k.so"))
+    assert not list(tmp_path.iterdir())
+
+
 def test_kernel_compiles_without_warnings(tmp_path):
     cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-pedantic", "-Wconversion",
            "-Wshadow", "-shared", "-fPIC",
@@ -204,7 +220,7 @@ for d in (3, 5, 11, 25):
     syns.append(Syndrome(defects=np.arange(g.n_internal), length=g.n_internal))
     for syn in syns:
         corr, stats = dec.decode(syn)
-        pcorr, state, pstats = decode_with_pipeline(g, syn, stack_capacity=8)
+        pcorr, state, pstats = decode_with_pipeline(g, syn)
         assert np.array_equal(corr.edge_ids, pcorr.edge_ids) and stats == pstats
         assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
     for err in errs:

@@ -128,10 +128,10 @@ def test_neighbors_bad_vertex(g3):
 
 
 def test_invalid_distance():
-    with pytest.raises(ValueError):
-        LatticeParams(4)
-    with pytest.raises(ValueError):
-        LatticeParams(1)
+    # a float distance used to pass, and fail later in the graph build
+    for d in (4, 1, 5.0, 5.5, "5", None):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            LatticeParams(d)
 
 
 def test_vertex_indexing(g5):

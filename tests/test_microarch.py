@@ -7,7 +7,8 @@ from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices
 from ufpipe.noise import NoiseParams, Syndrome, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
 from ufpipe import microarch
-from ufpipe.microarch import decode_with_pipeline, memory_footprint, stage_read_estimate
+from ufpipe.microarch import (decode_with_pipeline, memory_footprint, stack_overflows,
+                              stage_read_estimate)
 
 GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11)}
 
@@ -32,12 +33,12 @@ def reference_grgen_counts(g, cs):
     return stm_row_reads, table_reads, fes_pops
 
 
-def check_against_oracle(g, syn, stack_capacity=None):
+def check_against_oracle(g, syn):
     """Decode with the oracle and the pipeline model; require them to agree
     and the access trace to satisfy its defining identities."""
     dec = Decoder(g)
     corr, stats = dec.decode(syn)
-    pcorr, state, pstats = decode_with_pipeline(g, syn, stack_capacity)
+    pcorr, state, pstats = decode_with_pipeline(g, syn)
     assert np.array_equal(pcorr.edge_ids, corr.edge_ids)
     assert pstats == stats
     assert state.cluster_signature() == dec.cs.signature()
@@ -104,22 +105,24 @@ def test_hand_worked_d3_trace():
     assert t.dfs == 9
     assert t.corr == 9
     assert t.reads == 79
-    assert state.overflow_events == 0
+    assert stack_overflows(stats, t.corr - 1) == 1  # the one tree pops all 9 edges
 
 
 def test_overflow_events_at_small_stack_capacity():
     g = GRAPHS[3]
     syn = Syndrome(defects=np.array([g.vertex_id(1, 0, 0), g.vertex_id(1, 2, 0)]),
                    length=g.n_internal)
-    assert decode_with_pipeline(g, syn, stack_capacity=9)[1].overflow_events == 0
-    assert decode_with_pipeline(g, syn, stack_capacity=8)[1].overflow_events == 1
+    stats = decode_with_pipeline(g, syn)[2]
+    assert stack_overflows(stats, 9) == 0
+    assert stack_overflows(stats, 8) == 1
     g = GRAPHS[7]
     seen = 0
     for t in range(30):
         syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=5, trial_index=t)))
-        state, stats = check_against_oracle(g, syn, stack_capacity=3)
-        expect = sum(n > 3 for n in stats.tree_edges)
-        assert state.overflow_events == expect
+        state, stats = check_against_oracle(g, syn)
+        # the pipeline's own forest, from the cluster set the decode left
+        expect = int(np.count_nonzero(microarch.run_dfs(state).tree_edges > 3))
+        assert stack_overflows(stats, 3) == expect
         seen += expect
     assert seen > 0
 
@@ -128,8 +131,9 @@ def test_overflow_events_at_small_stack_capacity():
 def test_pipeline_rejects_a_stack_capacity_no_stack_has(capacity):
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
+    stats = decode_with_pipeline(g, syn)[2]
     with pytest.raises(ValueError, match="stack_capacity must be"):
-        decode_with_pipeline(g, syn, stack_capacity=capacity)
+        stack_overflows(stats, capacity)
 
 
 @pytest.mark.parametrize("d", [3, 5, 11, 25])
@@ -147,8 +151,8 @@ def test_memory_footprint_total_is_sum_of_rows(d, entries):
     assert fp.total_bits == pytest.approx(expect)
 
 
-@pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5, -10),
-                                       (5, 2.5), (5, "8")])
+@pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5.0, None),
+                                       (5.5, None), (5, -10), (5, 2.5), (5, "8")])
 def test_memory_footprint_rejects_what_no_decoder_has(d, entries):
     # the distance must be one a decoding graph can have, and a sized stack
     # holds a whole, non-negative number of edges

@@ -168,7 +168,8 @@ def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
             sample()
 
 
-@pytest.mark.parametrize("p", [-0.1, 0.5, 0.7, 1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("p", [-0.1, 0.5, 0.7, 1.0, float("nan"), float("inf"), "0.1", None,
+                               0.1 + 0j])
 def test_every_sampling_entry_rejects_a_p_off_its_range(g11, p):
     for sample in (lambda: NoiseParams(p=p, seed=7),
                    lambda: sample_edge_ids(g11.n_edges, p, 7, 0),
