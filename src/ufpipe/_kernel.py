@@ -1,5 +1,11 @@
-"""The compiled kernel `_ufkernel.c`: its build, its ctypes bindings and the
-conversion of id arrays for it.
+"""The boundary between Python and the compiled kernel `_ufkernel.c`, stated
+once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
+`GraphView` (the kernel's `uf_graph`), the kernel's numbers under its own
+names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to
+`N_COUNTS`, `FOREST_COLUMNS`, `BAD_EDGE`, `RESIDUAL_SYNDROME`,
+`PEEL_BAD_DEFECT`, `NO_MEMORY`), which `tests/test_kernel_build.py` reads
+from the C source, and the checks of what Python passes (`check_integer`,
+`integer_ids`, `int64_ids`, `addr`).
 
 Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -38,9 +45,10 @@ class GraphView(ctypes.Structure):
     description of a decoding graph, owned by the `DecodingGraph` and read by
     every kernel function. `row_stride` is the number of vertices per STM
     row; the pointers are the addresses of the graph's int32 arrays
-    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`."""
+    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`. LEFT is
+    vertex n_internal and RIGHT vertex n_internal + 1."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "left", "row_stride")]
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "row_stride")]
     _fields_ += [(name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")]
 
 
@@ -135,6 +143,13 @@ def _load_kernel() -> ctypes.CDLL:
 
 
 K = _load_kernel()
+LEFT_SIDE, RIGHT_SIDE = 1, 2  # bits of a cluster's boundary_sides
+# slots of a cluster set's counts; `ClusterSet.grgen` returns [PASSES:N_SEEDED]
+(N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS, N_SEEDED,
+ N_COUNTS) = range(9)
+FOREST_COLUMNS = 6  # per-tree columns of a forest record
+BAD_EDGE, RESIDUAL_SYNDROME = -1, 2  # returns of uf_syndrome and uf_assess
+PEEL_BAD_DEFECT = -(2**32)  # uf_peel returns PEEL_BAD_DEFECT - i for a bad defect i
 NO_MEMORY = -(2**63)  # INT64_MIN: a kernel function could not allocate its scratch
 _BYTES = ctypes.c_char * 0
 _INT64 = np.dtype(np.int64)
@@ -143,6 +158,15 @@ _INT64 = np.dtype(np.int64)
 def addr(a: np.ndarray) -> int:
     """Address of the data of a writable, C-contiguous array."""
     return ctypes.addressof(_BYTES.from_buffer(a))
+
+
+def check_integer(value, name: str, lo: int, hi: float) -> int:
+    """`value` as an int; ValueError unless it is an integer in [lo, hi).
+    A bool is not an integer here, as in `integer_ids`."""
+    if (isinstance(value, bool) or not hasattr(type(value), "__index__")
+            or not lo <= (n := operator.index(value)) < hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return n
 
 
 def integer_ids(ids, what: str) -> np.ndarray:

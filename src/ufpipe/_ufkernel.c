@@ -22,7 +22,11 @@
  * allocates nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
  * `uf_assess`, a fresh block per call, so that the graph is only read and
  * can be shared between threads. `uf_graph` mirrors `_kernel.GraphView` and
- * `uf_ctx` mirrors `uf_core._Ctx`, field for field.
+ * `uf_ctx` mirrors `uf_core._Ctx`, field for field; `_kernel` states this
+ * file's numbers for Python under the same names (side bits, counts enum,
+ * FOREST_COLUMNS, error returns). `tests/test_kernel_build.py` checks every
+ * mirror against this file: `test_ctypes_mirrors_declare_the_c_structs_fields_in_order`
+ * the structs, `test_kernel_mirrors_hold_the_c_numbers` the numbers.
  *
  * Iteration orders are fixed and equal to the reference algorithm's:
  * ascending vertex ids within a growth pass, each vertex's CSR adjacency in
@@ -37,15 +41,17 @@
 #define FIND_COMPRESSION_CAP 5 /* vertices repointed per find (hardware register file) */
 #define LEFT_SIDE 1
 #define RIGHT_SIDE 2
+#define FOREST_COLUMNS 6 /* per-tree columns of a forest record, see uf_forest */
 
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
        N_SEEDED, N_COUNTS };
 
-/* A decoding graph, read only: sizes, LEFT, vertices per STM row, the CSR
+/* A decoding graph, read only: sizes, vertices per STM row, the CSR
    adjacency over n_internal + 2 vertices, each edge's internal endpoint eu
-   and internal or virtual endpoint ev. */
+   and internal or virtual endpoint ev. LEFT is vertex n_internal and RIGHT
+   vertex n_internal + 1. */
 typedef struct {
-    int64_t n_internal, n_edges, left, row_stride;
+    int64_t n_internal, n_edges, row_stride;
     const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
 } uf_graph;
 
@@ -100,7 +106,7 @@ static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint6
         if (v < g->n_internal)
             bits[v >> 6] ^= 1ULL << (v & 63);
         else
-            on_left += v == g->left;
+            on_left += v == g->n_internal;
     }
     return on_left;
 }
@@ -309,7 +315,7 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
             int32_t e = c->fes[--n_fes];
             int32_t u = g.eu[e], w = g.ev[e];
             if (w >= g.n_internal)
-                c->boundary_sides[uf_find(c, u)] |= w == g.left ? LEFT_SIDE : RIGHT_SIDE;
+                c->boundary_sides[uf_find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
             else
                 uf_union(c, u, w);
         }
@@ -383,7 +389,7 @@ int64_t uf_forest(uf_ctx *c) {
         int64_t k0 = k;
         c->entry[0] = low;
         if (sides) {
-            s = sides & LEFT_SIDE ? (int32_t)g.left : n_int + 1;
+            s = sides & LEFT_SIDE ? n_int : n_int + 1;
             for (int32_t x = r; x >= 0; x = c->next[x])
                 for (int32_t j = g.adj_start[x]; j < g.adj_start[x + 1]; j++)
                     if (g.adj_far[j] == s && c->edge_state[g.adj_edge[j]] == 2) {
@@ -444,7 +450,7 @@ int64_t uf_forest(uf_ctx *c) {
     }
     rec[0] = m;
     rec[1] = (int32_t)k;
-    return 2 + 6 * (int64_t)m + 3 * k;
+    return 2 + FOREST_COLUMNS * (int64_t)m + 3 * k;
 }
 
 /* Reverse-order peeling of a forest record: pop tree edges leaf first; an

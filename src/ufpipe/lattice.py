@@ -12,9 +12,9 @@ Everything the decoding kernel reads is a flat int32 array: the edge
 endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
 order. `neighbors` reads the CSR arrays. The graph describes itself to the
-kernel once, in one `_kernel.GraphView` it owns (sizes, LEFT, the STM row
-stride and the addresses of the five arrays, which are immutable); every
-kernel call and every `uf_core.ClusterSet` reads it at `kernel_view`.
+kernel once, in one `_kernel.GraphView` it owns (sizes, the STM row stride
+and the addresses of the five arrays, which are immutable); every kernel
+call and every `uf_core.ClusterSet` reads it at `kernel_view`.
 
 Syndrome extraction is one kernel call: it flips one bit per internal
 endpoint of each edge, so a vertex's bit ends up set iff it has odd
@@ -25,11 +25,12 @@ the number k of edge ids plus O(n_internal / 64) for the bitmap.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import NO_MEMORY, GraphView, K, addr, int64_ids
+from ._kernel import NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,11 @@ class LatticeParams:
     d: int
 
     def __post_init__(self):
-        if not hasattr(type(self.d), "__index__") or self.d < 3 or self.d % 2 == 0:
+        try:
+            odd = check_integer(self.d, "code distance", 3, math.inf) % 2
+        except ValueError:
+            odd = 0
+        if not odd:
             raise ValueError(f"code distance must be an odd integer >= 3, got {self.d}")
 
 
@@ -82,7 +87,7 @@ class DecodingGraph:
 
     def __post_init__(self):
         # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
-        self._view = GraphView(self.n_internal, len(self.edges_u), self.left, self.d - 1, *(
+        self._view = GraphView(self.n_internal, len(self.edges_u), self.d - 1, *(
             a.ctypes.data for a in (self.adj_start, self.adj_edge, self.adj_far, self.edges_u,
                                     self.edges_v)))
         self.kernel_view = ctypes.addressof(self._view)

@@ -38,9 +38,9 @@ estimates.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
+from ._kernel import check_integer
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
 from .uf_core import ClusterSet, Correction, DecodeStats, SpanningForest, cluster_stats
@@ -89,10 +89,7 @@ class PipelineState:
 
     `cs` is the model's shared cluster set: the state is valid until the
     next pipeline decode, which resets it. Read the signature and counts
-    before decoding again, on the same thread.
-
-    Edge-stack overflows are not state: `stack_overflows` counts them.
-    """
+    before decoding again, on the same thread."""
 
     cs: ClusterSet
     trace: AccessTrace = field(default_factory=AccessTrace)
@@ -111,13 +108,6 @@ def new_pipeline_state(graph: DecodingGraph) -> PipelineState:
     if _cs is None or _cs.graph is not graph:
         _cs = ClusterSet(graph)
     return PipelineState(_cs)
-
-
-def _entry_count(n, name: str) -> int:
-    """`n` as an int; ValueError unless it is an integer >= 0."""
-    if not hasattr(type(n), "__index__") or (n := operator.index(n)) < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {n!r}")
-    return n
 
 
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
@@ -170,7 +160,7 @@ def stack_overflows(stats: DecodeStats, stack_capacity: int) -> int:
     """Overflow events of the decode of `stats` with edge stacks of
     `stack_capacity` entries: the trees with more edges, each of which
     overflows its stack. ValueError unless `stack_capacity` is an integer >= 0."""
-    stack_capacity = _entry_count(stack_capacity, "stack_capacity")
+    stack_capacity = check_integer(stack_capacity, "stack_capacity", 0, math.inf)
     return sum(n > stack_capacity for n in stats.tree_edges)
 
 
@@ -220,7 +210,7 @@ def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprin
     3 S log2 d when sized to S entries."""
     LatticeParams(d)  # raises ValueError for a distance no graph has
     if stack_entries is not None:
-        stack_entries = _entry_count(stack_entries, "stack_entries")
+        stack_entries = check_integer(stack_entries, "stack_entries", 0, math.inf)
     log2d = math.log2(d)
     cube = float(d**3)
     stack = 3 * cube * log2d if stack_entries is None else 3 * stack_entries * log2d

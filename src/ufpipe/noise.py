@@ -16,19 +16,21 @@ stream is numpy's: the draws equal `numpy.random.Generator(Philox(key=seed,
 counter=(0, 0, 0, t))).geometric(p)`, through numpy's own geometric
 distribution code, so this module never imports `numpy.random`. A seed is an
 integer in [0, 2**128), the key's range, a trial index an integer in
-[0, 2**64), the counter block's range, and p lies in [0, 0.5); anything else
+[0, 2**64), the counter block's range, an edge count an integer in
+[1, 2**63 - 1), and p lies in [0, 0.5); anything else, a bool included,
 raises ValueError.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import K, addr
+from ._kernel import K, addr, check_integer
 from .lattice import DecodingGraph, syndrome_indices_of_edges
+
+_KEYS, _COUNTERS = 2**128, 2**64  # seeds and trial indices lie in [0, these)
 
 
 @dataclass(frozen=True)
@@ -39,40 +41,19 @@ class NoiseParams:
 
     def __post_init__(self):
         _check_p(self.p)
-        _check_seed(self.seed)
-        _check_trial_index(self.trial_index)
+        check_integer(self.seed, "seed", 0, _KEYS)
+        check_integer(self.trial_index, "trial_index", 0, _COUNTERS)
 
 
 def _check_p(p) -> float:
-    """`p` as a float; ValueError unless it lies in [0, 0.5), NaN excluded."""
+    """`p` as a float; ValueError unless it lies in [0, 0.5), NaN and bools excluded."""
     try:
-        in_range = 0.0 <= p < 0.5
+        in_range = not isinstance(p, (bool, np.bool_)) and 0.0 <= p < 0.5
     except TypeError:  # a string, None, a complex number: no order with floats
         in_range = False
     if not in_range:
         raise ValueError(f"edge error probability must be in [0, 0.5), got {p}")
     return float(p)
-
-
-def _check_integer(value, name: str, bits: int) -> int:
-    """`value` as an int; ValueError unless it is an integer in [0, 2**bits)."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if not 0 <= value < 2**bits:
-        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
-    return value
-
-
-def _check_seed(seed) -> int:
-    """`seed` as an int; ValueError unless it is an integer in [0, 2**128)."""
-    return _check_integer(seed, "seed", 128)
-
-
-def _check_trial_index(trial_index) -> int:
-    """`trial_index` as an int; ValueError unless it is an integer in [0, 2**64)."""
-    return _check_integer(trial_index, "trial_index", 64)
 
 
 @dataclass
@@ -119,16 +100,17 @@ class TrialSampler:
     """
 
     def __init__(self, n_edges: int, p: float, seed: int):
-        self.n_edges = operator.index(n_edges)
+        # below 2**63 - 1, so that the kernel's gap clip n_edges + 1 fits int64
+        self.n_edges = check_integer(n_edges, "n_edges", 1, 2**63 - 1)
         self.p = _check_p(p)
-        self.seed = _check_seed(seed)
+        self.seed = check_integer(seed, "seed", 0, _KEYS)
         self._key = (self.seed & (2**64 - 1), self.seed >> 64)
         self._buf = np.empty(self.n_edges, dtype=np.int64)
         self._addr = addr(self._buf)
 
     def sample(self, trial_index: int) -> np.ndarray:
-        n = K.uf_sample(*self._key, _check_trial_index(trial_index), self.p, self.n_edges,
-                        self._addr)
+        n = K.uf_sample(*self._key, check_integer(trial_index, "trial_index", 0, _COUNTERS),
+                        self.p, self.n_edges, self._addr)
         return self._buf[:n].copy()
 
 

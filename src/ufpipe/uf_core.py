@@ -24,13 +24,11 @@ from typing import NoReturn
 
 import numpy as np
 
-from ._kernel import NO_MEMORY, K, addr, int64_ids, integer_ids
+from ._kernel import (BAD_EDGE, FOREST_COLUMNS, N_COUNTS, N_SEEDED, N_TOUCHED_E, N_TOUCHED_V,
+                      NO_MEMORY, PASSES, PEEL_BAD_DEFECT, RESIDUAL_SYNDROME, TABLE_READS, K, addr,
+                      int64_ids, integer_ids)
 from .lattice import DecodingGraph, reject_off_graph
 from .noise import ErrorPattern, Syndrome
-
-LEFT_SIDE = 1   # boundary_sides bits; `_ufkernel.c` defines the same values
-RIGHT_SIDE = 2
-
 
 # The buffers of a ClusterSet, in the order of their fields in `uf_ctx`:
 # (name, dtype, length as a function of n_internal and n_edges, the ClusterSet
@@ -38,7 +36,7 @@ RIGHT_SIDE = 2
 # come first, so that one block holds them all, each aligned.
 _INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, np.uint8))
 _BUFFERS = (
-    ("counts", _INT64, lambda n, n_e: 8, "_counts"),
+    ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
     ("defects", _INT64, lambda n, n_e: n, "_defects"),
     ("bits", _UINT64, lambda n, n_e: (n + 63) // 64, None),
     ("parent", _INT32, lambda n, n_e: n, "parent"),
@@ -68,14 +66,6 @@ class _Ctx(ctypes.Structure):
     `GraphView`, then every buffer's address."""
 
     _fields_ = [("g", ctypes.c_void_p)] + [(name, ctypes.c_void_p) for name, *_ in _BUFFERS]
-
-
-# slots of the counts buffer, as `_ufkernel.c` numbers them
-_N_TOUCHED_V, _N_TOUCHED_E, _PASSES, _TABLE_READS = range(4)
-_N_SEEDED = 7
-_PEEL_BAD_DEFECT = -(2**32)  # uf_peel's PEEL_BAD_DEFECT
-_BAD_EDGE, _RESIDUAL_SYNDROME = -1, 2  # uf_assess's BAD_EDGE and RESIDUAL_SYNDROME
-_COLUMNS = 6  # per-tree columns of a forest record
 
 
 class InvariantViolation(RuntimeError):
@@ -137,27 +127,27 @@ class ClusterSet:
 
     @property
     def passes(self) -> int:
-        return int(self._counts[_PASSES])
+        return int(self._counts[PASSES])
 
     @property
     def table_reads(self) -> int:
-        return int(self._counts[_TABLE_READS])
+        return int(self._counts[TABLE_READS])
 
     @property
     def n_members(self) -> int:
-        return int(self._counts[_N_TOUCHED_V])
+        return int(self._counts[N_TOUCHED_V])
 
     @property
     def touched_v(self) -> list[int]:
-        return self._tv[:self._counts[_N_TOUCHED_V]].tolist()
+        return self._tv[:self._counts[N_TOUCHED_V]].tolist()
 
     @property
     def touched_e(self) -> list[int]:
-        return self._te[:self._counts[_N_TOUCHED_E]].tolist()
+        return self._te[:self._counts[N_TOUCHED_E]].tolist()
 
     @property
     def pass_log(self) -> list[tuple[int, int, int]]:
-        return list(map(tuple, self._log[:3 * self._counts[_PASSES]].reshape(-1, 3).tolist()))
+        return list(map(tuple, self._log[:3 * self._counts[PASSES]].reshape(-1, 3).tolist()))
 
     @property
     def members(self) -> dict[int, list[int]]:
@@ -237,7 +227,7 @@ class ClusterSet:
         """Raise the ValueError for defect ids `ids`, never empty, that the
         kernel refused to seed, naming the first rule they break, after putting
         back the last growth's staged defects (`touched_v` starts with them)."""
-        seeded = self._counts[_N_SEEDED]
+        seeded = self._counts[N_SEEDED]
         self._defects[:seeded] = self._tv[:seeded]
         if (ids[1:] <= ids[:-1]).any():
             raise ValueError("defect ids must be strictly ascending")
@@ -249,17 +239,14 @@ class ClusterSet:
     # -- one kernel call per pipeline stage ------------------------------
 
     def grgen(self, defects) -> list[int]:
-        """`grow` and the Gr-Gen read counts in one kernel call. Returns
-        `[passes, table_reads, stm_row_reads, member_scans, fes_pops]`: the
-        last three as `microarch.AccessTrace` defines them, summed over the
-        passes of `pass_log` (the STM rows, `graph.stm_row`, that hold a
-        `touched_v` vertex or the `edges_u` end of a `touched_e` edge when
-        the pass starts; the `touched_v` prefix it scans; its fusion edges),
-        with the row stride of the graph's `GraphView`. Refuses as `grow`."""
+        """`grow` and the Gr-Gen read counts in one kernel call. Returns the
+        counts [PASSES:N_SEEDED]: passes, table_reads, and the stm_row_reads,
+        member scans and fes_pops that `microarch.AccessTrace` defines,
+        summed over the passes. Refuses as `grow`."""
         ids = self._stage(defects)
         if K.uf_run_grgen(self._c, ids.size):
             self._refuse(ids)
-        return self._counts[_PASSES:_N_SEEDED].tolist()
+        return self._counts[PASSES:N_SEEDED].tolist()
 
     def forest_view(self) -> SpanningForest:
         """`spanning_forest` of this set without the copy: the forest views
@@ -268,12 +255,11 @@ class ClusterSet:
 
     def peel_seeded(self) -> Correction:
         """`peel` of the record that `forest_view` left, with the seeded
-        defects as the syndrome, in one kernel call. The correction is an
-        int32 view of a buffer of the set, valid until the set is grown
-        again."""
+        defects as the syndrome, in one kernel call. The correction's int32
+        ids view a buffer of the set, valid until the set is grown again."""
         n = K.uf_run_corr(self._c)
         if n < 0:
-            _check_peeled(n, self._defects[:self._counts[_N_SEEDED]])
+            _check_peeled(n, self._defects[:self._counts[N_SEEDED]])
         return Correction(self._scan[:n])
 
 
@@ -312,9 +298,9 @@ class SpanningForest:
             raise ValueError("a forest record is a 1-D int32 array of at least 2 entries, "
                              f"got {record.dtype} of shape {record.shape}")
         m, k = int(record[0]), int(record[1])
-        if record.size != 2 + _COLUMNS * m + 3 * k:
+        if record.size != 2 + FOREST_COLUMNS * m + 3 * k:
             raise ValueError(f"a forest record of {m} trees and {k} edges has "
-                             f"{2 + _COLUMNS * m + 3 * k} int32 entries, got {record.size}")
+                             f"{2 + FOREST_COLUMNS * m + 3 * k} int32 entries, got {record.size}")
         if record.min() < 0 or record[2 + 4 * m:2 + 5 * m].sum() != k:
             raise ValueError("a forest record's entries must be >= 0 and its tree edge "
                              f"counts must sum to its edge count k = {k}")
@@ -329,9 +315,9 @@ class SpanningForest:
         return self
 
     columns = functools.cached_property(
-        lambda self: self.record[2:2 + _COLUMNS * self.m].reshape(_COLUMNS, self.m))
+        lambda self: self.record[2:2 + FOREST_COLUMNS * self.m].reshape(FOREST_COLUMNS, self.m))
     edges = functools.cached_property(
-        lambda self: self.record[2 + _COLUMNS * self.m:].reshape(self.k, 3))
+        lambda self: self.record[2 + FOREST_COLUMNS * self.m:].reshape(self.k, 3))
     tree_edges = property(lambda self: self.columns[4])
 
     @classmethod
@@ -420,15 +406,16 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     rootward endpoint's held bit. Boundary entry points absorb flips.
 
     Every defect must be a distinct vertex of a tree of the forest, which
-    excludes the virtual entry points; anything else raises ValueError.
+    excludes the virtual entry points; anything else raises ValueError. The
+    correction's ids are int32, as the kernel writes them.
     """
-    ids = integer_ids(syn.defects, "defect")
-    defects = ids.astype(np.int64)  # uint64 ids past 2**63 wrap negative: rejected too
+    defects, at = int64_ids(syn.defects, "defect")  # uint64 past 2**63 wraps: rejected too
     out = np.empty(forest.k, dtype=np.int32)
-    n = K.uf_peel(addr(forest.record), addr(defects), defects.size, addr(out))
+    n = K.uf_peel(addr(forest.record), at, defects.size, addr(out))
     if n < 0:
-        _check_peeled(n, ids)
-    return Correction(edge_ids=out[:n].astype(np.int64))
+        _check_peeled(n, np.asarray(syn.defects))
+    # a copy: a kept correction does not hold the forest-sized buffer
+    return Correction(edge_ids=out[:n].copy())
 
 
 def _check_peeled(n: int, ids: np.ndarray) -> NoReturn:
@@ -436,8 +423,8 @@ def _check_peeled(n: int, ids: np.ndarray) -> NoReturn:
     are the defects it peeled."""
     if n == NO_MEMORY:
         raise MemoryError("no memory for the peeling kernel's scratch bits")
-    if n <= _PEEL_BAD_DEFECT:
-        i = _PEEL_BAD_DEFECT - n
+    if n <= PEEL_BAD_DEFECT:
+        i = PEEL_BAD_DEFECT - n
         v = ids[i].item()
         why = "repeats an earlier one" if v in ids[:i].tolist() else "lies in no tree of the forest"
         raise ValueError(f"defect {i} of the syndrome, {v}, {why}")
@@ -465,7 +452,7 @@ def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
     """The statistics of the clusters of `forest`, grown in `cs`: one read
     of the forest record's per-tree columns."""
     m = forest.m
-    c = forest.record[2 + 2 * m:2 + _COLUMNS * m].tolist()  # sizes, boundary, tree edges, growth
+    c = forest.record[2 + 2 * m:2 + FOREST_COLUMNS * m].tolist()  # sizes, boundary, edges, growth
     return DecodeStats(m, tuple(c[:m]), tuple(c[3 * m:]), tuple(map(bool, c[m:2 * m])),
                        tuple(c[2 * m:3 * m]), cs.passes)
 
@@ -490,9 +477,9 @@ def assess(
     e, e_at = int64_ids(err.edge_ids, "edge")
     c, c_at = int64_ids(corr.edge_ids, "edge")
     bit = K.uf_assess(graph.kernel_view, e_at, e.size, c_at, c.size)
-    if bit == _RESIDUAL_SYNDROME:
+    if bit == RESIDUAL_SYNDROME:
         raise InvariantViolation("correction does not cancel the syndrome")
-    if bit == _BAD_EDGE:
+    if bit == BAD_EDGE:
         reject_off_graph(graph, err.edge_ids, corr.edge_ids)
     if bit == NO_MEMORY:
         raise MemoryError("no memory for the assessment kernel's scratch bits")

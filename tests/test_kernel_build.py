@@ -3,7 +3,7 @@ linking numpy's static distribution library, keys its build cache on its
 flags too, removes the builds of older sources, compiles without warnings,
 runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
 its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
-order.
+order, and Python mirrors in `_kernel` of its numbers that hold their values.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -169,11 +169,15 @@ def test_kernel_exports_exactly_the_functions_python_binds():
         name for name, _, _ in BINDINGS}
 
 
+def c_code(source: str) -> str:
+    """The C source `source` without its comments."""
+    return re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
+
+
 def c_struct_declarations(source: str, name: str) -> list[str]:
     """The field declarations of the typedef'd struct `name` in the C source
     `source`, in order, each with its white space collapsed."""
-    code = re.sub(r"/\*.*?\*/|//[^\n]*", " ", source, flags=re.S)
-    (body,) = re.findall(r"typedef struct (?:\w+ )?\{([^}]*)\}\s*" + name + ";", code)
+    (body,) = re.findall(r"typedef struct (?:\w+ )?\{([^}]*)\}\s*" + name + ";", c_code(source))
     return [" ".join(declaration.split()) for declaration in body.split(";") if declaration.strip()]
 
 
@@ -191,6 +195,39 @@ def test_ctypes_mirrors_declare_the_c_structs_fields_in_order(struct, mirror):
     # writes the wrong memory, with no error
     fields = c_struct_fields((PKG / "_ufkernel.c").read_text(), struct)
     assert fields == [(name, kind is ctypes.c_void_p) for name, kind in mirror._fields_]
+
+
+def c_defines(source: str) -> dict[str, int]:
+    """The value of every `#define NAME <integer expression>` of the C
+    source `source`, by name; casts to int64_t are dropped."""
+    out = {}
+    for name, expr in re.findall(r"^#define (\w+) (.+)$", c_code(source), flags=re.M):
+        expr = expr.replace("(int64_t)", "")
+        if re.fullmatch(r"[\d\s()<+*-]+", expr):  # integer arithmetic only
+            out[name] = eval(expr)
+    return out
+
+
+def c_enum(source: str, member: str) -> list[str]:
+    """The names of the anonymous C enum of `source` that has `member`, in order."""
+    enums = [[name.strip() for name in body.split(",")]
+             for body in re.findall(r"enum \{([^}]*)\}", c_code(source))]
+    (names,) = [names for names in enums if member in names]
+    return names
+
+
+def test_kernel_mirrors_hold_the_c_numbers():
+    # a slot inserted into the counts enum shifts every count Python reads,
+    # and a changed error return is taken for a result, with no error
+    source = (PKG / "_ufkernel.c").read_text()
+    counts = c_enum(source, "N_COUNTS")
+    assert {name: getattr(_kernel, name, None) for name in counts} == {
+        name: slot for slot, name in enumerate(counts)}
+    defines = c_defines(source)
+    names = ("LEFT_SIDE", "RIGHT_SIDE", "FOREST_COLUMNS", "BAD_EDGE", "RESIDUAL_SYNDROME",
+             "PEEL_BAD_DEFECT")
+    assert {name: getattr(_kernel, name) for name in names} == {
+        name: defines[name] for name in names}
 
 
 def test_kernel_declares_the_fields_of_numpys_bitgen_t_in_order():

@@ -34,12 +34,20 @@ def reference_grgen_counts(g, cs):
 
 
 def check_against_oracle(g, syn):
-    """Decode with the oracle and the pipeline model; require them to agree
-    and the access trace to satisfy its defining identities."""
+    """Decode with the oracle and the pipeline model; require the same
+    correction (ids and dtype), statistics and partition, a correction that
+    cancels the syndrome, an access trace that satisfies its defining
+    identities, and Gr-Gen counts equal to their Python reference,
+    `reference_grgen_counts`.
+
+    Both routes run the same kernel growth, forest and peeling, so this
+    checks the read-count bookkeeping, not the decoder: a growth mutant that
+    still cancels every syndrome passes it."""
     dec = Decoder(g)
     corr, stats = dec.decode(syn)
     pcorr, state, pstats = decode_with_pipeline(g, syn)
     assert np.array_equal(pcorr.edge_ids, corr.edge_ids)
+    assert pcorr.edge_ids.dtype == corr.edge_ids.dtype
     assert pstats == stats
     assert state.cluster_signature() == dec.cs.signature()
     assert np.array_equal(syndrome_indices_of_edges(g, pcorr.edge_ids), syn.defects)
@@ -127,7 +135,7 @@ def test_overflow_events_at_small_stack_capacity():
     assert seen > 0
 
 
-@pytest.mark.parametrize("capacity", [-1, 2.5, "8"])
+@pytest.mark.parametrize("capacity", [-1, 2.5, "8", True, False])
 def test_pipeline_rejects_a_stack_capacity_no_stack_has(capacity):
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
@@ -152,7 +160,8 @@ def test_memory_footprint_total_is_sum_of_rows(d, entries):
 
 
 @pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5.0, None),
-                                       (5.5, None), (5, -10), (5, 2.5), (5, "8")])
+                                       (5.5, None), (5, -10), (5, 2.5), (5, "8"), (5, True),
+                                       (5, False), (True, None)])
 def test_memory_footprint_rejects_what_no_decoder_has(d, entries):
     # the distance must be one a decoding graph can have, and a sized stack
     # holds a whole, non-negative number of edges

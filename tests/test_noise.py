@@ -148,7 +148,7 @@ def test_both_sampling_paths_agree_on_trial_indices_past_2_63(g11, t):
     assert not np.array_equal(sample_edge_ids(g11.n_edges, 0.3, 7, t - 1), ref)
 
 
-@pytest.mark.parametrize("t", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("t", [-1, 2**64, 1.5, True, False])
 def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
     s = TrialSampler(g11.n_edges, 0.01, seed=7)
     for sample in (lambda: NoiseParams(p=0.01, seed=7, trial_index=t),
@@ -158,7 +158,7 @@ def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
             sample()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.9, "1", None])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, 1.9, "1", None, True, False])
 def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
     # a float or string seed used to draw another seed's stream
     for sample in (lambda: NoiseParams(p=0.01, seed=seed),
@@ -169,12 +169,22 @@ def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
 
 
 @pytest.mark.parametrize("p", [-0.1, 0.5, 0.7, 1.0, float("nan"), float("inf"), "0.1", None,
-                               0.1 + 0j])
+                               0.1 + 0j, True, False, np.False_])
 def test_every_sampling_entry_rejects_a_p_off_its_range(g11, p):
     for sample in (lambda: NoiseParams(p=p, seed=7),
                    lambda: sample_edge_ids(g11.n_edges, p, 7, 0),
                    lambda: TrialSampler(g11.n_edges, p, 7)):
         with pytest.raises(ValueError, match=r"edge error probability must be in \[0, 0.5\)"):
+            sample()
+
+
+@pytest.mark.parametrize("n_edges", [True, False, 100.0, "100", None, 0, -5, 2**63 - 1, 2**64])
+def test_every_sampling_entry_rejects_an_edge_count_no_graph_has(n_edges):
+    # True used to sample a one-edge graph and -5 to fail inside numpy; the
+    # bound keeps the kernel's gap clip n_edges + 1 within int64
+    for sample in (lambda: sample_edge_ids(n_edges, 0.01, 7, 0),
+                   lambda: TrialSampler(n_edges, 0.01, 7)):
+        with pytest.raises(ValueError, match="n_edges must"):
             sample()
 
 
@@ -317,3 +327,7 @@ def test_bad_params():
         NoiseParams(p=0.5)
     with pytest.raises(ValueError):
         NoiseParams(p=-0.1)
+    # a bool is no probability, seed or trial index
+    for args in ((False,), (True,), (0.01, True), (0.01, False), (0.01, 0, True), (0.01, 0, False)):
+        with pytest.raises(ValueError):
+            NoiseParams(*args)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from ufpipe.noise import (
     sample_error,
     syndrome_of,
 )
-from ufpipe import uf_core
+from ufpipe._kernel import LEFT_SIDE, RIGHT_SIDE
 from ufpipe.uf_core import (
     ClusterSet,
     ClusterTree,
@@ -238,7 +239,7 @@ def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     defects += [g3.vertex_id(1, 0, 1), g3.vertex_id(1, 2, 1)]
     cs = Decoder(g3).grow(sorted(defects))
     (root,) = cs.members
-    assert cs.boundary_sides[root] == uf_core.LEFT_SIDE | uf_core.RIGHT_SIDE
+    assert cs.boundary_sides[root] == LEFT_SIDE | RIGHT_SIDE
     grown_left = sorted(e for e, _ in g3.neighbors(g3.left) if cs.edge_state[e] == 2)
     assert len(grown_left) == 3
     (tree,) = spanning_forest(g3, cs).trees
@@ -426,6 +427,34 @@ def test_low_weight_errors_corrected_d5(g5):
         corr, stats = dec.decode(syndrome_of(g5, err))
         out = assess(g5, err, corr, stats)
         assert out.success, f"weight-{len(ids)} error {ids} failed"
+
+
+def logical_failures(g, errors):
+    """The errors, each a sequence of edge ids, whose decode fails."""
+    dec = Decoder(g)
+    failed = []
+    for ids in errors:
+        err = ErrorPattern(edge_ids=np.array(ids, dtype=np.int64), n_edges=g.n_edges)
+        corr, _ = dec.decode(syndrome_of(g, err))
+        if not assess(g, err, corr).success:
+            failed.append(ids)
+    return failed
+
+
+def test_every_error_of_weight_at_most_two_d5_and_sampled_weight_three_d7_is_corrected():
+    # all 40,755 errors of weight 1 or 2 at d=5, and about 10,000 seeded
+    # weight-3 errors at d=7: none of weight at most (d - 1) / 2 may fail. A
+    # growth that lets a cluster touching only RIGHT keep growing still
+    # cancels every syndrome, yet fails 6,525 of the d=5 errors.
+    n = _GRAPHS[5].n_edges
+    errors = [(e,) for e in range(n)] + list(itertools.combinations(range(n), 2))
+    assert len(errors) == 40755
+    assert logical_failures(_GRAPHS[5], errors) == []
+    g7 = build_decoding_graph(LatticeParams(7))
+    draws = np.sort(np.random.default_rng(3).integers(0, g7.n_edges, size=(10000, 3)), axis=1)
+    triples = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])].tolist()
+    assert len(triples) > 9900
+    assert logical_failures(g7, triples) == []
 
 
 def test_decode_deterministic(g5):
