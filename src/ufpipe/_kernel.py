@@ -2,8 +2,9 @@
 once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
 `GraphView` (the kernel's `uf_graph`), the kernel's numbers under its own
 names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to
-`N_COUNTS`, `FOREST_COLUMNS`, `BAD_EDGE`, `RESIDUAL_SYNDROME`,
-`PEEL_BAD_DEFECT`, `NO_MEMORY`), which `tests/test_kernel_build.py` reads
+`N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`, `FOREST_BAD_TREE`,
+`BAD_EDGE`, `RESIDUAL_SYNDROME`, `PEEL_BAD_DEFECT`, `NO_MEMORY`), which
+`tests/test_kernel_build.py` reads
 from the C source, and the checks of what Python passes (`check_integer`,
 `integer_ids`, `int64_ids`, `addr`).
 
@@ -45,11 +46,13 @@ class GraphView(ctypes.Structure):
     description of a decoding graph, owned by the `DecodingGraph` and read by
     every kernel function. `row_stride` is the number of vertices per STM
     row; the pointers are the addresses of the graph's int32 arrays
-    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`. LEFT is
-    vertex n_internal and RIGHT vertex n_internal + 1."""
+    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`, then of its
+    uint8 `edge_slot`. LEFT is vertex n_internal and RIGHT vertex
+    n_internal + 1."""
 
     _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "row_stride")]
-    _fields_ += [(name, ctypes.c_void_p) for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev")]
+    _fields_ += [(name, ctypes.c_void_p)
+                 for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev", "edge_slot")]
 
 
 def _archive() -> str:
@@ -146,8 +149,9 @@ K = _load_kernel()
 LEFT_SIDE, RIGHT_SIDE = 1, 2  # bits of a cluster's boundary_sides
 # slots of a cluster set's counts; `ClusterSet.grgen` returns [PASSES:N_SEEDED]
 (N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS, N_SEEDED,
- N_COUNTS) = range(9)
+ N_FUSED_BOUNDARY, N_COUNTS) = range(10)
 FOREST_COLUMNS = 6  # per-tree columns of a forest record
+FOREST_ODD_CLUSTER, FOREST_BAD_TREE = -1, -2  # error returns of uf_forest
 BAD_EDGE, RESIDUAL_SYNDROME = -1, 2  # returns of uf_syndrome and uf_assess
 PEEL_BAD_DEFECT = -(2**32)  # uf_peel returns PEEL_BAD_DEFECT - i for a bad defect i
 NO_MEMORY = -(2**63)  # INT64_MIN: a kernel function could not allocate its scratch

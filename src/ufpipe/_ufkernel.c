@@ -27,12 +27,19 @@
  * FOREST_COLUMNS, error returns). `tests/test_kernel_build.py` checks every
  * mirror against this file: `test_ctypes_mirrors_declare_the_c_structs_fields_in_order`
  * the structs, `test_kernel_mirrors_hold_the_c_numbers` the numbers.
+ * Vertex and edge ids that Python passes in or reads out (defects, edge
+ * ids, corrections) are int64; the graph and the tables are int32.
  *
  * Iteration orders are fixed and equal to the reference algorithm's:
  * ascending vertex ids within a growth pass, each vertex's CSR adjacency in
  * W/E/N/S/D/U order, the fusion edge stack drained last in first out, and
  * clusters visited by their smallest vertex. A decode is therefore a
  * deterministic function of the syndrome.
+ *
+ * Growth records what the forest needs while it holds it, so that the
+ * forest rescans nothing: each fused internal edge sets its bit in both
+ * endpoints' grown-slot masks, each fused boundary edge joins a list, and
+ * each root keeps its cluster's smallest vertex.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -44,15 +51,20 @@
 #define FOREST_COLUMNS 6 /* per-tree columns of a forest record, see uf_forest */
 
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
-       N_SEEDED, N_COUNTS };
+       N_SEEDED, N_FUSED_BOUNDARY, N_COUNTS };
 
 /* A decoding graph, read only: sizes, vertices per STM row, the CSR
    adjacency over n_internal + 2 vertices, each edge's internal endpoint eu
-   and internal or virtual endpoint ev. LEFT is vertex n_internal and RIGHT
-   vertex n_internal + 1. */
+   and internal or virtual endpoint ev, and each edge e's slot at its ends:
+   edge_slot[2e] is its position in eu's CSR range, counted from
+   adj_start[eu], and edge_slot[2e + 1] its position in ev's (0xff at a
+   virtual ev). LEFT is vertex n_internal and RIGHT vertex n_internal + 1.
+   An internal vertex has at most 6 edges, so a slot fits a bit of a uint8
+   mask, and at most one of them ends on LEFT or RIGHT. */
 typedef struct {
     int64_t n_internal, n_edges, row_stride;
     const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
+    const uint8_t *edge_slot;
 } uf_graph;
 
 typedef struct {
@@ -60,30 +72,37 @@ typedef struct {
     /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
     int64_t *defects; /* defect ids for uf_grow, as the caller gave them; kept for uf_run_corr */
+    /* scratch: growth's scan list, the forest's smallest vertices and
+       uf_run_corr's correction */
+    int64_t *scan;
     uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
-    /* per internal vertex: union-find tables and member lists (head = root) */
-    int32_t *parent, *size, *growth_steps, *next, *tail;
-    /* logs: member vertices in join order, edges in first-touch order, and
-       per pass (len(touched_v), len(touched_e)) at its start and its FES size */
-    int32_t *touched_v, *touched_e, *pass_log;
-    /* scratch: growth scan list (and uf_run_corr's correction), fusion edge
-       stack, per-vertex auxiliary slot, boundary entry list and DFS frames
-       (vertex, adjacency position) */
-    int32_t *scan, *fes, *aux, *entry, *stack;
+    /* per internal vertex: union-find tables, member lists (head = root) and
+       each root's smallest member */
+    int32_t *parent, *size, *growth_steps, *next, *tail, *low;
+    /* logs: member vertices in join order, edges in first-touch order, per
+       pass (len(touched_v), len(touched_e)) at its start and its FES size,
+       and the boundary edges in fusion order */
+    int32_t *touched_v, *touched_e, *pass_log, *fused_boundary;
+    /* scratch: fusion edge stack, per root the first of its boundary entries
+       and per fused boundary edge the next (indices into fused_boundary),
+       and DFS frames (vertex, grown slots not yet followed) */
+    int32_t *fes, *entry_head, *entry_next, *stack;
     int32_t *forest; /* forest record, see uf_forest */
-    uint8_t *parity, *boundary_sides, *member, *visited;
+    /* per internal vertex; grown: bit i set once its CSR slot i holds a fully
+       grown edge to an internal vertex */
+    uint8_t *parity, *boundary_sides, *member, *visited, *grown;
     uint8_t *edge_state; /* per edge: 0 untouched, 1 half grown, 2 fully grown */
 } uf_ctx;
 
 /* Drain a bitmap of `words` words into `out` in ascending order, clearing it. */
-static int32_t drain_bits(uint64_t *bits, int64_t words, int32_t *out) {
+static int32_t drain_bits(uint64_t *bits, int64_t words, int64_t *out) {
     int32_t n = 0;
     for (int64_t w = 0; w < words; w++) {
         uint64_t x = bits[w];
         if (!x) continue;
         bits[w] = 0;
         while (x) {
-            out[n++] = (int32_t)(w * 64 + __builtin_ctzll(x));
+            out[n++] = w * 64 + __builtin_ctzll(x);
             x &= x - 1;
         }
     }
@@ -115,7 +134,7 @@ static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint6
    internal vertices of odd incidence, ascending, written to `out` (room for
    min(2k, n_internal) vertices). Returns their number, BAD_EDGE for an id
    off the graph, or INT64_MIN when the scratch bits cannot be allocated. */
-int64_t uf_syndrome(const uf_graph *g, const int64_t *ids, int64_t k, int32_t *out) {
+int64_t uf_syndrome(const uf_graph *g, const int64_t *ids, int64_t k, int64_t *out) {
     int64_t words = (g->n_internal + 63) / 64;
     uint64_t *bits = calloc((size_t)words, sizeof *bits);
     if (!bits) return INT64_MIN;
@@ -145,7 +164,7 @@ int64_t uf_assess(const uf_graph *g, const int64_t *err, int64_t k_err, const in
 }
 
 /* Drain the vertex bitmap of the context. */
-static int32_t drain_vertices(uf_ctx *c, int32_t *out) {
+static int32_t drain_vertices(uf_ctx *c, int64_t *out) {
     return drain_bits(c->bits, (c->g->n_internal + 63) / 64, out);
 }
 
@@ -164,6 +183,7 @@ void uf_init(uf_ctx *c) {
     for (int32_t v = 0; v < n; v++) c->parent[v] = v;
     for (int32_t v = 0; v < n; v++) c->tail[v] = v;
     for (int32_t v = 0; v < n; v++) c->size[v] = 1;
+    for (int32_t v = 0; v < n; v++) c->low[v] = v;
     memset(c->next, 0xff, (size_t)n * sizeof *c->next); /* -1: end of list */
     memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
     memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
@@ -172,6 +192,7 @@ void uf_init(uf_ctx *c) {
     memset(c->boundary_sides, 0, (size_t)n);
     memset(c->member, 0, (size_t)n);
     memset(c->visited, 0, (size_t)n);
+    memset(c->grown, 0, (size_t)n);
     memset(c->edge_state, 0, (size_t)c->g->n_edges);
 }
 
@@ -182,14 +203,17 @@ static void uf_reset(uf_ctx *c) {
         c->parent[v] = v;
         c->tail[v] = v;
         c->size[v] = 1;
+        c->low[v] = v;
         c->next[v] = -1;
         c->growth_steps[v] = 0;
         c->parity[v] = 0;
         c->boundary_sides[v] = 0;
         c->member[v] = 0;
+        c->grown[v] = 0;
     }
     for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
     c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
+    c->counts[N_FUSED_BOUNDARY] = 0;
 }
 
 /* Make each of the first k ids in `defects` a one-vertex odd cluster of a
@@ -237,8 +261,9 @@ static inline void join(uf_ctx *c, int32_t v) {
 
 /* Make u and w members (u first), then merge their clusters: weighted by
    vertex count, the smaller root id winning a tie. Parity XORs, boundary
-   sides OR, growth counts take the max, and the loser's member list is
-   appended to the winner's. Returns the surviving root. */
+   sides OR, growth counts and smallest members take the max and the min,
+   and the loser's member list is appended to the winner's. Returns the
+   surviving root. */
 int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     join(c, u);
     join(c, w);
@@ -255,6 +280,7 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     c->parity[ru] ^= c->parity[rv];
     c->boundary_sides[ru] |= c->boundary_sides[rv];
     if (c->growth_steps[rv] > c->growth_steps[ru]) c->growth_steps[ru] = c->growth_steps[rv];
+    if (c->low[rv] < c->low[ru]) c->low[ru] = c->low[rv];
     c->next[c->tail[ru]] = rv;
     c->tail[ru] = c->tail[rv];
     return ru;
@@ -266,9 +292,11 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
    then passes until every cluster is even or frozen on a boundary. Each
    pass grows every incident half-edge of every odd, unfrozen cluster by one
    step; an edge reaching the fully grown state goes on the fusion edge stack
-   (FES), which is drained last in first out after the pass. Returns 0, or
-   SEED_REFUSED before any state changes unless the ids are strictly
-   ascending in [0, n_internal). */
+   (FES), which is drained last in first out after the pass. A drained edge
+   to LEFT or RIGHT marks its cluster's side and joins `fused_boundary`; an
+   internal one sets its slot's bit in both ends' `grown` masks and unites
+   their clusters. Returns 0, or SEED_REFUSED before any state changes
+   unless the ids are strictly ascending in [0, n_internal). */
 int64_t uf_grow(uf_ctx *c, int64_t k) {
     const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     const int64_t *ids = c->defects;
@@ -291,22 +319,24 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         if (!grows) return 0;
         counts[PASSES]++;
         int32_t n_scan = drain_vertices(c, c->scan);
-        int64_t n_touched_e = counts[N_TOUCHED_E];
+        int64_t n_touched_e = counts[N_TOUCHED_E], n_te = n_touched_e;
         int32_t n_fes = 0;
+        /* without branches: every edge is written to both logs' next entry
+           (touched_e and fes hold one entry more than there are edges), and
+           the entry is kept where the state goes 0 -> 1 or 1 -> 2 */
         for (int32_t i = 0; i < n_scan; i++) {
-            int32_t v = c->scan[i];
+            int32_t v = (int32_t)c->scan[i];
             for (int32_t j = g.adj_start[v]; j < g.adj_start[v + 1]; j++) {
                 int32_t e = g.adj_edge[j];
                 uint8_t s = c->edge_state[e];
-                if (s == 0) {
-                    c->edge_state[e] = 1;
-                    c->touched_e[counts[N_TOUCHED_E]++] = e;
-                } else if (s == 1) {
-                    c->edge_state[e] = 2;
-                    c->fes[n_fes++] = e;
-                }
+                c->edge_state[e] = (uint8_t)(s + (s < 2));
+                c->touched_e[n_te] = e;
+                n_te += s == 0;
+                c->fes[n_fes] = e;
+                n_fes += s == 1;
             }
         }
+        counts[N_TOUCHED_E] = n_te;
         int32_t *log = c->pass_log + 3 * (counts[PASSES] - 1);
         log[0] = (int32_t)counts[N_TOUCHED_V];
         log[1] = (int32_t)n_touched_e;
@@ -314,10 +344,14 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         while (n_fes) {
             int32_t e = c->fes[--n_fes];
             int32_t u = g.eu[e], w = g.ev[e];
-            if (w >= g.n_internal)
+            if (w >= g.n_internal) {
                 c->boundary_sides[uf_find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
-            else
+                c->fused_boundary[counts[N_FUSED_BOUNDARY]++] = e;
+            } else {
+                c->grown[u] |= (uint8_t)(1u << g.edge_slot[2 * e]);
+                c->grown[w] |= (uint8_t)(1u << g.edge_slot[2 * e + 1]);
                 uf_union(c, u, w);
+            }
         }
     }
 }
@@ -349,28 +383,86 @@ int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     return 0;
 }
 
+/* Root of v by a read-only walk of the parent table: no table read is
+   counted and no path is compressed. */
+static inline int32_t root_of(const int32_t *parent, int32_t v) {
+    while (parent[v] != v) v = parent[v];
+    return v;
+}
+
+/* Depth-first search from the visited vertex u over the fully grown edges
+   to unvisited internal vertices, in CSR order: each frame keeps its
+   vertex's grown slots not yet followed. Appends one (edge, leafward,
+   rootward) triple per edge taken to `edges` from entry k on; returns the
+   new k. */
+static inline int64_t dfs_tree(uf_ctx *c, const uf_graph *g, int32_t u, int32_t *edges,
+                               int64_t k) {
+    int32_t sp = 1;
+    c->stack[0] = u;
+    c->stack[1] = c->grown[u];
+    while (sp) {
+        int32_t x = c->stack[2 * sp - 2], j = -1;
+        uint32_t slots = (uint32_t)c->stack[2 * sp - 1];
+        while (slots) {
+            int32_t i = g->adj_start[x] + __builtin_ctz(slots);
+            slots &= slots - 1;
+            if (!c->visited[g->adj_far[i]]) {
+                j = i;
+                break;
+            }
+        }
+        if (j < 0) {
+            sp--;
+            continue;
+        }
+        int32_t w = g->adj_far[j];
+        c->stack[2 * sp - 1] = (int32_t)slots;
+        c->visited[w] = 1;
+        edges[3 * k] = g->adj_edge[j];
+        edges[3 * k + 1] = w;
+        edges[3 * k + 2] = x;
+        k++;
+        c->stack[2 * sp] = w;
+        c->stack[2 * sp + 1] = c->grown[w];
+        sp++;
+    }
+    return k;
+}
+
+#define FOREST_ODD_CLUSTER (-1) /* uf_forest: an odd cluster off the boundary */
+#define FOREST_BAD_TREE (-2)    /* uf_forest: a spanning tree of the wrong size */
+
 /* DFS spanning tree per cluster over fully grown edges, written as one
    int32 record: m, k, then root, start vertex, vertex count, boundary flag,
    tree edge count and growth count of each of the m trees, then k (edge,
    leafward, rootward) triples, tree by tree in DFS visit order.
 
    Trees are ordered by the smallest vertex of their cluster, the traversal
-   root. A boundary cluster is entered instead from its virtual vertex (LEFT
-   when both sides are touched) through its members' fully grown edges to
-   it, in ascending member id. Makes no find. Returns the record length, or
-   -1 (odd cluster off the boundary; record[0] = root) or -2 (tree of the
-   wrong size; record[0..2] = root, edges, expected edges). */
+   root, which each root keeps in `low`. A boundary cluster is entered
+   instead from its virtual vertex (LEFT when both sides are touched)
+   through its members' fully grown edges to it, in ascending member id:
+   before the trees, each such edge of `fused_boundary` is inserted into its
+   root's ascending entry chain. The DFS follows the `grown` masks and reads
+   no edge state. Makes no find. Returns the record length, or
+   FOREST_ODD_CLUSTER (record[0] = root) or FOREST_BAD_TREE (record[0..2] =
+   root, edges, expected edges). */
 int64_t uf_forest(uf_ctx *c) {
     const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     int32_t n_int = (int32_t)g.n_internal, *rec = c->forest;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) c->visited[c->touched_v[i]] = 0;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
-        int32_t r = c->touched_v[i], low = r;
+        int32_t r = c->touched_v[i];
         if (c->parent[r] != r) continue;
-        for (int32_t x = c->next[r]; x >= 0; x = c->next[x])
-            if (x < low) low = x;
-        c->aux[low] = r;
-        set_bit(c, low);
+        set_bit(c, c->low[r]);
+        c->entry_head[r] = -1;
+    }
+    for (int32_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
+        int32_t e = c->fused_boundary[i], u = g.eu[e], r = root_of(c->parent, u);
+        if (g.ev[e] != (c->boundary_sides[r] & LEFT_SIDE ? n_int : n_int + 1)) continue;
+        int32_t *at = c->entry_head + r;
+        while (*at >= 0 && g.eu[c->fused_boundary[*at]] < u) at = c->entry_next + *at;
+        c->entry_next[i] = *at;
+        *at = i;
     }
     int32_t m = drain_vertices(c, c->scan); /* the clusters' smallest vertices, ascending */
     int32_t *root = rec + 2, *start = root + m, *n_vertices = start + m;
@@ -378,68 +470,35 @@ int64_t uf_forest(uf_ctx *c) {
     int32_t *edges = growth + m;
     int64_t k = 0;
     for (int32_t t = 0; t < m; t++) {
-        int32_t low = c->scan[t];
-        int32_t r = c->aux[low]; /* read before this cluster's entries reuse aux */
+        int32_t low = (int32_t)c->scan[t], r = root_of(c->parent, low);
         uint8_t sides = c->boundary_sides[r];
         if (c->parity[r] && !sides) {
             rec[0] = r;
-            return -1;
+            return FOREST_ODD_CLUSTER;
         }
-        int32_t s = low, n_entries = 1, expect = c->size[r] - 1;
+        int32_t s = low, expect = c->size[r] - 1;
         int64_t k0 = k;
-        c->entry[0] = low;
-        if (sides) {
+        if (!sides) {
+            c->visited[low] = 1;
+            k = dfs_tree(c, &g, low, edges, k);
+        } else {
             s = sides & LEFT_SIDE ? n_int : n_int + 1;
-            for (int32_t x = r; x >= 0; x = c->next[x])
-                for (int32_t j = g.adj_start[x]; j < g.adj_start[x + 1]; j++)
-                    if (g.adj_far[j] == s && c->edge_state[g.adj_edge[j]] == 2) {
-                        c->aux[x] = g.adj_edge[j];
-                        set_bit(c, x);
-                    }
-            n_entries = drain_vertices(c, c->entry);
             expect = c->size[r];
-        }
-        for (int32_t i = 0; i < n_entries; i++) {
-            int32_t u = c->entry[i];
-            if (c->visited[u]) continue;
-            c->visited[u] = 1;
-            if (sides) {
-                edges[3 * k] = c->aux[u];
+            for (int32_t i = c->entry_head[r]; i >= 0; i = c->entry_next[i]) {
+                int32_t e = c->fused_boundary[i], u = g.eu[e];
+                if (c->visited[u]) continue;
+                c->visited[u] = 1;
+                edges[3 * k] = e;
                 edges[3 * k + 1] = u;
                 edges[3 * k + 2] = s;
-                k++;
-            }
-            /* each frame resumes its vertex's adjacency where it left off */
-            int32_t sp = 1;
-            c->stack[0] = u;
-            c->stack[1] = g.adj_start[u];
-            while (sp) {
-                int32_t x = c->stack[2 * sp - 2], j = c->stack[2 * sp - 1];
-                for (; j < g.adj_start[x + 1]; j++) {
-                    int32_t e = g.adj_edge[j], w = g.adj_far[j];
-                    if (c->edge_state[e] == 2 && w < n_int && !c->visited[w]) break;
-                }
-                if (j == g.adj_start[x + 1]) {
-                    sp--;
-                    continue;
-                }
-                int32_t w = g.adj_far[j];
-                c->stack[2 * sp - 1] = j + 1;
-                c->visited[w] = 1;
-                edges[3 * k] = g.adj_edge[j];
-                edges[3 * k + 1] = w;
-                edges[3 * k + 2] = x;
-                k++;
-                c->stack[2 * sp] = w;
-                c->stack[2 * sp + 1] = g.adj_start[w];
-                sp++;
+                k = dfs_tree(c, &g, u, edges, k + 1);
             }
         }
         if (k - k0 != expect) {
             rec[0] = r;
             rec[1] = (int32_t)(k - k0);
             rec[2] = expect;
-            return -2;
+            return FOREST_BAD_TREE;
         }
         root[t] = r;
         start[t] = s;
@@ -466,7 +525,7 @@ int64_t uf_forest(uf_ctx *c) {
 #define PEEL_BAD_DEFECT (-((int64_t)1 << 32))
 enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's scratch byte */
 
-int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, int32_t *corr) {
+int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, int64_t *corr) {
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
     const int32_t *edges = n_edges + 2 * m; /* past the growth counts */

@@ -8,13 +8,14 @@ immutable after construction and safe to share between workers. It is
 built from slices of one grid of vertex ids, indexed [layer, row, col], with
 no loop over vertices or edges.
 
-Everything the decoding kernel reads is a flat int32 array: the edge
-endpoints `edges_u` / `edges_v` and the CSR adjacency `adj_start`,
+Everything the decoding kernel reads is a flat array: the int32 edge
+endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
-order. `neighbors` reads the CSR arrays. The graph describes itself to the
-kernel once, in one `_kernel.GraphView` it owns (sizes, the STM row stride
-and the addresses of the five arrays, which are immutable); every kernel
-call and every `uf_core.ClusterSet` reads it at `kernel_view`.
+order, and the uint8 `edge_slot`, each edge's position in its endpoints'
+CSR ranges. `neighbors` reads the CSR arrays. The graph describes itself to
+the kernel once, in one `_kernel.GraphView` it owns (sizes, the STM row
+stride and the addresses of the six arrays, which are immutable); every
+kernel call and every `uf_core.ClusterSet` reads it at `kernel_view`.
 
 Syndrome extraction is one kernel call: it flips one bit per internal
 endpoint of each edge, so a vertex's bit ends up set iff it has odd
@@ -82,6 +83,12 @@ class DecodingGraph:
     adj_start: np.ndarray = field(repr=False)
     adj_edge: np.ndarray = field(repr=False)
     adj_far: np.ndarray = field(repr=False)
+    # uint8, two per edge: edge e sits at adj_start[u] + edge_slot[2e] in its
+    # internal end u's range and at adj_start[v] + edge_slot[2e + 1] in its
+    # other end v's, where v is internal (0xff at LEFT and RIGHT). An internal
+    # vertex has at most 6 edges, so growth marks a fully grown edge by its
+    # slot's bit in a uint8 mask per vertex.
+    edge_slot: np.ndarray = field(repr=False)
     n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
     n_time_edges: int = 0
 
@@ -89,7 +96,7 @@ class DecodingGraph:
         # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
         self._view = GraphView(self.n_internal, len(self.edges_u), self.d - 1, *(
             a.ctypes.data for a in (self.adj_start, self.adj_edge, self.adj_far, self.edges_u,
-                                    self.edges_v)))
+                                    self.edges_v, self.edge_slot)))
         self.kernel_view = ctypes.addressof(self._view)
 
     @property
@@ -161,6 +168,13 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     order = np.lexsort((np.concatenate((e, e)), np.concatenate((slot_u, slot_v)), vert))
     adj_start = np.zeros(n_int + 3, dtype=np.int32)
     np.cumsum(np.bincount(vert, minlength=n_int + 2), out=adj_start[1:])
+    # each end's CSR position, from the inverse of `order`, less its vertex's
+    # first; interleaved per edge as (end u, end v)
+    at = np.empty(order.size, dtype=np.int32)
+    at[order] = np.arange(order.size, dtype=np.int32)
+    at -= adj_start[vert]
+    at[u.size:][side] = 0xFF
+    edge_slot = at.astype(np.uint8).reshape(2, -1).T.ravel()
 
     g = DecodingGraph(
         d=d,
@@ -172,10 +186,11 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adj_start=adj_start,
         adj_edge=np.concatenate((e, e))[order],
         adj_far=np.concatenate((v, u))[order],
+        edge_slot=edge_slot,
         n_space_edges=n_space,
         n_time_edges=u.size - n_space,
     )
-    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far):
+    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot):
         a.flags.writeable = False  # the kernel reads them through fixed addresses
     assert g.n_space_edges == num_space_edges(d)
     assert g.n_time_edges == num_time_edges(d)
@@ -192,13 +207,14 @@ def reject_off_graph(graph: DecodingGraph, *id_seqs) -> None:
 
 def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids) -> np.ndarray:
     """Internal vertices with odd incidence in the given edge set, as an
-    ascending int32 array; repeated edge ids cancel in pairs.
+    ascending int64 array, which `uf_core.peel` reads without a copy;
+    repeated edge ids cancel in pairs.
 
     Bit parity in the kernel, see the module docstring. Non-integer ids
     (float or bool) and ids outside [0, n_edges) raise ValueError.
     """
     ids, at = int64_ids(edge_ids, "edge")
-    out = np.empty(min(2 * ids.size, graph.n_internal), dtype=np.int32)
+    out = np.empty(min(2 * ids.size, graph.n_internal), dtype=np.int64)
     n = K.uf_syndrome(graph.kernel_view, at, ids.size, addr(out))
     if n < 0:
         if n == NO_MEMORY:

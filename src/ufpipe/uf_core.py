@@ -24,9 +24,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from ._kernel import (BAD_EDGE, FOREST_COLUMNS, N_COUNTS, N_SEEDED, N_TOUCHED_E, N_TOUCHED_V,
-                      NO_MEMORY, PASSES, PEEL_BAD_DEFECT, RESIDUAL_SYNDROME, TABLE_READS, K, addr,
-                      int64_ids, integer_ids)
+from ._kernel import (BAD_EDGE, FOREST_BAD_TREE, FOREST_COLUMNS, FOREST_ODD_CLUSTER, N_COUNTS,
+                      N_SEEDED, N_TOUCHED_E, N_TOUCHED_V, NO_MEMORY, PASSES, PEEL_BAD_DEFECT,
+                      RESIDUAL_SYNDROME, TABLE_READS, K, addr, int64_ids, integer_ids)
 from .lattice import DecodingGraph, reject_off_graph
 from .noise import ErrorPattern, Syndrome
 
@@ -38,25 +38,29 @@ _INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, 
 _BUFFERS = (
     ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
     ("defects", _INT64, lambda n, n_e: n, "_defects"),
+    ("scan", _INT64, lambda n, n_e: n, "_scan"),
     ("bits", _UINT64, lambda n, n_e: (n + 63) // 64, None),
     ("parent", _INT32, lambda n, n_e: n, "parent"),
     ("size", _INT32, lambda n, n_e: n, "size"),
     ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
     ("next", _INT32, lambda n, n_e: n, "_next"),
     ("tail", _INT32, lambda n, n_e: n, None),
+    ("low", _INT32, lambda n, n_e: n, "low"),
     ("touched_v", _INT32, lambda n, n_e: n, "_tv"),
-    ("touched_e", _INT32, lambda n, n_e: n_e, "_te"),
+    # one entry more than there are edges: growth's scan writes past the last kept one
+    ("touched_e", _INT32, lambda n, n_e: n_e + 1, "_te"),
     ("pass_log", _INT32, lambda n, n_e: 6 * n_e, "_log"),
-    ("scan", _INT32, lambda n, n_e: n, "_scan"),
-    ("fes", _INT32, lambda n, n_e: n_e, None),
-    ("aux", _INT32, lambda n, n_e: n, None),
-    ("entry", _INT32, lambda n, n_e: n, None),
+    ("fused_boundary", _INT32, lambda n, n_e: n, None),
+    ("fes", _INT32, lambda n, n_e: n_e + 1, None),
+    ("entry_head", _INT32, lambda n, n_e: n, None),
+    ("entry_next", _INT32, lambda n, n_e: n, None),
     ("stack", _INT32, lambda n, n_e: 2 * n, None),
     ("forest", _INT32, lambda n, n_e: 9 * n + 2, "_forest"),
     ("parity", _UINT8, lambda n, n_e: n, "parity"),
     ("boundary_sides", _UINT8, lambda n, n_e: n, "boundary_sides"),
     ("member", _UINT8, lambda n, n_e: n, None),
     ("visited", _UINT8, lambda n, n_e: n, None),
+    ("grown", _UINT8, lambda n, n_e: n, "grown"),
     ("edge_state", _UINT8, lambda n, n_e: n_e, "edge_state"),
 )
 
@@ -89,6 +93,13 @@ class ClusterSet:
       and `tail`). `members` reads the lists as a dict keyed by root.
     - per edge: `edge_state` (uint8: 0 untouched, 1 half grown, 2 fully
       grown).
+    - what growth records for the forest, so that the forest rescans
+      nothing: `low` (int32), at each root its cluster's smallest vertex,
+      which orders the trees; `grown` (uint8), per internal vertex a bit per
+      CSR slot (`DecodingGraph.edge_slot`) whose edge to an internal vertex
+      is fully grown, which the DFS follows; and the kernel's list of fused
+      boundary edges, in fusion order, from which a boundary cluster takes
+      its entry vertices.
     - what a read-count model needs, kept at O(1) cost per find and per
       pass: `touched_v` (member vertices in the order they joined),
       `touched_e` (edges with nonzero growth state, in the order they were
@@ -101,8 +112,11 @@ class ClusterSet:
       `grgen` derives the Gr-Gen read counts from them in the kernel.
     - scratch for the kernel and the forest record. Every buffer is sized
       for the worst case from `n_internal` and `n_edges`: each holds at
-      most one entry per vertex or per edge, and there are at most
-      2 * n_edges growth passes, since each pass advances an edge state.
+      most one entry per vertex or per edge (an internal vertex has at most
+      one boundary edge), and there are at most 2 * n_edges growth passes,
+      since each pass advances an edge state. `touched_e` and the fusion
+      edge stack hold one entry more, which growth's branch-free scan
+      writes and does not keep.
 
     State is reusable across decodes: `grow` starts by restoring the
     initial state over the entries the last growth touched. A refused growth
@@ -255,7 +269,7 @@ class ClusterSet:
 
     def peel_seeded(self) -> Correction:
         """`peel` of the record that `forest_view` left, with the seeded
-        defects as the syndrome, in one kernel call. The correction's int32
+        defects as the syndrome, in one kernel call. The correction's int64
         ids view a buffer of the set, valid until the set is grown again."""
         n = K.uf_run_corr(self._c)
         if n < 0:
@@ -373,8 +387,8 @@ class DecodeOutcome:
 def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     """DFS spanning tree per cluster over fully grown edges.
 
-    Trees are ordered by the smallest vertex id of their cluster, taken
-    from its member list, and that vertex is the traversal root. A
+    Trees are ordered by the smallest vertex id of their cluster, which
+    its root keeps, and that vertex is the traversal root. A
     boundary-touching cluster is instead entered from its virtual boundary
     vertex (LEFT preferred when both sides are touched) through the fully
     grown edges from its own members to that vertex, in ascending member
@@ -392,9 +406,9 @@ def _forest_record(cs: ClusterSet) -> np.ndarray:
     """Run `uf_forest` on `cs` and return the record it wrote, a view."""
     n = K.uf_forest(cs._c)
     rec = cs._forest
-    if n == -1:
+    if n == FOREST_ODD_CLUSTER:
         raise InvariantViolation(f"cluster at root {rec[0]} is odd and not on a boundary")
-    if n == -2:
+    if n == FOREST_BAD_TREE:
         raise InvariantViolation(
             f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
     return rec[:n]
@@ -407,10 +421,11 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
 
     Every defect must be a distinct vertex of a tree of the forest, which
     excludes the virtual entry points; anything else raises ValueError. The
-    correction's ids are int32, as the kernel writes them.
+    correction's ids are int64, as the kernel writes them and as `assess`
+    reads them without a copy.
     """
     defects, at = int64_ids(syn.defects, "defect")  # uint64 past 2**63 wraps: rejected too
-    out = np.empty(forest.k, dtype=np.int32)
+    out = np.empty(forest.k, dtype=np.int64)
     n = K.uf_peel(addr(forest.record), at, defects.size, addr(out))
     if n < 0:
         _check_peeled(n, np.asarray(syn.defects))

@@ -4,6 +4,8 @@ flags too, removes the builds of older sources, compiles without warnings,
 runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
 its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
 order, and Python mirrors in `_kernel` of its numbers that hold their values.
+The standalone driver `kernel_driver.c`, which profiles the kernel outside
+Python, builds and decodes as `uf_core` does.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -23,9 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernel_driver import read_output, trial_defects, write_dump
 from ufpipe import _kernel
 from ufpipe._kernel import BINDINGS, GraphView, cache_path, link_args
-from ufpipe.uf_core import _Ctx
+from ufpipe.lattice import LatticeParams, build_decoding_graph
+from ufpipe.noise import Syndrome
+from ufpipe.uf_core import Decoder, _Ctx, peel, spanning_forest
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "ufpipe"
 HEAVY = ("setuptools", "distutils", "cffi")
@@ -147,12 +152,38 @@ def test_a_changed_flag_list_gives_another_cache_path(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+WARNINGS = ["-Wall", "-Wextra", "-Werror", "-std=c11", "-pedantic", "-Wconversion", "-Wshadow"]
+
+
 def test_kernel_compiles_without_warnings(tmp_path):
-    cmd = ["cc", "-O2", "-Wall", "-Wextra", "-Werror", "-std=c11", "-pedantic", "-Wconversion",
-           "-Wshadow", "-shared", "-fPIC",
+    cmd = ["cc", "-O2", *WARNINGS, "-shared", "-fPIC",
            "-o", str(tmp_path / "kernel.so"), str(PKG / "_ufkernel.c"), *link_args()]
     out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_kernel_driver_decodes_a_dump_as_uf_core_does(tmp_path):
+    # the driver lays the dumped graph and buffer offsets into the kernel's
+    # structs; a field out of step gives other records or a crash
+    driver = tmp_path / "kernel_driver"
+    cmd = ["cc", "-O2", *WARNINGS, "-o", str(driver),
+           str(Path(__file__).with_name("kernel_driver.c")), *link_args()]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for d, p in ((3, 0.1), (5, 0.02), (5, 0.2), (5, 0.45)):
+        g = build_decoding_graph(LatticeParams(d))
+        defects = trial_defects(g, p, seed=d, trials=30)
+        write_dump(tmp_path / "dump", g, defects)
+        out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2"],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        dec = Decoder(g)
+        got = read_output(tmp_path / "out")
+        assert len(got) == len(defects)
+        for (record, corr), ids in zip(got, defects):
+            forest = spanning_forest(g, dec.grow(ids))
+            assert np.array_equal(record, forest.record)
+            assert np.array_equal(corr, peel(forest, Syndrome(ids, g.n_internal)).edge_ids)
 
 
 def test_kernel_exports_exactly_the_functions_python_binds():
@@ -224,8 +255,8 @@ def test_kernel_mirrors_hold_the_c_numbers():
     assert {name: getattr(_kernel, name, None) for name in counts} == {
         name: slot for slot, name in enumerate(counts)}
     defines = c_defines(source)
-    names = ("LEFT_SIDE", "RIGHT_SIDE", "FOREST_COLUMNS", "BAD_EDGE", "RESIDUAL_SYNDROME",
-             "PEEL_BAD_DEFECT")
+    names = ("LEFT_SIDE", "RIGHT_SIDE", "FOREST_COLUMNS", "FOREST_ODD_CLUSTER", "FOREST_BAD_TREE",
+             "BAD_EDGE", "RESIDUAL_SYNDROME", "PEEL_BAD_DEFECT")
     assert {name: getattr(_kernel, name) for name in names} == {
         name: defines[name] for name in names}
 

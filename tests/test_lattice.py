@@ -122,6 +122,33 @@ def test_neighbors_involutive(g5):
                 assert (e, v) in g5.neighbors(w)
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_edge_slot_locates_each_edge_in_its_ends_neighbors(d):
+    # growth sets bit edge_slot[2e] of eu's grown-slot mask and bit
+    # edge_slot[2e + 1] of ev's; the DFS maps a bit back to the CSR slot
+    g = SYNDROME_GRAPHS[d]
+    assert g.edge_slot.dtype == np.uint8 and g.edge_slot.size == 2 * g.n_edges
+    assert not g.edge_slot.flags.writeable
+    for e in range(g.n_edges):
+        u, v = int(g.edges_u[e]), int(g.edges_v[e])
+        assert g.neighbors(u)[g.edge_slot[2 * e]] == (e, v)
+        if v < g.n_internal:
+            assert g.neighbors(v)[g.edge_slot[2 * e + 1]] == (e, u)
+        else:
+            assert g.edge_slot[2 * e + 1] == 0xFF
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 25])
+def test_internal_vertices_have_at_most_six_edges_and_one_to_the_boundary(d):
+    # a vertex's grown slots fit one uint8 mask, and the forest takes at most
+    # one boundary entry per vertex from the list of fused boundary edges
+    g = build_decoding_graph(LatticeParams(d))
+    n = g.n_internal
+    degree = np.diff(g.adj_start[:n + 1])
+    assert degree.max() == 6 and degree.min() >= 3
+    assert np.bincount(g.edges_u[g.edges_v >= n], minlength=n).max() == 1
+
+
 def test_neighbors_bad_vertex(g3):
     with pytest.raises(IndexError):
         g3.neighbors(g3.n_internal + 2)
@@ -222,7 +249,7 @@ def test_syndrome_matches_bincount_reference(data, d):
     ends = np.concatenate((g.edges_u[edge_ids], g.edges_v[edge_ids]))
     ref = np.flatnonzero(np.bincount(ends, minlength=g.n_internal + 2)[: g.n_internal] & 1)
     got = syndrome_indices_of_edges(g, edge_ids)
-    assert got.dtype == np.int32
+    assert got.dtype == np.int64
     assert np.array_equal(got, ref)
     assert np.array_equal(syndrome_indices_of_edges(g, ids), ref)  # a plain list too
 
@@ -329,7 +356,7 @@ def test_syndrome_and_assess_take_any_integer_form_and_leave_it_unchanged(g5, fo
     err_f, corr_f = INPUT_FORMS[form](err), INPUT_FORMS[form](corr)
     kept = [np.array(x, copy=True) for x in (err_f, corr_f)]
     got_syn = syndrome_indices_of_edges(g5, err_f)
-    assert got_syn.dtype == np.int32 and np.array_equal(got_syn, want_syn)
+    assert got_syn.dtype == np.int64 and np.array_equal(got_syn, want_syn)
     out = assess(g5, ErrorPattern(edge_ids=err_f, n_edges=g5.n_edges), Correction(edge_ids=corr_f))
     assert not out.success
     for x, before in zip((err_f, corr_f), kept):

@@ -198,6 +198,22 @@ def test_grow_invariant_even_or_boundary(g5):
             assert all(cs.find(v) == r for v in ms)
 
 
+def test_grow_records_each_roots_smallest_member_and_each_vertexs_grown_slots(g5):
+    # what the forest reads instead of rescanning: every root's `low`, and a
+    # `grown` bit per CSR slot of a fully grown edge between internal
+    # vertices, cleared by the next growth (one decoder for all trials)
+    dec, n = Decoder(g5), g5.n_internal
+    for p, t in itertools.product((0.02, 0.1, 0.45), range(40)):
+        err = sample_error(g5, NoiseParams(p=p, seed=5, trial_index=t))
+        cs = dec.grow(syndrome_of(g5, err).defects)
+        assert {r: cs.low[r] for r in cs.members} == {r: min(ms) for r, ms in cs.members.items()}
+        for v in range(n):
+            s = g5.adj_start[v]
+            want = sum(1 << (j - s) for j in range(s, g5.adj_start[v + 1])
+                       if cs.edge_state[g5.adj_edge[j]] == 2 and g5.adj_far[j] < n)
+            assert cs.grown[v] == want
+
+
 # -- spanning forest -----------------------------------------------------
 
 
