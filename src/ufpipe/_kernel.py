@@ -4,9 +4,8 @@ once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
 names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to
 `N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`, `FOREST_BAD_TREE`,
 `BAD_EDGE`, `RESIDUAL_SYNDROME`, `PEEL_BAD_DEFECT`, `NO_MEMORY`), which
-`tests/test_kernel_build.py` reads
-from the C source, and the checks of what Python passes (`check_integer`,
-`integer_ids`, `int64_ids`, `addr`).
+`tests/test_kernel_build.py` reads from the C source, and the checks of
+what Python passes (`check_integer`, `integer_ids`, `int64_ids`, `addr`).
 
 Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static

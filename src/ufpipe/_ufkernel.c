@@ -56,9 +56,9 @@ enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCAN
 /* A decoding graph, read only: sizes, vertices per STM row, the CSR
    adjacency over n_internal + 2 vertices, each edge's internal endpoint eu
    and internal or virtual endpoint ev, and each edge e's slot at its ends:
-   edge_slot[2e] is its position in eu's CSR range, counted from
-   adj_start[eu], and edge_slot[2e + 1] its position in ev's (0xff at a
-   virtual ev). LEFT is vertex n_internal and RIGHT vertex n_internal + 1.
+   edge_slot[e] is its position in eu's CSR range, counted from
+   adj_start[eu], and edge_slot[n_edges + e] its position in ev's (0xff at
+   a virtual ev). LEFT is vertex n_internal and RIGHT vertex n_internal + 1.
    An internal vertex has at most 6 edges, so a slot fits a bit of a uint8
    mask, and at most one of them ends on LEFT or RIGHT. */
 typedef struct {
@@ -348,8 +348,8 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
                 c->boundary_sides[uf_find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
                 c->fused_boundary[counts[N_FUSED_BOUNDARY]++] = e;
             } else {
-                c->grown[u] |= (uint8_t)(1u << g.edge_slot[2 * e]);
-                c->grown[w] |= (uint8_t)(1u << g.edge_slot[2 * e + 1]);
+                c->grown[u] |= (uint8_t)(1u << g.edge_slot[e]);
+                c->grown[w] |= (uint8_t)(1u << g.edge_slot[g.n_edges + e]);
                 uf_union(c, u, w);
             }
         }
@@ -388,6 +388,12 @@ int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
 static inline int32_t root_of(const int32_t *parent, int32_t v) {
     while (parent[v] != v) v = parent[v];
     return v;
+}
+
+/* The virtual vertex a boundary cluster with these sides is entered from:
+   LEFT when both sides are touched. */
+static inline int32_t entry_vertex(int32_t n_int, uint8_t sides) {
+    return sides & LEFT_SIDE ? n_int : n_int + 1;
 }
 
 /* Depth-first search from the visited vertex u over the fully grown edges
@@ -458,7 +464,7 @@ int64_t uf_forest(uf_ctx *c) {
     }
     for (int32_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
         int32_t e = c->fused_boundary[i], u = g.eu[e], r = root_of(c->parent, u);
-        if (g.ev[e] != (c->boundary_sides[r] & LEFT_SIDE ? n_int : n_int + 1)) continue;
+        if (g.ev[e] != entry_vertex(n_int, c->boundary_sides[r])) continue;
         int32_t *at = c->entry_head + r;
         while (*at >= 0 && g.eu[c->fused_boundary[*at]] < u) at = c->entry_next + *at;
         c->entry_next[i] = *at;
@@ -482,7 +488,7 @@ int64_t uf_forest(uf_ctx *c) {
             c->visited[low] = 1;
             k = dfs_tree(c, &g, low, edges, k);
         } else {
-            s = sides & LEFT_SIDE ? n_int : n_int + 1;
+            s = entry_vertex(n_int, sides);
             expect = c->size[r];
             for (int32_t i = c->entry_head[r]; i >= 0; i = c->entry_next[i]) {
                 int32_t e = c->fused_boundary[i], u = g.eu[e];

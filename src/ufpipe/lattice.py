@@ -83,11 +83,11 @@ class DecodingGraph:
     adj_start: np.ndarray = field(repr=False)
     adj_edge: np.ndarray = field(repr=False)
     adj_far: np.ndarray = field(repr=False)
-    # uint8, two per edge: edge e sits at adj_start[u] + edge_slot[2e] in its
-    # internal end u's range and at adj_start[v] + edge_slot[2e + 1] in its
-    # other end v's, where v is internal (0xff at LEFT and RIGHT). An internal
-    # vertex has at most 6 edges, so growth marks a fully grown edge by its
-    # slot's bit in a uint8 mask per vertex.
+    # uint8, two per edge: edge e sits at adj_start[u] + edge_slot[e] in its
+    # internal end u's range and at adj_start[v] + edge_slot[n_edges + e] in
+    # its other end v's, where v is internal (0xff at LEFT and RIGHT). An
+    # internal vertex has at most 6 edges, so growth marks a fully grown edge
+    # by its slot's bit in a uint8 mask per vertex.
     edge_slot: np.ndarray = field(repr=False)
     n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
     n_time_edges: int = 0
@@ -165,16 +165,18 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     slot_u = np.select([time, side & (v == left), side | horiz], [U, W, E], S)
     slot_v = np.select([time, side, horiz], [D, 0, W], N)
     vert = np.concatenate((u, v))
-    order = np.lexsort((np.concatenate((e, e)), np.concatenate((slot_u, slot_v)), vert))
+    # by vertex, then slot, then edge id: one stable sort, since the ends that
+    # share a vertex and a slot (at LEFT and RIGHT) come in ascending edge id
+    order = np.argsort(8 * vert.astype(np.int64) + np.concatenate((slot_u, slot_v)), kind="stable")
     adj_start = np.zeros(n_int + 3, dtype=np.int32)
     np.cumsum(np.bincount(vert, minlength=n_int + 2), out=adj_start[1:])
-    # each end's CSR position, from the inverse of `order`, less its vertex's
-    # first; interleaved per edge as (end u, end v)
-    at = np.empty(order.size, dtype=np.int32)
-    at[order] = np.arange(order.size, dtype=np.int32)
-    at -= adj_start[vert]
-    at[u.size:][side] = 0xFF
-    edge_slot = at.astype(np.uint8).reshape(2, -1).T.ravel()
+    # each end's position in its vertex's CSR range, in the order of `vert`:
+    # sorted position less the vertex's first, put back through `order`
+    at = np.arange(order.size, dtype=np.int32)
+    at -= np.repeat(adj_start[:-1], np.diff(adj_start))
+    edge_slot = np.empty(order.size, dtype=np.uint8)
+    edge_slot[order] = at
+    edge_slot[u.size:][side] = 0xFF
 
     g = DecodingGraph(
         d=d,

@@ -124,18 +124,19 @@ def test_neighbors_involutive(g5):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_edge_slot_locates_each_edge_in_its_ends_neighbors(d):
-    # growth sets bit edge_slot[2e] of eu's grown-slot mask and bit
-    # edge_slot[2e + 1] of ev's; the DFS maps a bit back to the CSR slot
+    # growth sets bit edge_slot[e] of eu's grown-slot mask and bit
+    # edge_slot[n_edges + e] of ev's; the DFS maps a bit back to the CSR slot
     g = SYNDROME_GRAPHS[d]
     assert g.edge_slot.dtype == np.uint8 and g.edge_slot.size == 2 * g.n_edges
     assert not g.edge_slot.flags.writeable
+    at_u, at_v = g.edge_slot[:g.n_edges], g.edge_slot[g.n_edges:]
     for e in range(g.n_edges):
         u, v = int(g.edges_u[e]), int(g.edges_v[e])
-        assert g.neighbors(u)[g.edge_slot[2 * e]] == (e, v)
+        assert g.neighbors(u)[at_u[e]] == (e, v)
         if v < g.n_internal:
-            assert g.neighbors(v)[g.edge_slot[2 * e + 1]] == (e, u)
+            assert g.neighbors(v)[at_v[e]] == (e, u)
         else:
-            assert g.edge_slot[2 * e + 1] == 0xFF
+            assert at_v[e] == 0xFF
 
 
 @pytest.mark.parametrize("d", [3, 5, 11, 25])
