@@ -83,10 +83,9 @@ typedef struct {
        pass (len(touched_v), len(touched_e)) at its start and its FES size,
        and the boundary edges in fusion order */
     int32_t *touched_v, *touched_e, *pass_log, *fused_boundary;
-    /* scratch: fusion edge stack, per root the first of its boundary entries
-       and per fused boundary edge the next (indices into fused_boundary),
-       and DFS frames (vertex, grown slots not yet followed) */
-    int32_t *fes, *entry_head, *entry_next, *stack;
+    /* scratch: fusion edge stack, per boundary root its entry edge, and DFS
+       frames (vertex, grown slots not yet followed) */
+    int32_t *fes, *entry, *stack;
     int32_t *forest; /* forest record, see uf_forest */
     /* per internal vertex; grown: bit i set once its CSR slot i holds a fully
        grown edge to an internal vertex */
@@ -446,12 +445,13 @@ static inline int64_t dfs_tree(uf_ctx *c, const uf_graph *g, int32_t u, int32_t 
    Trees are ordered by the smallest vertex of their cluster, the traversal
    root, which each root keeps in `low`. A boundary cluster is entered
    instead from its virtual vertex (LEFT when both sides are touched)
-   through its members' fully grown edges to it, in ascending member id:
-   before the trees, each such edge of `fused_boundary` is inserted into its
-   root's ascending entry chain. The DFS follows the `grown` masks and reads
-   no edge state. Makes no find. Returns the record length, or
-   FOREST_ODD_CLUSTER (record[0] = root) or FOREST_BAD_TREE (record[0..2] =
-   root, edges, expected edges). */
+   through the fully grown edge to it from its smallest member that has
+   one, found in `fused_boundary` before the trees. A cluster is connected
+   by its fully grown internal edges, so the DFS from that entry reaches
+   every member and the tree needs no second entry. The DFS follows the
+   `grown` masks and reads no edge state. Makes no find. Returns the record
+   length, or FOREST_ODD_CLUSTER (record[0] = root) or FOREST_BAD_TREE
+   (record[0..2] = root, edges, expected edges). */
 int64_t uf_forest(uf_ctx *c) {
     const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     int32_t n_int = (int32_t)g.n_internal, *rec = c->forest;
@@ -460,15 +460,13 @@ int64_t uf_forest(uf_ctx *c) {
         int32_t r = c->touched_v[i];
         if (c->parent[r] != r) continue;
         set_bit(c, c->low[r]);
-        c->entry_head[r] = -1;
+        c->entry[r] = -1;
     }
-    for (int32_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
+    for (int64_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
         int32_t e = c->fused_boundary[i], u = g.eu[e], r = root_of(c->parent, u);
-        if (g.ev[e] != entry_vertex(n_int, c->boundary_sides[r])) continue;
-        int32_t *at = c->entry_head + r;
-        while (*at >= 0 && g.eu[c->fused_boundary[*at]] < u) at = c->entry_next + *at;
-        c->entry_next[i] = *at;
-        *at = i;
+        if (g.ev[e] == entry_vertex(n_int, c->boundary_sides[r]) &&
+            (c->entry[r] < 0 || u < g.eu[c->entry[r]]))
+            c->entry[r] = e;
     }
     int32_t m = drain_vertices(c, c->scan); /* the clusters' smallest vertices, ascending */
     int32_t *root = rec + 2, *start = root + m, *n_vertices = start + m;
@@ -482,23 +480,22 @@ int64_t uf_forest(uf_ctx *c) {
             rec[0] = r;
             return FOREST_ODD_CLUSTER;
         }
-        int32_t s = low, expect = c->size[r] - 1;
+        int32_t s = low, u = low, expect = c->size[r] - 1;
         int64_t k0 = k;
-        if (!sides) {
-            c->visited[low] = 1;
-            k = dfs_tree(c, &g, low, edges, k);
-        } else {
+        if (sides) {
             s = entry_vertex(n_int, sides);
             expect = c->size[r];
-            for (int32_t i = c->entry_head[r]; i >= 0; i = c->entry_next[i]) {
-                int32_t e = c->fused_boundary[i], u = g.eu[e];
-                if (c->visited[u]) continue;
-                c->visited[u] = 1;
-                edges[3 * k] = e;
+            u = c->entry[r] < 0 ? -1 : g.eu[c->entry[r]]; /* -1: sides set by hand */
+            if (u >= 0) {
+                edges[3 * k] = c->entry[r];
                 edges[3 * k + 1] = u;
                 edges[3 * k + 2] = s;
-                k = dfs_tree(c, &g, u, edges, k + 1);
+                k++;
             }
+        }
+        if (u >= 0) {
+            c->visited[u] = 1;
+            k = dfs_tree(c, &g, u, edges, k);
         }
         if (k - k0 != expect) {
             rec[0] = r;

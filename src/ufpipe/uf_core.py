@@ -52,8 +52,7 @@ _BUFFERS = (
     ("pass_log", _INT32, lambda n, n_e: 6 * n_e, "_log"),
     ("fused_boundary", _INT32, lambda n, n_e: n, None),
     ("fes", _INT32, lambda n, n_e: n_e + 1, None),
-    ("entry_head", _INT32, lambda n, n_e: n, None),
-    ("entry_next", _INT32, lambda n, n_e: n, None),
+    ("entry", _INT32, lambda n, n_e: n, None),
     ("stack", _INT32, lambda n, n_e: 2 * n, None),
     ("forest", _INT32, lambda n, n_e: 9 * n + 2, "_forest"),
     ("parity", _UINT8, lambda n, n_e: n, "parity"),
@@ -99,7 +98,7 @@ class ClusterSet:
       CSR slot (`DecodingGraph.edge_slot`) whose edge to an internal vertex
       is fully grown, which the DFS follows; and the kernel's list of fused
       boundary edges, in fusion order, from which a boundary cluster takes
-      its entry vertices.
+      its entry edge.
     - what a read-count model needs, kept at O(1) cost per find and per
       pass: `touched_v` (member vertices in the order they joined),
       `touched_e` (edges with nonzero growth state, in the order they were
@@ -391,11 +390,12 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     its root keeps, and that vertex is the traversal root. A
     boundary-touching cluster is instead entered from its virtual boundary
     vertex (LEFT preferred when both sides are touched) through the fully
-    grown edges from its own members to that vertex, in ascending member
-    id, which is ascending edge id. Half-grown edges are ignored. Clusters are
-    disjoint and a fully grown internal edge never leaves its cluster, so
-    one visited flag per vertex serves the whole forest. No `find` is made,
-    so the parent table and `table_reads` stay as growth left them.
+    grown edge to that vertex from its smallest member that has one; its
+    fully grown internal edges connect the cluster, so the tree needs no
+    other entry. Half-grown edges are ignored. Clusters are disjoint and a
+    fully grown internal edge never leaves its cluster, so one visited flag
+    per vertex serves the whole forest. No `find` is made, so the parent
+    table and `table_reads` stay as growth left them.
     """
     if graph is not cs.graph:
         raise ValueError("the cluster set was grown on another graph")

@@ -247,6 +247,15 @@ def test_forest_rejects_odd_unfrozen_cluster(g3):
         spanning_forest(g3, cs)
 
 
+def test_forest_rejects_boundary_flag_without_grown_boundary_edge(g3):
+    # the flags are writable views: a side set by hand has no entry edge
+    cs = Decoder(g3).grow([g3.vertex_id(1, 1, 0), g3.vertex_id(1, 1, 1)])
+    (root,) = cs.members
+    cs.boundary_sides[root] = LEFT_SIDE
+    with pytest.raises(InvariantViolation, match="has 0 edges, expected 2"):
+        spanning_forest(g3, cs)
+
+
 def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     # five defects fill column 0 and both ends of column 1 of layer 1: one
     # cluster of size 5 after the first pass; the second pass grows the
@@ -265,6 +274,25 @@ def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     assert entries == sorted(entries)
     assert all(w < g3.n_internal for _, w, _ in tree.edges)
     assert len(tree.edges) == cs.size[root]
+
+
+@pytest.mark.parametrize("d", [5, 11])
+def test_boundary_tree_enters_once_from_its_smallest_member_grown_to_its_side(d):
+    # reference from the edge states: the smallest member with a fully grown
+    # edge to the tree's start vertex; its DFS reaches the whole cluster
+    g = _GRAPHS.get(d) or build_decoding_graph(LatticeParams(d))
+    dec = Decoder(g)
+    for p, t in itertools.product((0.05, 0.2, 0.45), range(15)):
+        err = sample_error(g, NoiseParams(p=p, seed=d, trial_index=t))
+        cs = dec.grow(syndrome_of(g, err).defects)
+        members = cs.members
+        for tree in spanning_forest(g, cs).trees:
+            if tree.boundary:
+                s = tree.start_vertex
+                assert s == (g.left if cs.boundary_sides[tree.root] & LEFT_SIDE else g.right)
+                u, e = min((u, e) for u in members[tree.root] for e, w in g.neighbors(u)
+                           if w == s and cs.edge_state[e] == 2)
+                assert [x for x in tree.edges if x[2] == s] == [(e, u, s)] == tree.edges[:1]
 
 
 def test_forest_leaves_parent_table_and_reads_unchanged(g5):
