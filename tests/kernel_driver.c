@@ -16,7 +16,10 @@
  *
  * The kernel is included, so that one compile builds both:
  *   cc -O2 -o kernel_driver tests/kernel_driver.c <`_kernel.link_args()`>
- * and with `-pg -fno-inline` for gprof.
+ * and with `-pg -fno-inline` for gprof. gprof books GCC's `.isra` clones
+ * (`set_bit`, `set_new_bit`, `drain_vertices`) under the function placed
+ * before them in the binary, `read_array`, whose own calls number one per
+ * array of the dump.
  */
 #include <stddef.h>
 #include <stdio.h>
