@@ -36,10 +36,13 @@
  * clusters visited by their smallest vertex. A decode is therefore a
  * deterministic function of the syndrome.
  *
- * Growth records what the forest needs while it holds it, so that the
- * forest rescans nothing: each fused internal edge sets its bit in both
- * endpoints' grown-slot masks, each fused boundary edge joins a list, and
- * each root keeps its cluster's smallest vertex.
+ * The parent table is the only record of which vertices form a cluster:
+ * growth's pass-start scan and the forest find a member's root by a
+ * read-only walk, and no per-cluster member list is kept. Growth records
+ * what the forest needs while it holds it, so that the forest rescans
+ * nothing: each fused internal edge sets its bit in both endpoints'
+ * grown-slot masks, each fused boundary edge joins a list, and each root
+ * keeps its cluster's smallest vertex.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -76,9 +79,9 @@ typedef struct {
        uf_run_corr's correction */
     int64_t *scan;
     uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
-    /* per internal vertex: union-find tables, member lists (head = root) and
-       each root's smallest member */
-    int32_t *parent, *size, *growth_steps, *next, *tail, *low;
+    /* per internal vertex: the union-find tables, whose parent table is the
+       only record of the partition, and each root's smallest member */
+    int32_t *parent, *size, *growth_steps, *low;
     /* logs: member vertices in join order, edges in first-touch order, per
        pass (len(touched_v), len(touched_e)) at its start and its FES size,
        and the boundary edges in fusion order */
@@ -180,10 +183,8 @@ static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
 void uf_init(uf_ctx *c) {
     int32_t n = (int32_t)c->g->n_internal;
     for (int32_t v = 0; v < n; v++) c->parent[v] = v;
-    for (int32_t v = 0; v < n; v++) c->tail[v] = v;
     for (int32_t v = 0; v < n; v++) c->size[v] = 1;
     for (int32_t v = 0; v < n; v++) c->low[v] = v;
-    memset(c->next, 0xff, (size_t)n * sizeof *c->next); /* -1: end of list */
     memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
     memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
     memset(c->bits, 0, (size_t)(n + 63) / 64 * sizeof *c->bits);
@@ -200,10 +201,8 @@ static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t v = c->touched_v[i];
         c->parent[v] = v;
-        c->tail[v] = v;
         c->size[v] = 1;
         c->low[v] = v;
-        c->next[v] = -1;
         c->growth_steps[v] = 0;
         c->parity[v] = 0;
         c->boundary_sides[v] = 0;
@@ -260,9 +259,8 @@ static inline void join(uf_ctx *c, int32_t v) {
 
 /* Make u and w members (u first), then merge their clusters: weighted by
    vertex count, the smaller root id winning a tie. Parity XORs, boundary
-   sides OR, growth counts and smallest members take the max and the min,
-   and the loser's member list is appended to the winner's. Returns the
-   surviving root. */
+   sides OR, growth counts and smallest members take the max and the min.
+   Returns the surviving root. */
 int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     join(c, u);
     join(c, w);
@@ -280,9 +278,14 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     c->boundary_sides[ru] |= c->boundary_sides[rv];
     if (c->growth_steps[rv] > c->growth_steps[ru]) c->growth_steps[ru] = c->growth_steps[rv];
     if (c->low[rv] < c->low[ru]) c->low[ru] = c->low[rv];
-    c->next[c->tail[ru]] = rv;
-    c->tail[ru] = c->tail[rv];
     return ru;
+}
+
+/* Root of v by a read-only walk of the parent table: no table read is
+   counted and no path is compressed. */
+static inline int32_t root_of(const int32_t *parent, int32_t v) {
+    while (parent[v] != v) v = parent[v];
+    return v;
 }
 
 #define SEED_REFUSED 1 /* uf_grow: bad defect ids */
@@ -306,13 +309,14 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
     uf_seed(c, k);
     int64_t *counts = c->counts;
     for (;;) {
-        /* every cluster root is a member vertex */
+        /* mark every member of an odd cluster off the boundary; each
+           cluster's root is one of its members */
         int grows = 0;
         for (int64_t i = 0; i < counts[N_TOUCHED_V]; i++) {
-            int32_t r = c->touched_v[i];
-            if (c->parent[r] != r || !c->parity[r] || c->boundary_sides[r]) continue;
-            c->growth_steps[r]++;
-            for (int32_t x = r; x >= 0; x = c->next[x]) set_bit(c, x);
+            int32_t v = c->touched_v[i], r = root_of(c->parent, v);
+            if (!c->parity[r] || c->boundary_sides[r]) continue;
+            c->growth_steps[r] += v == r;
+            set_bit(c, v);
             grows = 1;
         }
         if (!grows) return 0;
@@ -380,13 +384,6 @@ int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     }
     memset(c->bits, 0, (size_t)((g.n_internal / g.row_stride + 63) / 64) * sizeof *c->bits);
     return 0;
-}
-
-/* Root of v by a read-only walk of the parent table: no table read is
-   counted and no path is compressed. */
-static inline int32_t root_of(const int32_t *parent, int32_t v) {
-    while (parent[v] != v) v = parent[v];
-    return v;
 }
 
 /* The virtual vertex a boundary cluster with these sides is entered from:

@@ -43,8 +43,6 @@ _BUFFERS = (
     ("parent", _INT32, lambda n, n_e: n, "parent"),
     ("size", _INT32, lambda n, n_e: n, "size"),
     ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
-    ("next", _INT32, lambda n, n_e: n, "_next"),
-    ("tail", _INT32, lambda n, n_e: n, None),
     ("low", _INT32, lambda n, n_e: n, "low"),
     ("touched_v", _INT32, lambda n, n_e: n, "_tv"),
     # one entry more than there are edges: growth's scan writes past the last kept one
@@ -86,10 +84,9 @@ class ClusterSet:
     `__init__` as plain attributes:
 
     - per internal vertex: the root and size tables `parent` and `size`,
-      `growth_steps` (int32), `parity` and `boundary_sides` (uint8), a
-      member flag, and each cluster's member list, in join order, as a
-      linked list that starts at the cluster's root (the kernel's `next`
-      and `tail`). `members` reads the lists as a dict keyed by root.
+      `growth_steps` (int32), `parity` and `boundary_sides` (uint8), and a
+      member flag. The parent table is the only record of which vertices
+      form a cluster: `members` groups `touched_v` by root.
     - per edge: `edge_state` (uint8: 0 untouched, 1 half grown, 2 fully
       grown).
     - what growth records for the forest, so that the forest rescans
@@ -164,14 +161,16 @@ class ClusterSet:
 
     @property
     def members(self) -> dict[int, list[int]]:
-        """Cluster root -> member vertices in join order, for every cluster."""
-        parent, nxt = self.parent, self._next
-        out = {}
-        for r in self.touched_v:
-            if parent[r] == r:
-                ms = out[r] = [r]
-                while (x := int(nxt[ms[-1]])) >= 0:
-                    ms.append(x)
+        """Cluster root -> member vertices in ascending order, for every
+        cluster, the clusters in the order of their smallest members. A
+        read-only walk of the parent table: no find, no table read."""
+        parent, vs = self.parent, np.sort(self._tv[:self._counts[N_TOUCHED_V]])
+        roots = parent[vs]
+        while ((up := parent[roots]) != roots).any():
+            roots = up
+        out: dict[int, list[int]] = {}
+        for r, v in zip(roots.tolist(), vs.tolist()):
+            out.setdefault(r, []).append(v)
         return out
 
     # -- core union-find ------------------------------------------------
@@ -192,8 +191,7 @@ class ClusterSet:
         surviving root.
 
         Weighted by vertex count; on a size tie the smaller root id wins.
-        Parity XORs, boundary flags OR, growth counts take the max. The
-        loser's member list is appended to the winner's.
+        Parity XORs, boundary flags OR, growth counts take the max.
         """
         return K.uf_union(self._c, self._check(u), self._check(v))
 
@@ -207,7 +205,7 @@ class ClusterSet:
         canonical form: checks keep one signature per decode.
         """
         return frozenset(
-            (np.sort(np.array(ms, dtype=np.int32)).tobytes(), int(self.size[r]),
+            (np.array(ms, dtype=np.int32).tobytes(), int(self.size[r]),
              int(self.parity[r]), int(self.boundary_sides[r]), int(self.growth_steps[r]))
             for r, ms in self.members.items())
 

@@ -120,8 +120,8 @@ def test_union_tie_smaller_root(g3):
     cs = ClusterSet(g3)
     assert cs.union(4, 9) == 4
     assert cs.union(11, 10) == 10
-    # a vertex with no member list wins the tie against a one-vertex odd
-    # cluster, as growth seeds a defect
+    # a vertex that is no member yet wins the tie, by its smaller id,
+    # against a one-vertex odd cluster, as growth seeds a defect
     cs = ClusterSet(g3)
     cs.parity[5] = 1
     cs.union(5, 5)
@@ -189,13 +189,19 @@ def test_grow_invariant_even_or_boundary(g5):
     for t in range(200):
         err = sample_error(g5, NoiseParams(p=0.04, seed=11, trial_index=t))
         cs = Decoder(g5).grow(syndrome_of(g5, err).defects)
-        for r in cs.members:
+        parent, reads = cs.parent.tolist(), cs.table_reads
+        members, signature = cs.members, cs.signature()
+        # members and signature() make no find
+        assert cs.parent.tolist() == parent and cs.table_reads == reads
+        for r in members:
             assert cs.parity[r] == 0 or cs.boundary_sides[r]
-        assert set(cs.members) == {cs.find(v) for v in cs.touched_v}
-        joined = [v for ms in cs.members.values() for v in ms]
+        assert set(members) == {cs.find(v) for v in cs.touched_v}
+        joined = [v for ms in members.values() for v in ms]
         assert sorted(joined) == sorted(cs.touched_v)
-        for r, ms in cs.members.items():
+        for r, ms in members.items():
+            assert ms == sorted(ms)
             assert all(cs.find(v) == r for v in ms)
+        assert len(signature) == len(members)
 
 
 def test_grow_records_each_roots_smallest_member_and_each_vertexs_grown_slots(g5):
