@@ -38,11 +38,10 @@
  *
  * The parent table is the only record of which vertices form a cluster:
  * growth's pass-start scan and the forest find a member's root by a
- * read-only walk, and no per-cluster member list is kept. Growth records
- * what the forest needs while it holds it, so that the forest rescans
- * nothing: each fused internal edge sets its bit in both endpoints'
- * grown-slot masks, each fused boundary edge joins a list, and each root
- * keeps its cluster's smallest vertex.
+ * read-only walk. Growth records what the forest needs while it holds it,
+ * so that the forest rescans nothing: each fused internal edge sets its bit
+ * in both endpoints' grown-slot masks, each fused boundary edge joins a
+ * list, and each root keeps its cluster's smallest vertex.
  */
 #include <stdint.h>
 #include <stdlib.h>
