@@ -19,7 +19,9 @@ from ufpipe.lattice import (
 from ufpipe.noise import ErrorPattern
 from ufpipe.uf_core import Correction, InvariantViolation, assess
 
-SYNDROME_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
+# the kernel's bitmaps have 235 words at d=25, more than the 64 bits of one
+# word, against at most 19 at d <= 11
+SYNDROME_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 25)}
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +241,7 @@ def test_logical_crossing_parity_linear(g5):
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), d=st.sampled_from([3, 5]))
+@given(data=st.data(), d=st.sampled_from([3, 5, 25]))
 def test_syndrome_matches_bincount_reference(data, d):
     # arbitrary edge-id arrays: empty, repeated ids, and boundary-heavy sets
     g = SYNDROME_GRAPHS[d]
@@ -304,7 +306,7 @@ def assess_reference(g, err_ids, corr_ids):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), d=st.sampled_from([3, 5]), cancel=st.booleans())
+@given(data=st.data(), d=st.sampled_from([3, 5, 25]), cancel=st.booleans())
 def test_assess_matches_setxor_reference(data, d, cancel):
     # cancelling pairs: corr is err XOR some chains and cycles; otherwise an
     # unrelated set, which almost never cancels; both boundary heavy

@@ -10,7 +10,7 @@ from ufpipe import microarch
 from ufpipe.microarch import (decode_with_pipeline, memory_footprint, stack_overflows,
                               stage_read_estimate)
 
-GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11)}
+GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11, 25)}
 
 
 def edge_between(g, u, w):
@@ -193,11 +193,12 @@ def test_pipeline_stages_are_module_globals():
     assert calls == ["new_pipeline_state", "run_grgen", "run_dfs", "run_corr"]
 
 
-@pytest.mark.parametrize("d", [3, 5, 11])
+@pytest.mark.parametrize("d", [3, 5, 11, 25])
 def test_worst_case_syndromes_fit_the_kernel_buffers(d):
     # every internal vertex a defect, and at d=11 a p = 0.5 sample: the
     # kernel's fixed-size buffers (fusion edge stack, DFS stack, touched
-    # logs, pass log, forest record) are sized for the worst case
+    # logs, pass log, forest record, bitmaps) are sized for the worst case;
+    # at d=25 the vertex bitmap has 235 words, more than 64
     g = GRAPHS[d]
     syns = [Syndrome(defects=np.arange(g.n_internal), length=g.n_internal)]
     if d == 11:
