@@ -12,7 +12,12 @@
  * int64 ids). Every size comes from the dump: the graph's arrays and the
  * buffers' offsets are laid into the kernel's structs in the order of
  * their pointer fields, which `_kernel.GraphView` and `uf_core._Ctx` mirror.
- * Exits with status 1 on a bad dump or a kernel error return.
+ * Exits with status 1 on a bad dump or a kernel error return. On success it
+ * prints two lines to stdout:
+ *   N decodes x REPEATS rounds, D defects per round
+ *   T us per decode
+ * where T is the wall time (CLOCK_MONOTONIC) of all REPEATS rounds, the
+ * first round's writes to OUT included, divided by N x REPEATS.
  *
  * The kernel is included, so that one compile builds both:
  *   cc -O2 -o kernel_driver tests/kernel_driver.c <`_kernel.link_args()`>
@@ -21,8 +26,10 @@
  * before them in the binary, `read_array`, whose own calls number one per
  * array of the dump.
  */
+#define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c11 */
 #include <stddef.h>
 #include <stdio.h>
+#include <time.h>
 
 #include "../src/ufpipe/_ufkernel.c"
 
@@ -103,6 +110,8 @@ int main(int argc, char **argv) {
 
     FILE *out = fopen(argv[2], "wb");
     if (!out) fail("cannot open the output");
+    struct timespec t0, t1;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
     for (long round = 0; round < repeats; round++) {
         for (int64_t i = 0; i < n_decodes; i++) {
             memcpy(c.defects, defects[i], (size_t)counts[i] * sizeof *c.defects);
@@ -118,8 +127,11 @@ int main(int argc, char **argv) {
             fwrite(c.scan, sizeof *c.scan, (size_t)n_corr, out);
         }
     }
+    clock_gettime(CLOCK_MONOTONIC, &t1);
     if (fclose(out)) fail("cannot write the output");
+    double seconds = (double)(t1.tv_sec - t0.tv_sec) + 1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);
     printf("%lld decodes x %ld rounds, %lld defects per round\n", (long long)n_decodes, repeats,
            (long long)n_ids);
+    printf("%.3f us per decode\n", 1e6 * seconds / ((double)n_decodes * (double)repeats));
     return 0;
 }

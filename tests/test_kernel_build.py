@@ -177,6 +177,12 @@ def test_kernel_driver_decodes_a_dump_as_uf_core_does(tmp_path):
         out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2"],
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
+        # the driver's two stdout lines: the work done, then its time per decode
+        work, timing = out.stdout.splitlines()
+        n_ids = sum(map(len, defects))
+        assert work == f"{len(defects)} decodes x 2 rounds, {n_ids} defects per round"
+        assert re.fullmatch(r"\d+\.\d{3} us per decode", timing), timing
+        assert float(timing.split()[0]) > 0
         dec = Decoder(g)
         got = read_output(tmp_path / "out")
         assert len(got) == len(defects)
