@@ -42,6 +42,13 @@
  * so that the forest rescans nothing: each fused internal edge sets its bit
  * in both endpoints' grown-slot masks, each fused boundary edge joins a
  * list, and each root keeps its cluster's smallest vertex.
+ *
+ * Every bitmap (the context's vertex bits and the scratch bits of
+ * `uf_syndrome`, `uf_assess` and `uf_peel`) has `words` words and then a
+ * summary of (words + 63) / 64 words, whose bit w is set when word w may
+ * hold a set bit. Every setter marks the summary, and a drain reads only
+ * the words it marks, so a drain costs the words that hold bits, not the
+ * lattice.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -77,7 +84,7 @@ typedef struct {
     /* scratch: growth's scan list, the forest's smallest vertices and
        uf_run_corr's correction */
     int64_t *scan;
-    uint64_t *bits;  /* bitmap over internal vertices, all zero between calls */
+    uint64_t *bits;  /* bitmap over internal vertices and its summary, all zero between calls */
     /* per internal vertex: the union-find tables, whose parent table is the
        only record of the partition, and each root's smallest member */
     int32_t *parent, *size, *growth_steps, *low;
@@ -95,16 +102,37 @@ typedef struct {
     uint8_t *edge_state; /* per edge: 0 untouched, 1 half grown, 2 fully grown */
 } uf_ctx;
 
-/* Drain a bitmap of `words` words into `out` in ascending order, clearing it. */
+/* Summary words of a bitmap of `words` words. */
+static inline int64_t summary_words(int64_t words) { return (words + 63) / 64; }
+
+/* Mark word i >> 6 of a bitmap of `words` words in its summary. */
+static inline void mark_word(uint64_t *bits, int64_t words, int64_t i) {
+    bits[words + (i >> 12)] |= 1ULL << ((i >> 6) & 63);
+}
+
+/* Set bit i of a bitmap of `words` words and mark its word. */
+static inline void set_bit(uint64_t *bits, int64_t words, int64_t i) {
+    bits[i >> 6] |= 1ULL << (i & 63);
+    mark_word(bits, words, i);
+}
+
+/* Drain a bitmap of `words` words into `out` in ascending order, clearing it
+   and its summary: only the words the summary marks are read. */
 static int32_t drain_bits(uint64_t *bits, int64_t words, int64_t *out) {
+    uint64_t *summary = bits + words;
     int32_t n = 0;
-    for (int64_t w = 0; w < words; w++) {
-        uint64_t x = bits[w];
-        if (!x) continue;
-        bits[w] = 0;
-        while (x) {
-            out[n++] = w * 64 + __builtin_ctzll(x);
-            x &= x - 1;
+    for (int64_t s = 0; s < summary_words(words); s++) {
+        uint64_t y = summary[s];
+        summary[s] = 0;
+        while (y) {
+            int64_t w = s * 64 + __builtin_ctzll(y);
+            uint64_t x = bits[w];
+            bits[w] = 0;
+            y &= y - 1;
+            while (x) {
+                out[n++] = w * 64 + __builtin_ctzll(x);
+                x &= x - 1;
+            }
         }
     }
     return n;
@@ -113,20 +141,25 @@ static int32_t drain_bits(uint64_t *bits, int64_t words, int64_t *out) {
 #define BAD_EDGE (-1)         /* an edge id outside [0, n_edges) */
 #define RESIDUAL_SYNDROME 2   /* uf_assess: the residual has a nonzero syndrome */
 
-/* Flip the bits of the internal endpoints of edges ids[0..k) in `bits`, so
-   that a vertex's bit ends up set iff it has odd incidence. Returns how many
-   of the edges end on LEFT, or BAD_EDGE at the first id off the graph. */
-static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint64_t *bits) {
+/* Flip the bits of the internal endpoints of edges ids[0..k) in `bits`, a
+   bitmap of `words` words over the internal vertices, so that a vertex's bit
+   ends up set iff it has odd incidence. Returns how many of the edges end on
+   LEFT, or BAD_EDGE at the first id off the graph. */
+static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint64_t *bits,
+                         int64_t words) {
     int64_t on_left = 0;
     for (int64_t i = 0; i < k; i++) {
         int64_t e = ids[i];
         if ((uint64_t)e >= (uint64_t)g->n_edges) return BAD_EDGE; /* negative ids too */
         int32_t u = g->eu[e], v = g->ev[e];
         bits[u >> 6] ^= 1ULL << (u & 63);
-        if (v < g->n_internal)
+        mark_word(bits, words, u);
+        if (v < g->n_internal) {
             bits[v >> 6] ^= 1ULL << (v & 63);
-        else
+            mark_word(bits, words, v);
+        } else {
             on_left += v == g->n_internal;
+        }
     }
     return on_left;
 }
@@ -137,9 +170,9 @@ static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint6
    off the graph, or INT64_MIN when the scratch bits cannot be allocated. */
 int64_t uf_syndrome(const uf_graph *g, const int64_t *ids, int64_t k, int64_t *out) {
     int64_t words = (g->n_internal + 63) / 64;
-    uint64_t *bits = calloc((size_t)words, sizeof *bits);
+    uint64_t *bits = calloc((size_t)(words + summary_words(words)), sizeof *bits);
     if (!bits) return INT64_MIN;
-    int64_t n = flip_ends(g, ids, k, bits) < 0 ? BAD_EDGE : drain_bits(bits, words, out);
+    int64_t n = flip_ends(g, ids, k, bits, words) < 0 ? BAD_EDGE : drain_bits(bits, words, out);
     free(bits);
     return n;
 }
@@ -153,25 +186,20 @@ int64_t uf_syndrome(const uf_graph *g, const int64_t *ids, int64_t k, int64_t *o
 int64_t uf_assess(const uf_graph *g, const int64_t *err, int64_t k_err, const int64_t *corr,
                   int64_t k_corr) {
     int64_t words = (g->n_internal + 63) / 64;
-    uint64_t *bits = calloc((size_t)words, sizeof *bits);
+    uint64_t *bits = calloc((size_t)(words + summary_words(words)), sizeof *bits);
     if (!bits) return INT64_MIN;
-    int64_t a = flip_ends(g, err, k_err, bits);
-    int64_t b = a < 0 ? a : flip_ends(g, corr, k_corr, bits);
+    int64_t a = flip_ends(g, err, k_err, bits, words);
+    int64_t b = a < 0 ? a : flip_ends(g, corr, k_corr, bits, words);
     int64_t result = b < 0 ? BAD_EDGE : (a + b) & 1;
-    for (int64_t w = 0; w < words && result >= 0; w++)
-        if (bits[w]) result = RESIDUAL_SYNDROME;
+    for (int64_t s = 0; s < summary_words(words) && result >= 0; s++)
+        for (uint64_t y = bits[words + s]; y && result >= 0; y &= y - 1)
+            if (bits[s * 64 + __builtin_ctzll(y)]) result = RESIDUAL_SYNDROME;
     free(bits);
     return result;
 }
 
-/* Drain the vertex bitmap of the context. */
-static int32_t drain_vertices(uf_ctx *c, int64_t *out) {
-    return drain_bits(c->bits, (c->g->n_internal + 63) / 64, out);
-}
-
-static inline void set_bit(uf_ctx *c, int32_t v) { c->bits[v >> 6] |= 1ULL << (v & 63); }
-
-/* Set bit v of the context's bitmap; 1 if it was clear before. */
+/* Set bit v of the context's bitmap, leaving the summary alone (the row
+   bitmap of uf_run_grgen); 1 if it was clear before. */
 static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
     uint64_t *w = c->bits + (v >> 6), b = 1ULL << (v & 63), was = *w & b;
     *w |= b;
@@ -186,7 +214,8 @@ void uf_init(uf_ctx *c) {
     for (int32_t v = 0; v < n; v++) c->low[v] = v;
     memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
     memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
-    memset(c->bits, 0, (size_t)(n + 63) / 64 * sizeof *c->bits);
+    int64_t words = (n + 63) / 64;
+    memset(c->bits, 0, (size_t)(words + summary_words(words)) * sizeof *c->bits);
     memset(c->parity, 0, (size_t)n);
     memset(c->boundary_sides, 0, (size_t)n);
     memset(c->member, 0, (size_t)n);
@@ -306,7 +335,7 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         if (ids[i] <= prev || ids[i] >= g.n_internal) return SEED_REFUSED;
     uf_reset(c);
     uf_seed(c, k);
-    int64_t *counts = c->counts;
+    int64_t *counts = c->counts, words = (g.n_internal + 63) / 64;
     for (;;) {
         /* mark every member of an odd cluster off the boundary; each
            cluster's root is one of its members */
@@ -315,12 +344,12 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
             int32_t v = c->touched_v[i], r = root_of(c->parent, v);
             if (!c->parity[r] || c->boundary_sides[r]) continue;
             c->growth_steps[r] += v == r;
-            set_bit(c, v);
+            set_bit(c->bits, words, v);
             grows = 1;
         }
         if (!grows) return 0;
         counts[PASSES]++;
-        int32_t n_scan = drain_vertices(c, c->scan);
+        int32_t n_scan = drain_bits(c->bits, words, c->scan);
         int64_t n_touched_e = counts[N_TOUCHED_E], n_te = n_touched_e;
         int32_t n_fes = 0;
         /* without branches: every edge is written to both logs' next entry
@@ -363,8 +392,9 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
    the STM rows (v / g->row_stride) that hold a member vertex or file a touched
    edge (under the row of its internal endpoint eu) before the pass starts;
    the member vertices scanned at each pass start; and the fusion edges
-   popped. The vertex bitmap serves as the row bitmap and is left cleared.
-   Returns what uf_grow returns. */
+   popped. The low words of the vertex bitmap serve as the row bitmap, which
+   never marks the summary, and are left cleared. Returns what uf_grow
+   returns. */
 int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     int64_t refused = uf_grow(c, k);
     if (refused) return refused;
@@ -451,11 +481,12 @@ static inline int64_t dfs_tree(uf_ctx *c, const uf_graph *g, int32_t u, int32_t 
 int64_t uf_forest(uf_ctx *c) {
     const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     int32_t n_int = (int32_t)g.n_internal, *rec = c->forest;
+    int64_t words = (g.n_internal + 63) / 64;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) c->visited[c->touched_v[i]] = 0;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t r = c->touched_v[i];
         if (c->parent[r] != r) continue;
-        set_bit(c, c->low[r]);
+        set_bit(c->bits, words, c->low[r]);
         c->entry[r] = -1;
     }
     for (int64_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
@@ -464,7 +495,8 @@ int64_t uf_forest(uf_ctx *c) {
             (c->entry[r] < 0 || u < g.eu[c->entry[r]]))
             c->entry[r] = e;
     }
-    int32_t m = drain_vertices(c, c->scan); /* the clusters' smallest vertices, ascending */
+    /* the clusters' smallest vertices, ascending */
+    int32_t m = drain_bits(c->bits, words, c->scan);
     int32_t *root = rec + 2, *start = root + m, *n_vertices = start + m;
     int32_t *boundary = n_vertices + m, *n_edges = boundary + m, *growth = n_edges + m;
     int32_t *edges = growth + m;
@@ -536,11 +568,11 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
     }
     for (int32_t t = 0; t < m; t++)
         if (start[t] > hi) hi = start[t];
-    /* a bitmap of the correction's edges, then one byte per vertex */
-    int64_t words = hi_edge / 64 + 1;
-    uint64_t *chosen = calloc((size_t)words * sizeof *chosen + (size_t)hi + 1, 1);
+    /* a bitmap of the correction's edges and its summary, then one byte per vertex */
+    int64_t words = hi_edge / 64 + 1, all_words = words + summary_words(words);
+    uint64_t *chosen = calloc((size_t)all_words * sizeof *chosen + (size_t)hi + 1, 1);
     if (!chosen) return INT64_MIN;
-    uint8_t *bit = (uint8_t *)(chosen + words);
+    uint8_t *bit = (uint8_t *)(chosen + all_words);
     for (int64_t i = 0; i < k; i++) bit[edges[3 * i + 1]] = IN_TREE;
     for (int32_t t = 0; t < m; t++)
         if (!boundary[t]) bit[start[t]] = IN_TREE;
@@ -560,7 +592,7 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
             uint8_t b = bit[child] & HELD;
             bit[child] = 0;
             if (b) {
-                chosen[e >> 6] |= 1ULL << (e & 63);
+                set_bit(chosen, words, e);
                 if (!boundary[t] || parent != start[t]) bit[parent] ^= HELD;
             }
         }

@@ -39,7 +39,8 @@ _BUFFERS = (
     ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
     ("defects", _INT64, lambda n, n_e: n, "_defects"),
     ("scan", _INT64, lambda n, n_e: n, "_scan"),
-    ("bits", _UINT64, lambda n, n_e: (n + 63) // 64, None),
+    # the vertex bitmap, then its summary: one bit per bitmap word
+    ("bits", _UINT64, lambda n, n_e: (n + 63) // 64 + (n + 4095) // 4096, None),
     ("parent", _INT32, lambda n, n_e: n, "parent"),
     ("size", _INT32, lambda n, n_e: n, "size"),
     ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
