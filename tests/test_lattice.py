@@ -331,6 +331,24 @@ def test_assess_matches_setxor_reference(data, d, cancel):
         assert assess(g, err_p, corr_p).success == (want == 0)
 
 
+def test_syndrome_and_assess_see_defects_that_only_second_endpoints_reach():
+    # two edges from one vertex a to two other bitmap words: a cancels, and
+    # each defect is reached only as an edge's second endpoint (edges_v)
+    g = SYNDROME_GRAPHS[25]
+    internal = g.edges_v < g.n_internal
+    for a in range(63, g.n_internal, 64):  # the last vertex of each word
+        by_word = {int(g.edges_v[e]) >> 6: int(e)
+                   for e in np.flatnonzero(internal & (g.edges_u == a))}
+        by_word.pop(a >> 6, None)
+        if len(by_word) >= 2:
+            break
+    e1, e2 = list(by_word.values())[:2]
+    assert np.array_equal(syndrome_indices_of_edges(g, [e1, e2]),
+                          sorted(int(g.edges_v[e]) for e in (e1, e2)))
+    with pytest.raises(InvariantViolation):
+        assess(g, ErrorPattern(edge_ids=np.array([e1]), n_edges=g.n_edges),
+               Correction(edge_ids=np.array([e2], dtype=np.int64)))
+
 def read_only(a):
     a = a.copy()
     a.flags.writeable = False
