@@ -192,7 +192,7 @@ int64_t uf_assess(const uf_graph *g, const int64_t *err, int64_t k_err, const in
     int64_t b = a < 0 ? a : flip_ends(g, corr, k_corr, bits, words);
     int64_t result = b < 0 ? BAD_EDGE : (a + b) & 1;
     for (int64_t s = 0; s < summary_words(words) && result >= 0; s++)
-        for (uint64_t y = bits[words + s]; y && result >= 0; y &= y - 1)
+        for (uint64_t y = bits[words + s]; y; y &= y - 1)
             if (bits[s * 64 + __builtin_ctzll(y)]) result = RESIDUAL_SYNDROME;
     free(bits);
     return result;

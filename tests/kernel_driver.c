@@ -21,10 +21,12 @@
  *
  * The kernel is included, so that one compile builds both:
  *   cc -O2 -o kernel_driver tests/kernel_driver.c <`_kernel.link_args()`>
- * and with `-pg -fno-inline` for gprof. gprof books GCC's `.isra` clones
- * (`set_bit`, `set_new_bit`, `drain_vertices`) under the function placed
- * before them in the binary, `read_array`, whose own calls number one per
- * array of the dump.
+ * and with `-pg -fno-inline` for gprof. There the one-line bitmap helpers
+ * (`summary_words`, `mark_word`, `set_bit`), which `-O2` inlines, are calls
+ * of their own. GCC's one `.isra` clone, `set_new_bit`, serves only
+ * `uf_run_grgen`, which the driver does not call; gprof would book its calls
+ * under the function placed before it, `read_array`, whose own calls number
+ * one per array of the dump.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c11 */
 #include <stddef.h>
