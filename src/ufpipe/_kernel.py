@@ -146,7 +146,7 @@ def _load_kernel() -> ctypes.CDLL:
 
 K = _load_kernel()
 LEFT_SIDE, RIGHT_SIDE = 1, 2  # bits of a cluster's boundary_sides
-# slots of a cluster set's counts; `ClusterSet.grgen` returns [PASSES:N_SEEDED]
+# slots of a decoder's counts; `Decoder.grgen` returns [PASSES:N_SEEDED]
 (N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS, N_SEEDED,
  N_FUSED_BOUNDARY, N_COUNTS) = range(10)
 FOREST_COLUMNS = 6  # per-tree columns of a forest record

@@ -3,7 +3,7 @@
  *
  * `_kernel.py` compiles this file on first import and binds it with ctypes.
  * Entry points, by caller:
- *   - `uf_core.ClusterSet` and `uf_core.Decoder`, one layer per call:
+ *   - `uf_core.Decoder`, one layer per call:
  *     `uf_init`, `uf_grow(ctx, k)` (checks the first k staged defects,
  *     resets over the last decode's entries, seeds and grows), `uf_forest`
  *     and `uf_peel`, and for the tests of hand-built tables `uf_find` and
@@ -18,7 +18,7 @@
  *     library `libnpyrandom.a`) from a Philox4x64-10 stream on the stack.
  * Every function reads a graph through the one `uf_graph` that its Python
  * `DecodingGraph` owns; a `uf_ctx` points to it and holds the addresses of
- * the decoding buffers, one numpy block of a Python `ClusterSet`. The kernel
+ * the decoding buffers, one numpy block of a Python `Decoder`. The kernel
  * allocates nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
  * `uf_assess`, a fresh block per call, so that the graph is only read and
  * can be shared between threads. `uf_graph` mirrors `_kernel.GraphView` and
@@ -78,7 +78,7 @@ typedef struct {
 
 typedef struct {
     const uf_graph *g; /* the graph decoded on */
-    /* the cluster set's buffers, in the order `uf_core._BUFFERS` lays them out */
+    /* the decoder's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
     int64_t *defects; /* defect ids for uf_grow, as the caller gave them; kept for uf_run_corr */
     /* scratch: growth's scan list, the forest's smallest vertices and
@@ -206,25 +206,8 @@ static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
     return !was;
 }
 
-/* Initial state: every vertex its own root, nothing touched. */
-void uf_init(uf_ctx *c) {
-    int32_t n = (int32_t)c->g->n_internal;
-    for (int32_t v = 0; v < n; v++) c->parent[v] = v;
-    for (int32_t v = 0; v < n; v++) c->size[v] = 1;
-    for (int32_t v = 0; v < n; v++) c->low[v] = v;
-    memset(c->growth_steps, 0, (size_t)n * sizeof *c->growth_steps);
-    memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
-    int64_t words = (n + 63) / 64;
-    memset(c->bits, 0, (size_t)(words + summary_words(words)) * sizeof *c->bits);
-    memset(c->parity, 0, (size_t)n);
-    memset(c->boundary_sides, 0, (size_t)n);
-    memset(c->member, 0, (size_t)n);
-    memset(c->visited, 0, (size_t)n);
-    memset(c->grown, 0, (size_t)n);
-    memset(c->edge_state, 0, (size_t)c->g->n_edges);
-}
-
-/* Restore the initial state over the entries the last decode touched. */
+/* Restore the initial state over the entries the last decode touched: the
+   one statement of what a fresh vertex and a fresh edge hold. */
 static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t v = c->touched_v[i];
@@ -240,6 +223,20 @@ static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
     c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
     c->counts[N_FUSED_BOUNDARY] = 0;
+}
+
+/* Initial state: zero counts, bitmap and visited flags, then uf_reset over
+   every vertex and every edge, taken as touched. */
+void uf_init(uf_ctx *c) {
+    int64_t n = c->g->n_internal, words = (n + 63) / 64;
+    memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
+    memset(c->bits, 0, (size_t)(words + summary_words(words)) * sizeof *c->bits);
+    memset(c->visited, 0, (size_t)n);
+    for (int32_t v = 0; v < n; v++) c->touched_v[v] = v;
+    for (int32_t e = 0; e < c->g->n_edges; e++) c->touched_e[e] = e;
+    c->counts[N_TOUCHED_V] = n;
+    c->counts[N_TOUCHED_E] = c->g->n_edges;
+    uf_reset(c);
 }
 
 /* Make each of the first k ids in `defects` a one-vertex odd cluster of a

@@ -12,10 +12,10 @@ Everything the decoding kernel reads is a flat array: the int32 edge
 endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
 order, and the uint8 `edge_slot`, each edge's position in its endpoints'
-CSR ranges. `neighbors` reads the CSR arrays. The graph describes itself to
-the kernel once, in one `_kernel.GraphView` it owns (sizes, the STM row
-stride and the addresses of the six arrays, which are immutable); every
-kernel call and every `uf_core.ClusterSet` reads it at `kernel_view`.
+CSR ranges. The graph describes itself to the kernel once, in one
+`_kernel.GraphView` it owns (sizes, the STM row stride and the addresses of
+the six arrays, which are immutable, as are the graph's fields); every
+kernel call and every `uf_core.Decoder` reads it at `kernel_view`.
 
 Syndrome extraction is one kernel call: it flips one bit per internal
 endpoint of each edge, so a vertex's bit ends up set iff it has odd
@@ -49,25 +49,11 @@ class LatticeParams:
             raise ValueError(f"code distance must be an odd integer >= 3, got {self.d}")
 
 
-def num_internal_vertices(d: int) -> int:
-    return d * d * (d - 1)
-
-
-def num_space_edges(d: int) -> int:
-    # one per data qubit per layer: d horizontal + (d-1)^2 vertical in-plane
-    return d * (2 * d * d - 2 * d + 1)
-
-
-def num_time_edges(d: int) -> int:
-    return d * (d - 1) * (d - 1)
-
-
-def num_edges(d: int) -> int:
-    return num_space_edges(d) + num_time_edges(d)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DecodingGraph:
+    """A graph compares by identity. Its fields cannot be rebound: the
+    kernel reads the arrays at the addresses `kernel_view` holds."""
+
     d: int
     n_internal: int
     left: int            # virtual boundary vertex id (= n_internal)
@@ -79,7 +65,8 @@ class DecodingGraph:
     # the only neighbour index, int32 CSR over every vertex including LEFT and
     # RIGHT: vertex v's incident (edge, far vertex) pairs are
     # zip(adj_edge[s:t], adj_far[s:t]) for s, t = adj_start[v], adj_start[v + 1],
-    # in the order `neighbors` documents
+    # in W, E, N, S, D, U order at an internal vertex and in ascending edge id
+    # at LEFT and RIGHT
     adj_start: np.ndarray = field(repr=False)
     adj_edge: np.ndarray = field(repr=False)
     adj_far: np.ndarray = field(repr=False)
@@ -94,10 +81,11 @@ class DecodingGraph:
 
     def __post_init__(self):
         # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
-        self._view = GraphView(self.n_internal, len(self.edges_u), self.d - 1, *(
+        view = GraphView(self.n_internal, len(self.edges_u), self.d - 1, *(
             a.ctypes.data for a in (self.adj_start, self.adj_edge, self.adj_far, self.edges_u,
                                     self.edges_v, self.edge_slot)))
-        self.kernel_view = ctypes.addressof(self._view)
+        object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "kernel_view", ctypes.addressof(view))
 
     @property
     def n_edges(self) -> int:
@@ -107,27 +95,9 @@ class DecodingGraph:
         d = self.d
         return layer * d * (d - 1) + row * (d - 1) + col
 
-    # No decoder calls `vertex_coords` or `neighbors`; they stay as the tests' edge lookups.
-    def vertex_coords(self, v: int) -> tuple[int, int, int]:
-        d = self.d
-        layer, rest = divmod(v, d * (d - 1))
-        row, col = divmod(rest, d - 1)
-        return layer, row, col
-
     def stm_row(self, v: int) -> int:
         """(layer, row) pair index of an internal vertex; one STM row each."""
         return v // self._view.row_stride
-
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """Incident (edge, far-vertex) pairs in fixed W,E,N,S,D,U order.
-
-        For the virtual vertices the incident boundary edges are returned in
-        ascending edge-id order.
-        """
-        if v < 0 or v >= self.n_internal + 2:
-            raise IndexError(f"vertex {v} out of range")
-        s, t = self.adj_start[v], self.adj_start[v + 1]
-        return list(zip(self.adj_edge[s:t].tolist(), self.adj_far[s:t].tolist()))
 
 
 def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
@@ -138,7 +108,7 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     then in-plane verticals row-major); all time edges follow, gap-major.
     """
     d = params.d
-    n_int = num_internal_vertices(d)
+    n_int = d * d * (d - 1)
     left = n_int
     right = n_int + 1
 
@@ -194,8 +164,6 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     )
     for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot):
         a.flags.writeable = False  # the kernel reads them through fixed addresses
-    assert g.n_space_edges == num_space_edges(d)
-    assert g.n_time_edges == num_time_edges(d)
     return g
 
 

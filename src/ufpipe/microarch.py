@@ -4,8 +4,8 @@ The pipeline (Gr-Gen, then the DFS engine, then the Corr engine) runs the
 Union-Find algorithm of `uf_core`; only the memory it reads differs. So
 each stage runs the `uf_core` engine and counts the reads the hardware
 would make, from the state the engine leaves behind. The spanning tree
-memory (STM) is `ClusterSet.edge_state` plus the defect bits; the root
-and size tables are `ClusterSet.parent` and `ClusterSet.size`; the fusion
+memory (STM) is `Decoder.edge_state` plus the defect bits; the root
+and size tables are `Decoder.parent` and `Decoder.size`; the fusion
 edge stack (FES) is each growth pass's stack, whose size the pass log
 records; the zero data register (ZDR) flags the STM rows that hold any
 nonzero entry. Corrections, statistics and cluster partitions equal the
@@ -13,18 +13,18 @@ engine's by construction.
 
 Each stage is one call into the engine's kernel plus O(1) Python:
 Gr-Gen is the oracle's growth call (check, reset, seed, grow) plus one
-walk of the engine's logs for its reads (`ClusterSet.grgen`); the DFS
-engine writes the forest record (`ClusterSet.forest_view`), and the Corr
-engine peels it (`ClusterSet.peel_seeded`). The DFS and Corr counts are
+walk of the engine's logs for its reads (`Decoder.grgen`); the DFS
+engine writes the forest record (`Decoder.forest_view`), and the Corr
+engine peels it (`Decoder.peel_seeded`). The DFS and Corr counts are
 the member count and the forest's edge count, so no stage does Python
 work per touched vertex or edge.
 
-State is reused: the model keeps one `ClusterSet` per process, holds it
-with a reference to its graph, and lets Gr-Gen reset it as it grows, as
-`uf_core.Decoder` does; a new one is built only when a decode names
-another graph object. So a `PipelineState`, the
-`SpanningForest` of `run_dfs` and the `Correction` of `run_corr`, which
-view the cluster set's buffers, are valid until the next pipeline decode
+State is reused: the model keeps one `uf_core.Decoder` per process, holds
+it with a reference to its graph, and lets Gr-Gen reset it as it grows, as
+every growth does; a new one is built only when a decode names another
+graph object. So a `PipelineState`, the `SpanningForest` of `run_dfs` and
+the `Correction` of `run_corr`, which view the decoder's buffers, are
+valid until the next pipeline decode
 (copy what must outlive it), and pipeline decodes run on one thread at a
 time (single-threaded; one process per worker).
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from ._kernel import check_integer
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
-from .uf_core import ClusterSet, Correction, DecodeStats, SpanningForest, cluster_stats
+from .uf_core import Correction, Decoder, DecodeStats, SpanningForest, cluster_stats
 
 
 @dataclass
@@ -61,7 +61,7 @@ class AccessTrace:
       an edge with nonzero growth state.
     - `table_reads`: one root lookup per member vertex scanned in a pass,
       plus the engine's find and union reads during growth
-      (`ClusterSet.table_reads`).
+      (`Decoder.table_reads`).
     - `fes_pops`: fused edges drained from the FES, summed over passes.
     - `grgen`: the sum of the four counts above.
     - `dfs`: one STM read per vertex the DFS engine visits, which is the
@@ -87,33 +87,33 @@ class AccessTrace:
 class PipelineState:
     """Engine state of one decode plus its access trace.
 
-    `cs` is the model's shared cluster set: the state is valid until the
-    next pipeline decode, which resets it. Read the signature and counts
-    before decoding again, on the same thread."""
+    `cs` is the model's shared decoder, whose cluster set the decode left:
+    the state is valid until the next pipeline decode, which resets it. Read
+    the signature and counts before decoding again, on the same thread."""
 
-    cs: ClusterSet
+    cs: Decoder
     trace: AccessTrace = field(default_factory=AccessTrace)
 
     def cluster_signature(self) -> frozenset:
         return self.cs.signature()
 
 
-_cs: ClusterSet | None = None  # the cluster set of every pipeline decode
+_cs: Decoder | None = None  # the decoder of every pipeline decode
 
 
 def new_pipeline_state(graph: DecodingGraph) -> PipelineState:
-    """State on the model's one cluster set, built anew when `graph` is not
-    the object the set was built for; `run_grgen` resets it."""
+    """State on the model's one decoder, built anew when `graph` is not the
+    object the decoder was built for; `run_grgen` resets it."""
     global _cs
     if _cs is None or _cs.graph is not graph:
-        _cs = ClusterSet(graph)
+        _cs = Decoder(graph)
     return PipelineState(_cs)
 
 
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
-    """Gr-Gen: reset the cluster set, seed the defects, grow the clusters and
+    """Gr-Gen: reset the decoder, seed the defects, grow the clusters and
     count the stage's reads, in one kernel call that first checks the
-    defects (ValueError, as `ClusterSet.grow`, with the state unchanged)."""
+    defects (ValueError, as `Decoder.grow`, with the state unchanged)."""
     passes, table_reads, stm_row_reads, member_scans, fes_pops = state.cs.grgen(syn.defects)
     t = state.trace
     t.parity_scans = passes + 1
@@ -126,8 +126,8 @@ def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
 
 def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
-    cluster's edge stack, in one kernel call. The forest views the cluster
-    set's record: it is valid until the next pipeline decode. The engine
+    cluster's edge stack, in one kernel call. The forest views the
+    decoder's record: it is valid until the next pipeline decode. The engine
     reads each member vertex once, and the clusters' sizes sum to the
     member count."""
     cs = state.cs
@@ -138,9 +138,9 @@ def run_dfs(state: PipelineState) -> SpanningForest:
 
 def run_corr(state: PipelineState, forest: SpanningForest) -> Correction:
     """Corr engine: peel every edge stack of `forest`, the record `run_dfs`
-    left in the cluster set, one pop per tree edge, with the defects Gr-Gen
+    left in the decoder, one pop per tree edge, with the defects Gr-Gen
     seeded as the syndrome, in one kernel call. The correction views a
-    buffer of the cluster set: it is valid until the next pipeline decode."""
+    buffer of the decoder: it is valid until the next pipeline decode."""
     state.trace.corr = forest.k
     return state.cs.peel_seeded()
 

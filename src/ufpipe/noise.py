@@ -81,12 +81,8 @@ class Syndrome:
 
 
 def sample_error(graph: DecodingGraph, noise: NoiseParams) -> ErrorPattern:
-    ids = sample_edge_ids(graph.n_edges, noise.p, noise.seed, noise.trial_index)
+    ids = TrialSampler(graph.n_edges, noise.p, noise.seed).sample(noise.trial_index)
     return ErrorPattern(edge_ids=ids, n_edges=graph.n_edges)
-
-
-def sample_edge_ids(n_edges: int, p: float, seed: int, trial_index: int) -> np.ndarray:
-    return TrialSampler(n_edges, p, seed).sample(trial_index)
 
 
 class TrialSampler:

@@ -2,7 +2,7 @@
 
 The only decoding engine in the package. Growth, the spanning forest and
 peeling run in one C kernel, `_ufkernel.c` (built and loaded by `_kernel`),
-over flat buffers that a `ClusterSet` owns; `assess` is one call into the
+over flat buffers that a `Decoder` owns; `assess` is one call into the
 same kernel. This module validates input, owns the buffers and turns the
 kernel's output into Python values. All iteration orders are fixed
 (ascending vertex ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a
@@ -30,8 +30,8 @@ from ._kernel import (BAD_EDGE, FOREST_BAD_TREE, FOREST_COLUMNS, FOREST_ODD_CLUS
 from .lattice import DecodingGraph, reject_off_graph
 from .noise import ErrorPattern, Syndrome
 
-# The buffers of a ClusterSet, in the order of their fields in `uf_ctx`:
-# (name, dtype, length as a function of n_internal and n_edges, the ClusterSet
+# The buffers of a Decoder, in the order of their fields in `uf_ctx`:
+# (name, dtype, length as a function of n_internal and n_edges, the Decoder
 # attribute that views it, or None for the kernel's own buffers). Wider types
 # come first, so that one block holds them all, each aligned.
 _INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, np.uint8))
@@ -74,12 +74,14 @@ class InvariantViolation(RuntimeError):
     """A decoder-internal invariant was broken (decoder bug)."""
 
 
-class ClusterSet:
-    """Union-find partition with per-root size, parity, boundary flag and
-    growth count, plus the half-edge growth counters.
+class Decoder:
+    """Reusable decoder of one graph (single-threaded; one per worker): the
+    union-find partition with per-root size, parity, boundary flag and growth
+    count, plus the half-edge growth counters. `grow` returns the decoder
+    itself, whose state the forest, the statistics and the tests read.
 
     All state lives in one numpy block, cut into the buffers `_BUFFERS`
-    lists, which the kernel reads and writes. The set's kernel context,
+    lists, which the kernel reads and writes. The decoder's kernel context,
     `_Ctx`, holds the address of the graph's `GraphView` and of each buffer,
     nothing else; the buffers Python reads are numpy views, made once in
     `__init__` as plain attributes:
@@ -116,8 +118,9 @@ class ClusterSet:
       writes and does not keep.
 
     State is reusable across decodes: `grow` starts by restoring the
-    initial state over the entries the last growth touched. A refused growth
-    changes no state, the defects `peel_seeded` peels included.
+    initial state over the entries the last growth touched, as `uf_init`
+    does over every entry. A refused growth changes no state, the defects
+    `peel_seeded` peels included.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -212,10 +215,11 @@ class ClusterSet:
 
     # -- growth ----------------------------------------------------------
 
-    def grow(self, defects) -> None:
+    def grow(self, defects) -> Decoder:
         """One decode's growth in one kernel call: reset over the entries the
         last growth touched, make every defect a one-vertex odd cluster, then
-        run growth passes until every cluster is even or frozen.
+        run growth passes until every cluster is even or frozen. Returns the
+        decoder.
 
         `defects` must be strictly ascending integer vertex ids in
         [0, n_internal). Anything else raises ValueError before any state
@@ -225,6 +229,11 @@ class ClusterSet:
         ids = self._stage(defects)
         if K.uf_grow(self._c, ids.size):
             self._refuse(ids)
+        return self
+
+    def decode(self, syn: Syndrome) -> tuple[Correction, DecodeStats]:
+        forest = spanning_forest(self.graph, self.grow(syn.defects))
+        return peel(forest, syn), cluster_stats(self, forest)
 
     def _stage(self, defects) -> np.ndarray:
         """Copy integer defect ids to the buffer the kernel seeds from, where
@@ -261,14 +270,14 @@ class ClusterSet:
         return self._counts[PASSES:N_SEEDED].tolist()
 
     def forest_view(self) -> SpanningForest:
-        """`spanning_forest` of this set without the copy: the forest views
-        the set's record, so it is valid until the set is grown again."""
+        """`spanning_forest` of this decoder without the copy: the forest
+        views the decoder's record, so it is valid until the next growth."""
         return SpanningForest._unchecked(_forest_record(self))
 
     def peel_seeded(self) -> Correction:
         """`peel` of the record that `forest_view` left, with the seeded
         defects as the syndrome, in one kernel call. The correction's int64
-        ids view a buffer of the set, valid until the set is grown again."""
+        ids view a buffer of the decoder, valid until the next growth."""
         n = K.uf_run_corr(self._c)
         if n < 0:
             _check_peeled(n, self._defects[:self._counts[N_SEEDED]])
@@ -382,7 +391,7 @@ class DecodeOutcome:
     stats: DecodeStats | None = None
 
 
-def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
+def spanning_forest(graph: DecodingGraph, dec: Decoder) -> SpanningForest:
     """DFS spanning tree per cluster over fully grown edges.
 
     Trees are ordered by the smallest vertex id of their cluster, which
@@ -396,15 +405,15 @@ def spanning_forest(graph: DecodingGraph, cs: ClusterSet) -> SpanningForest:
     per vertex serves the whole forest. No `find` is made, so the parent
     table and `table_reads` stay as growth left them.
     """
-    if graph is not cs.graph:
-        raise ValueError("the cluster set was grown on another graph")
-    return SpanningForest._unchecked(_forest_record(cs).copy())
+    if graph is not dec.graph:
+        raise ValueError("the decoder was grown on another graph")
+    return SpanningForest._unchecked(_forest_record(dec).copy())
 
 
-def _forest_record(cs: ClusterSet) -> np.ndarray:
-    """Run `uf_forest` on `cs` and return the record it wrote, a view."""
-    n = K.uf_forest(cs._c)
-    rec = cs._forest
+def _forest_record(dec: Decoder) -> np.ndarray:
+    """Run `uf_forest` on `dec` and return the record it wrote, a view."""
+    n = K.uf_forest(dec._c)
+    rec = dec._forest
     if n == FOREST_ODD_CLUSTER:
         raise InvariantViolation(f"cluster at root {rec[0]} is odd and not on a boundary")
     if n == FOREST_BAD_TREE:
@@ -445,30 +454,13 @@ def _check_peeled(n: int, ids: np.ndarray) -> NoReturn:
     raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
 
 
-class Decoder:
-    """Reusable decoder instance (single-threaded; one per worker)."""
-
-    def __init__(self, graph: DecodingGraph):
-        self.graph = graph
-        self.cs = ClusterSet(graph)
-
-    def grow(self, defects) -> ClusterSet:
-        self.cs.grow(defects)
-        return self.cs
-
-    def decode(self, syn: Syndrome) -> tuple[Correction, DecodeStats]:
-        cs = self.grow(syn.defects)
-        forest = spanning_forest(self.graph, cs)
-        return peel(forest, syn), cluster_stats(cs, forest)
-
-
-def cluster_stats(cs: ClusterSet, forest: SpanningForest) -> DecodeStats:
-    """The statistics of the clusters of `forest`, grown in `cs`: one read
+def cluster_stats(dec: Decoder, forest: SpanningForest) -> DecodeStats:
+    """The statistics of the clusters of `forest`, grown in `dec`: one read
     of the forest record's per-tree columns."""
     m = forest.m
     c = forest.record[2 + 2 * m:2 + FOREST_COLUMNS * m].tolist()  # sizes, boundary, edges, growth
     return DecodeStats(m, tuple(c[:m]), tuple(c[3 * m:]), tuple(map(bool, c[m:2 * m])),
-                       tuple(c[2 * m:3 * m]), cs.passes)
+                       tuple(c[2 * m:3 * m]), dec.passes)
 
 
 def assess(

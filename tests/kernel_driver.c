@@ -4,16 +4,21 @@
  *   kernel_driver DUMP OUT REPEATS
  *
  * DUMP, written by `tests/kernel_driver.py`, holds a decoding graph's arrays,
- * the byte offsets of a `uf_core.ClusterSet`'s buffers in its block and the
+ * the byte offsets of a `uf_core.Decoder`'s buffers in its block and the
  * defects of a list of decodes. The driver runs every decode REPEATS times
  * (REPEATS >= 1) through the oracle's kernel path: uf_grow, uf_forest, then
  * uf_run_corr. For the first round it writes to OUT, per decode, the forest
  * record (int64 length, int32 entries) and the correction (int64 count,
  * int64 ids). Every size comes from the dump: the graph's arrays and the
- * buffers' offsets are laid into the kernel's structs in the order of
- * their pointer fields, which `_kernel.GraphView` and `uf_core._Ctx` mirror.
- * Exits with status 1 on a bad dump or a kernel error return. On success it
- * prints two lines to stdout:
+ * buffers are laid into the kernel's structs in the order of their pointer
+ * fields, which `_kernel.GraphView` and `uf_core._Ctx` mirror. Each array
+ * and each buffer is an allocation of its own, of exactly its size: a
+ * buffer's size is the distance from its offset to the next one, and the
+ * last takes the rest of the block. So under `-fsanitize=address` an
+ * overrun past any buffer is caught, where in the one block of a `Decoder`
+ * it would land in the next buffer. Everything is freed before a
+ * successful exit. Exits with status 1 on a bad dump or a kernel error
+ * return. On success it prints two lines to stdout:
  *   N decodes x REPEATS rounds, D defects per round
  *   T us per decode
  * where T is the wall time (CLOCK_MONOTONIC) of all REPEATS rounds, the
@@ -48,14 +53,20 @@ static int64_t read_i64(void) {
     return x;
 }
 
+/* A fresh allocation of `bytes` bytes, at least one. */
+static void *alloc(int64_t bytes) {
+    void *a = malloc(bytes ? (size_t)bytes : 1);
+    if (!a) fail("no memory");
+    return a;
+}
+
 /* An array of the dump: its item size and count, then its bytes. An
    `itemsize` of 0 takes any item size. */
 static void *read_array(int64_t itemsize_wanted, int64_t *count) {
     int64_t itemsize = read_i64(), n = read_i64();
     if (itemsize <= 0 || n < 0 || (itemsize_wanted && itemsize != itemsize_wanted))
         fail("bad array header");
-    void *a = malloc((size_t)(itemsize * n) + 1);
-    if (!a) fail("no memory");
+    void *a = alloc(itemsize * n);
     if (fread(a, (size_t)itemsize, (size_t)n, dump) != (size_t)n) fail("truncated array");
     if (count) *count = n;
     return a;
@@ -86,24 +97,22 @@ int main(int argc, char **argv) {
 
     uf_ctx c;
     c.g = &g;
-    int64_t n_buffers = read_i64(), block_bytes = read_i64();
+    int64_t n_buffers = read_i64(), block_bytes = read_i64(), firsts[65];
     void *buffers[64];
     if (n_buffers < 0 || n_buffers > 64 || block_bytes <= 0) fail("bad buffer layout");
-    char *block = malloc((size_t)block_bytes);
-    if (!block) fail("no memory");
+    for (int64_t i = 0; i < n_buffers; i++) firsts[i] = read_i64();
+    firsts[n_buffers] = block_bytes;
     for (int64_t i = 0; i < n_buffers; i++) {
-        int64_t first = read_i64();
-        if (first < 0 || first > block_bytes) fail("bad buffer offset");
-        buffers[i] = block + first;
+        if (firsts[i] < 0 || firsts[i] > firsts[i + 1]) fail("bad buffer offset");
+        buffers[i] = alloc(firsts[i + 1] - firsts[i]);
     }
     set_pointers(&c.counts, (const char *)&c + sizeof c, buffers, n_buffers);
     uf_init(&c);
 
     int64_t n_decodes = read_i64(), n_ids = 0;
     if (n_decodes < 0) fail("bad decode count");
-    int64_t **defects = malloc((size_t)n_decodes * sizeof *defects + 1);
-    int64_t *counts = malloc((size_t)n_decodes * sizeof *counts + 1);
-    if (!defects || !counts) fail("no memory");
+    int64_t **defects = alloc(n_decodes * (int64_t)sizeof *defects);
+    int64_t *counts = alloc(n_decodes * (int64_t)sizeof *counts);
     for (int64_t i = 0; i < n_decodes; i++) {
         defects[i] = read_array(sizeof **defects, &counts[i]);
         n_ids += counts[i];
@@ -135,5 +144,10 @@ int main(int argc, char **argv) {
     printf("%lld decodes x %ld rounds, %lld defects per round\n", (long long)n_decodes, repeats,
            (long long)n_ids);
     printf("%.3f us per decode\n", 1e6 * seconds / ((double)n_decodes * (double)repeats));
+    for (int64_t i = 0; i < n_decodes; i++) free(defects[i]);
+    free(defects);
+    free(counts);
+    for (int64_t i = 0; i < n_buffers; i++) free(buffers[i]);
+    for (int64_t i = 0; i < n_arrays; i++) free(arrays[i]);
     return 0;
 }

@@ -9,10 +9,12 @@ writes the decoding graph of distance d and the syndromes of trials
     ./kernel_driver DUMP OUT 20
     gprof -b kernel_driver gmon.out
 
-where the link args are `ufpipe._kernel.link_args()`. The dump takes every
+where the link args are `ufpipe._kernel.link_args()`. To check the kernel's
+memory accesses, build it with `-O1 -g -fsanitize=address` instead: the
+driver gives every buffer an allocation of its own. The dump takes every
 size from the package itself: the graph's arrays in the order of
-`GraphView`'s pointer fields, and the offsets of a `ClusterSet`'s buffers
-in its block, in the order of `_Ctx`'s.
+`GraphView`'s pointer fields, then the size of a `Decoder`'s block and
+the offsets of its buffers in it, in the order of `_Ctx`'s.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from ufpipe._kernel import GraphView, addr
 from ufpipe.lattice import DecodingGraph, LatticeParams, build_decoding_graph
 from ufpipe.noise import NoiseParams, sample_error, syndrome_of
-from ufpipe.uf_core import ClusterSet
+from ufpipe.uf_core import Decoder
 
 # GraphView's pointer fields that DecodingGraph names otherwise
 _GRAPH_ATTRS = {"eu": "edges_u", "ev": "edges_v"}
@@ -40,16 +42,16 @@ def _array(a: np.ndarray) -> bytes:
 def write_dump(path, graph: DecodingGraph, defect_lists) -> None:
     """Write `graph` and the decodes of `defect_lists` to `path`."""
     pointers = [name for name, kind in GraphView._fields_ if kind is ctypes.c_void_p]
-    cs = ClusterSet(graph)
-    base = addr(cs._block)
-    buffers = [name for name, kind in cs._ctx._fields_ if name != "g"]
+    dec = Decoder(graph)
+    base = addr(dec._block)
+    buffers = [name for name, kind in dec._ctx._fields_ if name != "g"]
     words = [graph.n_internal, graph.n_edges, graph._view.row_stride, len(pointers)]
     with open(path, "wb") as f:
         f.write(np.array(words, dtype=np.int64).tobytes())
         for name in pointers:
             f.write(_array(getattr(graph, _GRAPH_ATTRS.get(name, name))))
-        offsets = [getattr(cs._ctx, name) - base for name in buffers]
-        f.write(np.array([len(buffers), cs._block.size, *offsets], dtype=np.int64).tobytes())
+        offsets = [getattr(dec._ctx, name) - base for name in buffers]
+        f.write(np.array([len(buffers), dec._block.size, *offsets], dtype=np.int64).tobytes())
         f.write(np.array([len(defect_lists)], dtype=np.int64).tobytes())
         for ids in defect_lists:
             f.write(_array(np.asarray(ids, dtype=np.int64)))

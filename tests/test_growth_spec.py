@@ -30,7 +30,7 @@ _INCIDENT = {d: np.split(g.adj_edge, g.adj_start[1:-1])[:g.n_internal] for d, g 
 
 def grow_spec(d, defects):
     """Growth from the defect vertices `defects` on the graph of distance d,
-    as (`ClusterSet.signature()`, `edge_state`, `passes`).
+    as (`Decoder.signature()`, `edge_state`, `passes`).
 
     Each pass, every odd cluster that reaches no boundary grows each
     incident edge of each of its vertices by one step, an edge between two

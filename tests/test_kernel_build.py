@@ -5,7 +5,8 @@ runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
 its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
 order, and Python mirrors in `_kernel` of its numbers that hold their values.
 The standalone driver `kernel_driver.c`, which profiles the kernel outside
-Python, builds and decodes as `uf_core` does.
+Python, builds and decodes as `uf_core` does, and runs clean under the
+address sanitizer with every buffer in an allocation of its own.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -162,34 +163,62 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def build_driver(tmp_path, *flags):
+    driver = tmp_path / "kernel_driver"
+    cmd = ["cc", *flags, "-o", str(driver), str(Path(__file__).with_name("kernel_driver.c")),
+           *link_args()]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return driver
+
+
+def check_driver(driver, tmp_path, g, defects):
+    """Run `driver` twice over each defect list of `defects` on `g`, and
+    check its two stdout lines and its records against `uf_core`'s."""
+    write_dump(tmp_path / "dump", g, defects)
+    out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2"],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    # the driver's two stdout lines: the work done, then its time per decode
+    work, timing = out.stdout.splitlines()
+    n_ids = sum(map(len, defects))
+    assert work == f"{len(defects)} decodes x 2 rounds, {n_ids} defects per round"
+    assert re.fullmatch(r"\d+\.\d{3} us per decode", timing), timing
+    assert float(timing.split()[0]) > 0
+    dec = Decoder(g)
+    got = read_output(tmp_path / "out")
+    assert len(got) == len(defects)
+    for (record, corr), ids in zip(got, defects):
+        forest = spanning_forest(g, dec.grow(ids))
+        assert np.array_equal(record, forest.record)
+        assert np.array_equal(corr, peel(forest, Syndrome(ids, g.n_internal)).edge_ids)
+
+
 def test_kernel_driver_decodes_a_dump_as_uf_core_does(tmp_path):
     # the driver lays the dumped graph and buffer offsets into the kernel's
     # structs; a field out of step gives other records or a crash
-    driver = tmp_path / "kernel_driver"
-    cmd = ["cc", "-O2", *WARNINGS, "-o", str(driver),
-           str(Path(__file__).with_name("kernel_driver.c")), *link_args()]
-    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    driver = build_driver(tmp_path, "-O2", *WARNINGS)
     for d, p in ((3, 0.1), (5, 0.02), (5, 0.2), (5, 0.45)):
         g = build_decoding_graph(LatticeParams(d))
-        defects = trial_defects(g, p, seed=d, trials=30)
-        write_dump(tmp_path / "dump", g, defects)
-        out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2"],
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        # the driver's two stdout lines: the work done, then its time per decode
-        work, timing = out.stdout.splitlines()
-        n_ids = sum(map(len, defects))
-        assert work == f"{len(defects)} decodes x 2 rounds, {n_ids} defects per round"
-        assert re.fullmatch(r"\d+\.\d{3} us per decode", timing), timing
-        assert float(timing.split()[0]) > 0
-        dec = Decoder(g)
-        got = read_output(tmp_path / "out")
-        assert len(got) == len(defects)
-        for (record, corr), ids in zip(got, defects):
-            forest = spanning_forest(g, dec.grow(ids))
-            assert np.array_equal(record, forest.record)
-            assert np.array_equal(corr, peel(forest, Syndrome(ids, g.n_internal)).edge_ids)
+        check_driver(driver, tmp_path, g, trial_defects(g, p, seed=d, trials=30))
+
+
+def test_kernel_driver_runs_clean_under_the_address_sanitizer(tmp_path):
+    # each buffer is an allocation of its own there, so that an overrun into
+    # the next buffer, which the one block of a Decoder hides, is caught;
+    # every vertex a defect touches every edge, which fills `touched_e`
+    probe = subprocess.run(["cc", "-fsanitize=address", "-x", "c", "-o", str(tmp_path / "probe"),
+                            "-"], input="int main(void) { return 0; }\n",
+                           capture_output=True, text=True, timeout=120)
+    if probe.returncode:
+        pytest.skip(f"cc cannot link libasan: {probe.stderr.strip()}")
+    driver = build_driver(tmp_path, "-O1", "-g", "-fsanitize=address")
+    for d, p in ((5, 0.2), (5, 0.45), (25, 0.2)):
+        g = build_decoding_graph(LatticeParams(d))
+        check_driver(driver, tmp_path, g, trial_defects(g, p, seed=d, trials=30))
+    for d in (5, 25):
+        g = build_decoding_graph(LatticeParams(d))
+        check_driver(driver, tmp_path, g, [np.arange(g.n_internal)])
 
 
 def test_kernel_exports_exactly_the_functions_python_binds():

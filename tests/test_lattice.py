@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import sys
 import threading
@@ -7,15 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ufpipe.lattice import (
-    LatticeParams,
-    build_decoding_graph,
-    num_edges,
-    num_internal_vertices,
-    num_space_edges,
-    num_time_edges,
-    syndrome_indices_of_edges,
-)
+from graph_edges import incident
+from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import ErrorPattern
 from ufpipe.uf_core import Correction, InvariantViolation, assess
 
@@ -35,8 +29,8 @@ def g5():
 
 
 def brute_counts(d):
-    # count from first principles, independently of the library formulas:
-    # per layer, one horizontal edge per (row, horizontal slot) including the
+    # count from first principles, independently of the graph build: per
+    # layer, one horizontal edge per (row, horizontal slot) including the
     # two boundary slots, plus an in-plane vertical edge per interior gap.
     verts = sum(1 for _l in range(d) for _r in range(d) for _c in range(d - 1))
     horiz = sum(1 for _l in range(d) for _r in range(d) for _slot in range(d))
@@ -78,14 +72,11 @@ def test_d3_counts(g3):
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11])
 def test_counts_match_brute_force(d):
     verts, space, time = brute_counts(d)
-    assert num_internal_vertices(d) == verts
-    assert num_space_edges(d) == space
-    assert num_time_edges(d) == time
     g = build_decoding_graph(LatticeParams(d))
     assert g.n_internal == verts
     assert g.n_space_edges == space
     assert g.n_time_edges == time
-    assert num_edges(d) == g.n_edges
+    assert g.n_edges == space + time
 
 
 def test_d11_vertex_count():
@@ -99,7 +90,7 @@ def test_bulk_degree_six(g3):
     for layer in range(1, d - 1):
         for row in range(1, d - 1):
             for col in range(d - 1):
-                nb = g3.neighbors(g3.vertex_id(layer, row, col))
+                nb = incident(g3, g3.vertex_id(layer, row, col))
                 assert len(nb) == 6
                 time = [e >= g3.n_space_edges for e, _ in nb]
                 assert time.count(False) == 4
@@ -109,19 +100,22 @@ def test_bulk_degree_six(g3):
 def test_neighbors_boundary_and_top_layer(g5):
     d = g5.d
     v = g5.vertex_id(2, 2, 0)
-    far = [w for _, w in g5.neighbors(v)]
+    far = [w for _, w in incident(g5, v)]
     assert far.count(g5.left) == 1
     v_top = g5.vertex_id(d - 1, 2, 2)
-    layers = [g5.vertex_coords(w)[0] for _, w in g5.neighbors(v_top) if w < g5.n_internal]
-    assert all(l <= d - 1 for l in layers)
-    assert len(g5.neighbors(v_top)) == 5  # no Up edge above the last layer
+    nb = incident(g5, v_top)
+    assert len(nb) == 5  # no Up edge above the last layer
+    # W, E, N, S in the last layer, then Down to the layer below
+    assert [w for _, w in nb] == [v_top - 1, v_top + 1, v_top - (d - 1), v_top + (d - 1),
+                                  g5.vertex_id(d - 2, 2, 2)]
 
 
 def test_neighbors_involutive(g5):
-    for v in range(g5.n_internal):
-        for e, w in g5.neighbors(v):
-            if w < g5.n_internal:
-                assert (e, v) in g5.neighbors(w)
+    # every CSR entry (v, e, w) has its mirror (w, e, v), and each edge has two
+    near = np.repeat(np.arange(g5.n_internal + 2), np.diff(g5.adj_start))
+    entries = set(zip(near.tolist(), g5.adj_edge.tolist(), g5.adj_far.tolist()))
+    assert len(entries) == 2 * g5.n_edges
+    assert {(w, e, v) for v, e, w in entries} == entries
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -134,9 +128,9 @@ def test_edge_slot_locates_each_edge_in_its_ends_neighbors(d):
     at_u, at_v = g.edge_slot[:g.n_edges], g.edge_slot[g.n_edges:]
     for e in range(g.n_edges):
         u, v = int(g.edges_u[e]), int(g.edges_v[e])
-        assert g.neighbors(u)[at_u[e]] == (e, v)
+        assert incident(g, u)[at_u[e]] == (e, v)
         if v < g.n_internal:
-            assert g.neighbors(v)[at_v[e]] == (e, u)
+            assert incident(g, v)[at_v[e]] == (e, u)
         else:
             assert at_v[e] == 0xFF
 
@@ -152,9 +146,17 @@ def test_internal_vertices_have_at_most_six_edges_and_one_to_the_boundary(d):
     assert np.bincount(g.edges_u[g.edges_v >= n], minlength=n).max() == 1
 
 
-def test_neighbors_bad_vertex(g3):
-    with pytest.raises(IndexError):
-        g3.neighbors(g3.n_internal + 2)
+def test_graph_fields_cannot_be_rebound(g3):
+    # the kernel reads each array at the address the graph's view took when
+    # it was built: a rebound array would be freed under that view
+    view = g3.kernel_view
+    for name in ("edges_u", "edges_v", "adj_start", "adj_edge", "adj_far", "edge_slot"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g3, name, getattr(g3, name).copy())
+    assert g3.kernel_view == view
+    # graphs compare and hash by identity
+    twin = build_decoding_graph(LatticeParams(3))
+    assert g3 == g3 and g3 != twin and len({g3, twin, g3}) == 2
 
 
 def test_invalid_distance():
@@ -165,11 +167,11 @@ def test_invalid_distance():
 
 
 def test_vertex_indexing(g5):
+    # ids run over (layer, row, col) in row-major order, one STM row per (layer, row)
     d = g5.d
-    for v in range(g5.n_internal):
-        layer, row, col = g5.vertex_coords(v)
-        assert g5.vertex_id(layer, row, col) == v
-        assert g5.stm_row(v) == layer * d + row
+    cells = [(layer, row, col) for layer in range(d) for row in range(d) for col in range(d - 1)]
+    assert [g5.vertex_id(*cell) for cell in cells] == list(range(g5.n_internal))
+    assert [g5.stm_row(v) for v in range(g5.n_internal)] == [l * d + r for l, r, _ in cells]
 
 
 def row_chain(g, layer, row):
@@ -177,16 +179,16 @@ def row_chain(g, layer, row):
     d = g.d
     chain = []
     v = g.vertex_id(layer, row, 0)
-    for e, w in g.neighbors(v):
+    for e, w in incident(g, v):
         if w == g.left:
             chain.append(e)
     for col in range(d - 2):
         u = g.vertex_id(layer, row, col)
-        for e, w in g.neighbors(u):
+        for e, w in incident(g, u):
             if w == g.vertex_id(layer, row, col + 1):
                 chain.append(e)
     u = g.vertex_id(layer, row, d - 2)
-    for e, w in g.neighbors(u):
+    for e, w in incident(g, u):
         if w == g.right:
             chain.append(e)
     return chain
@@ -199,10 +201,10 @@ def square_cycle(g, layer, row, col):
     c = g.vertex_id(layer, row + 1, col)
     d_ = g.vertex_id(layer, row + 1, col + 1)
     out = []
-    for e, w in g.neighbors(a):
+    for e, w in incident(g, a):
         if w in (b, c):
             out.append(e)
-    for e, w in g.neighbors(d_):
+    for e, w in incident(g, d_):
         if w in (b, c):
             out.append(e)
     assert len(out) == 4
@@ -245,7 +247,7 @@ def test_logical_crossing_parity_linear(g5):
 def test_syndrome_matches_bincount_reference(data, d):
     # arbitrary edge-id arrays: empty, repeated ids, and boundary-heavy sets
     g = SYNDROME_GRAPHS[d]
-    boundary = [e for e, _ in g.neighbors(g.left) + g.neighbors(g.right)]
+    boundary = [e for e, _ in incident(g, g.left) + incident(g, g.right)]
     any_edge = st.integers(0, g.n_edges - 1)
     ids = data.draw(st.lists(st.one_of(any_edge, st.sampled_from(boundary)), max_size=80))
     edge_ids = np.asarray(ids, dtype=np.int64)
@@ -280,7 +282,7 @@ def test_syndrome_and_assess_reject_non_integer_edge_ids(g3, bad):
 
 
 def boundary_edges(g):
-    return [e for e, _ in g.neighbors(g.left) + g.neighbors(g.right)]
+    return [e for e, _ in incident(g, g.left) + incident(g, g.right)]
 
 
 def zero_syndrome_sets(g):

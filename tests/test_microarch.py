@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_edges import edge_between
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import NoiseParams, Syndrome, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
@@ -11,13 +12,6 @@ from ufpipe.microarch import (decode_with_pipeline, memory_footprint, stack_over
                               stage_read_estimate)
 
 GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11, 25)}
-
-
-def edge_between(g, u, w):
-    for e, far in g.neighbors(u):
-        if far == w:
-            return e
-    raise AssertionError(f"no edge {u}-{w}")
 
 
 def reference_grgen_counts(g, cs):
@@ -49,7 +43,7 @@ def check_against_oracle(g, syn):
     assert np.array_equal(pcorr.edge_ids, corr.edge_ids)
     assert pcorr.edge_ids.dtype == corr.edge_ids.dtype
     assert pstats == stats
-    assert state.cluster_signature() == dec.cs.signature()
+    assert state.cluster_signature() == dec.signature()
     assert np.array_equal(syndrome_indices_of_edges(g, pcorr.edge_ids), syn.defects)
     t = state.trace
     assert t.dfs == sum(stats.sizes)
@@ -212,7 +206,7 @@ def test_worst_case_syndromes_fit_the_kernel_buffers(d):
 
 def test_reused_state_matches_a_fresh_decoder_across_graphs():
     # one interleaved sequence over three graphs: every switch of graph
-    # builds a new cluster set, every repeat resets the reused one
+    # builds a new decoder, every repeat resets the reused one
     for k, d in enumerate([3, 11, 5, 5, 3, 11] * 6):
         g = GRAPHS[d]
         syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=77, trial_index=k)))
@@ -222,7 +216,7 @@ def test_reused_state_matches_a_fresh_decoder_across_graphs():
 def test_reused_state_after_a_rejected_input():
     # the pipeline refuses what the oracle refuses, with the same text; a
     # refused growth leaves the last accepted decode's state in place, and
-    # the reused cluster set then decodes as a fresh one does
+    # the reused decoder then decodes as a fresh one does
     g = GRAPHS[5]
     syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=9, trial_index=0)))
     dec = Decoder(g)
@@ -249,7 +243,7 @@ def test_reused_state_after_a_rejected_input():
             Decoder(g).grow(bad)
         with pytest.raises(ValueError, match=text):
             dec.grow(bad)
-        assert state(dec.cs) == grown
+        assert state(dec) == grown
         with pytest.raises(ValueError) as pipeline:
             decode_with_pipeline(g, Syndrome(defects=bad, length=g.n_internal))
         assert str(pipeline.value) == str(oracle.value)
@@ -266,6 +260,6 @@ def test_pipeline_state_reuses_one_cluster_set_per_graph():
     assert decode_with_pipeline(g3, empty)[1].cs is cs
     other = decode_with_pipeline(g5, empty)[1].cs
     assert other is not cs and other.graph is g5
-    # an equal graph that is another object gets its own cluster set
+    # an equal graph that is another object gets its own decoder
     twin = build_decoding_graph(LatticeParams(5))
     assert decode_with_pipeline(twin, empty)[1].cs.graph is twin

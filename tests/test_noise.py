@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from graph_edges import edge_between
 from ufpipe.lattice import LatticeParams, build_decoding_graph
 from ufpipe.noise import (
     NoiseParams,
     TrialSampler,
-    sample_edge_ids,
     sample_error,
     syndrome_of,
 )
@@ -73,7 +73,6 @@ def test_kernel_sampler_draws_numpys_stream(d, p):
         for t in (0, 1, 2**32 + 5, 2**63 + 1, 2**64 - 1):
             ref = reference_edge_ids(n_edges, p, seed, t)
             assert np.array_equal(s.sample(t), ref), (seed, t)
-            assert np.array_equal(sample_edge_ids(n_edges, p, seed, t), ref), (seed, t)
 
 
 def test_importing_ufpipe_leaves_numpy_random_unimported():
@@ -140,20 +139,18 @@ def test_mean_weight_matches_binomial(g11):
 
 @pytest.mark.parametrize("t", [2**63 + 5, 2**64 - 1])
 def test_both_sampling_paths_agree_on_trial_indices_past_2_63(g11, t):
-    ref = sample_edge_ids(g11.n_edges, 0.3, 7, t)
-    assert np.array_equal(TrialSampler(g11.n_edges, 0.3, seed=7).sample(t), ref)
+    s = TrialSampler(g11.n_edges, 0.3, seed=7)
+    ref = s.sample(t)
     assert np.array_equal(sample_error(g11, NoiseParams(p=0.3, seed=7, trial_index=t)).edge_ids,
                           ref)
     # neighbouring counter blocks draw other patterns
-    assert not np.array_equal(sample_edge_ids(g11.n_edges, 0.3, 7, t - 1), ref)
+    assert not np.array_equal(s.sample(t - 1), ref)
 
 
 @pytest.mark.parametrize("t", [-1, 2**64, 1.5, True, False])
 def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
     s = TrialSampler(g11.n_edges, 0.01, seed=7)
-    for sample in (lambda: NoiseParams(p=0.01, seed=7, trial_index=t),
-                   lambda: sample_edge_ids(g11.n_edges, 0.01, 7, t),
-                   lambda: s.sample(t)):
+    for sample in (lambda: NoiseParams(p=0.01, seed=7, trial_index=t), lambda: s.sample(t)):
         with pytest.raises(ValueError, match="trial_index must"):
             sample()
 
@@ -162,7 +159,6 @@ def test_every_sampling_entry_rejects_a_trial_index_off_the_counter(g11, t):
 def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
     # a float or string seed used to draw another seed's stream
     for sample in (lambda: NoiseParams(p=0.01, seed=seed),
-                   lambda: sample_edge_ids(g11.n_edges, 0.01, seed, 0),
                    lambda: TrialSampler(g11.n_edges, 0.01, seed)):
         with pytest.raises(ValueError, match="seed must"):
             sample()
@@ -171,9 +167,7 @@ def test_every_sampling_entry_rejects_a_seed_off_the_key(g11, seed):
 @pytest.mark.parametrize("p", [-0.1, 0.5, 0.7, 1.0, float("nan"), float("inf"), "0.1", None,
                                0.1 + 0j, True, False, np.False_])
 def test_every_sampling_entry_rejects_a_p_off_its_range(g11, p):
-    for sample in (lambda: NoiseParams(p=p, seed=7),
-                   lambda: sample_edge_ids(g11.n_edges, p, 7, 0),
-                   lambda: TrialSampler(g11.n_edges, p, 7)):
+    for sample in (lambda: NoiseParams(p=p, seed=7), lambda: TrialSampler(g11.n_edges, p, 7)):
         with pytest.raises(ValueError, match=r"edge error probability must be in \[0, 0.5\)"):
             sample()
 
@@ -182,10 +176,8 @@ def test_every_sampling_entry_rejects_a_p_off_its_range(g11, p):
 def test_every_sampling_entry_rejects_an_edge_count_no_graph_has(n_edges):
     # True used to sample a one-edge graph and -5 to fail inside numpy; the
     # bound keeps the kernel's gap clip n_edges + 1 within int64
-    for sample in (lambda: sample_edge_ids(n_edges, 0.01, 7, 0),
-                   lambda: TrialSampler(n_edges, 0.01, 7)):
-        with pytest.raises(ValueError, match="n_edges must"):
-            sample()
+    with pytest.raises(ValueError, match="n_edges must"):
+        TrialSampler(n_edges, 0.01, 7)
 
 
 @pytest.mark.parametrize("p", [1e-20, 1e-3, 2e-2, 0.3, 0.49])
@@ -211,10 +203,10 @@ def test_tiny_p_returns_promptly(p):
     signal.alarm(30)
     try:
         for t in range(50):
-            for ids in (s.sample(t), sample_edge_ids(n_edges, p, 3, t)):
-                assert ids.dtype == np.int64
-                assert ids.size == 0 or (
-                    np.all(np.diff(ids) > 0) and ids[0] >= 0 and ids[-1] < n_edges)
+            ids = s.sample(t)
+            assert ids.dtype == np.int64
+            assert ids.size == 0 or (
+                np.all(np.diff(ids) > 0) and ids[0] >= 0 and ids[-1] < n_edges)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -274,16 +266,17 @@ def test_weight_mean_and_variance_match_binomial(g11):
 def test_syndrome_single_edges(g3):
     # bulk space edge: two defects
     v = g3.vertex_id(1, 1, 0)
-    e_bulk, w = next((e, w) for e, w in g3.neighbors(v) if w == g3.vertex_id(1, 1, 1))
+    w = g3.vertex_id(1, 1, 1)
+    e_bulk = edge_between(g3, v, w)
     err = _pattern(g3, [e_bulk])
     syn = syndrome_of(g3, err)
     assert sorted(syn.defects) == sorted([v, w])
     # left-boundary edge: one defect
-    e_left = next(e for e, w in g3.neighbors(v) if w == g3.left)
+    e_left = edge_between(g3, v, g3.left)
     syn = syndrome_of(g3, _pattern(g3, [e_left]))
     assert list(syn.defects) == [v]
     # two bulk edges sharing a vertex: shared vertex cancels
-    e_north = edge_between_vertices(g3, v, g3.vertex_id(1, 0, 0))
+    e_north = edge_between(g3, v, g3.vertex_id(1, 0, 0))
     syn = syndrome_of(g3, _pattern(g3, [e_bulk, e_north]))
     assert syn.weight == 2
     assert v not in syn.defects
@@ -293,13 +286,6 @@ def _pattern(g, ids):
     from ufpipe.noise import ErrorPattern
 
     return ErrorPattern(edge_ids=np.asarray(sorted(ids), dtype=np.int64), n_edges=g.n_edges)
-
-
-def edge_between_vertices(g, u, w):
-    for e, far in g.neighbors(u):
-        if far == w:
-            return e
-    raise AssertionError
 
 
 def test_syndrome_linearity(g3):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_edges import edge_between, incident
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import (
     ErrorPattern,
@@ -18,7 +19,6 @@ from ufpipe.noise import (
 )
 from ufpipe._kernel import LEFT_SIDE, RIGHT_SIDE
 from ufpipe.uf_core import (
-    ClusterSet,
     ClusterTree,
     Correction,
     Decoder,
@@ -47,23 +47,16 @@ def syn_of(g, defects):
     return Syndrome(defects=np.asarray(sorted(defects), dtype=np.int64), length=g.n_internal)
 
 
-def edge_between(g, u, w):
-    for e, far in g.neighbors(u):
-        if far == w:
-            return e
-    raise AssertionError(f"no edge {u}-{w}")
-
-
 # -- find ----------------------------------------------------------------
 
 
 def test_find_singleton(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     assert cs.find(4) == 4
 
 
 def test_find_compresses_short_chain(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     cs.parent[0] = 1
     cs.parent[1] = 2
     assert cs.find(0) == 2
@@ -72,7 +65,7 @@ def test_find_compresses_short_chain(g3):
 
 def test_find_compression_cap_five(g3):
     # chain 0 -> 1 -> ... -> 7; only the last 5 visited vertices repoint
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     for i in range(7):
         cs.parent[i] = i + 1
     assert cs.find(0) == 7
@@ -92,7 +85,7 @@ def test_find_preserves_partition(g3):
 def test_find_table_reads(g3):
     # 1 read at a root, 2 at depth 1 (nothing repointed), len(path) + 1
     # deeper, where only the last 5 path vertices are repointed
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     for i in range(8):
         cs.parent[i] = i + 1  # chain 0 -> 1 -> ... -> 8
     assert cs.find(0) == 8 and cs.table_reads == 9
@@ -108,7 +101,7 @@ def test_find_table_reads(g3):
 
 
 def test_union_weighted(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     cs.size[2] = 3
     cs.size[9] = 5
     assert cs.union(2, 9) == 9
@@ -117,12 +110,12 @@ def test_union_weighted(g3):
 
 
 def test_union_tie_smaller_root(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     assert cs.union(4, 9) == 4
     assert cs.union(11, 10) == 10
     # a vertex that is no member yet wins the tie, by its smaller id,
     # against a one-vertex odd cluster, as growth seeds a defect
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     cs.parity[5] = 1
     cs.union(5, 5)
     assert cs.union(5, 3) == 3
@@ -130,12 +123,12 @@ def test_union_tie_smaller_root(g3):
 
 
 def test_union_parity_xor(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     cs.parity[4] = 1
     cs.parity[9] = 1
     r = cs.union(4, 9)
     assert cs.parity[r] == 0
-    cs2 = ClusterSet(g3)
+    cs2 = Decoder(g3)
     cs2.parity[4] = 1
     r = cs2.union(4, 9)
     assert cs2.parity[r] == 1
@@ -161,7 +154,7 @@ def test_grow_adjacent_pair_one_pass(g3):
     assert cs.growth_steps[r] == 1
     assert cs.edge_state[edge_between(g3, u, w)] == 2
     # surrounding half-edges are half grown, nothing else completed
-    assert all(cs.edge_state[e] < 2 for e, _ in g3.neighbors(u) if _ != w)
+    assert all(cs.edge_state[e] < 2 for e, _ in incident(g3, u) if _ != w)
 
 
 def test_grow_sparser_pair_two_passes(g5):
@@ -246,7 +239,7 @@ def test_forest_tree_sizes_and_determinism(g5):
 
 
 def test_forest_rejects_odd_unfrozen_cluster(g3):
-    cs = ClusterSet(g3)
+    cs = Decoder(g3)
     cs.parity[5] = 1
     cs.union(5, 5)
     with pytest.raises(InvariantViolation):
@@ -271,7 +264,7 @@ def test_forest_enters_two_sided_cluster_from_left_in_edge_order(g3):
     cs = Decoder(g3).grow(sorted(defects))
     (root,) = cs.members
     assert cs.boundary_sides[root] == LEFT_SIDE | RIGHT_SIDE
-    grown_left = sorted(e for e, _ in g3.neighbors(g3.left) if cs.edge_state[e] == 2)
+    grown_left = sorted(e for e, _ in incident(g3, g3.left) if cs.edge_state[e] == 2)
     assert len(grown_left) == 3
     (tree,) = spanning_forest(g3, cs).trees
     assert tree.start_vertex == g3.left
@@ -296,7 +289,7 @@ def test_boundary_tree_enters_once_from_its_smallest_member_grown_to_its_side(d)
             if tree.boundary:
                 s = tree.start_vertex
                 assert s == (g.left if cs.boundary_sides[tree.root] & LEFT_SIDE else g.right)
-                u, e = min((u, e) for u in members[tree.root] for e, w in g.neighbors(u)
+                u, e = min((u, e) for u in members[tree.root] for e, w in incident(g, u)
                            if w == s and cs.edge_state[e] == 2)
                 assert [x for x in tree.edges if x[2] == s] == [(e, u, s)] == tree.edges[:1]
 
@@ -464,7 +457,7 @@ def test_correction_cancels_syndrome(d, p, trials):
         corr, stats = dec.decode(syndrome_of(g, err))
         assess(g, err, corr, stats)  # raises if the syndrome is not cancelled
         # correction lives on fully grown cluster edges
-        assert all(dec.cs.edge_state[e] == 2 for e in corr.edge_ids)
+        assert all(dec.edge_state[e] == 2 for e in corr.edge_ids)
 
 
 def test_low_weight_errors_corrected_d5(g5):
@@ -505,6 +498,16 @@ def test_every_error_of_weight_at_most_two_d5_and_sampled_weight_three_d7_is_cor
     triples = draws[(draws[:, 0] < draws[:, 1]) & (draws[:, 1] < draws[:, 2])].tolist()
     assert len(triples) > 9900
     assert logical_failures(g7, triples) == []
+
+
+def test_exactly_99_of_the_weight_two_errors_fail_at_d3():
+    # the minimal failures at d = 3, where no weight-1 error fails
+    # (`test_decode_every_single_edge_d3`): a changed growth rule that still
+    # cancels every syndrome moves this count
+    g = _GRAPHS[3]
+    pairs = list(itertools.combinations(range(g.n_edges), 2))
+    assert len(pairs) == 1275
+    assert len(logical_failures(g, pairs)) == 99
 
 
 def test_decode_deterministic(g5):
