@@ -11,7 +11,8 @@
  *   - the pipeline model of `microarch`, one call per stage, composing the
  *     functions above: `uf_run_grgen(ctx, k)` (`uf_grow`, then the Gr-Gen
  *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of
- *     the forest record with the seeded defects);
+ *     the forest record with the defects that growth seeded, read back from
+ *     `touched_v`, so that a refused growth's staged ids are never peeled);
  *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`;
  *   - `noise.TrialSampler`: `uf_sample`, the failed edges of one trial, drawn
  *     with numpy's own `random_geometric` (linked from numpy's static
@@ -80,7 +81,7 @@ typedef struct {
     const uf_graph *g; /* the graph decoded on */
     /* the decoder's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
-    int64_t *defects; /* defect ids for uf_grow, as the caller gave them; kept for uf_run_corr */
+    int64_t *defects; /* staged ids for uf_grow, as the caller gave them; uf_run_corr's syndrome */
     /* scratch: growth's scan list, the forest's smallest vertices and
        uf_run_corr's correction */
     int64_t *scan;
@@ -602,9 +603,12 @@ int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, i
 }
 
 /* The Corr stage: uf_peel of the context's forest record with the defects
-   that uf_grow seeded, still in `defects`, writing the correction to `scan`. */
+   that the last accepted uf_grow seeded, the first N_SEEDED entries of
+   touched_v, widened into `defects`, writing the correction to `scan`. */
 int64_t uf_run_corr(uf_ctx *c) {
-    return uf_peel(c->forest, c->defects, c->counts[N_SEEDED], c->scan);
+    int64_t k = c->counts[N_SEEDED];
+    for (int64_t i = 0; i < k; i++) c->defects[i] = c->touched_v[i];
+    return uf_peel(c->forest, c->defects, k, c->scan);
 }
 
 /* Sampling. `bitgen_t` is numpy's bit generator interface, declared as in

@@ -14,36 +14,39 @@ engine's by construction.
 Each stage is one call into the engine's kernel plus O(1) Python:
 Gr-Gen is the oracle's growth call (check, reset, seed, grow) plus one
 walk of the engine's logs for its reads (`Decoder.grgen`); the DFS
-engine writes the forest record (`Decoder.forest_view`), and the Corr
-engine peels it (`Decoder.peel_seeded`). The DFS and Corr counts are
+engine writes the forest record (`uf_core.spanning_forest`, the oracle's
+own forest call), and the Corr engine peels it with the defects growth
+seeded (`Decoder.peel_seeded`). The DFS and Corr counts are
 the member count and the forest's edge count, so no stage does Python
 work per touched vertex or edge.
 
-State is reused: the model keeps one `uf_core.Decoder` per process, holds
-it with a reference to its graph, and lets Gr-Gen reset it as it grows, as
-every growth does; a new one is built only when a decode names another
-graph object. So a `PipelineState`, the `SpanningForest` of `run_dfs` and
-the `Correction` of `run_corr`, which view the decoder's buffers, are
-valid until the next pipeline decode
-(copy what must outlive it), and pipeline decodes run on one thread at a
-time (single-threaded; one process per worker).
+State is reused: the model keeps one `uf_core.Decoder` per process, the
+one cached for the last graph object a decode named (`_decoder`), and lets
+Gr-Gen reset it as it grows, as every growth does; a new one is built only
+when a decode names another graph object. So a `PipelineState`, the
+`SpanningForest` of `run_dfs` and the `Correction` of `run_corr`, which
+view the decoder's buffers, are valid until the next pipeline decode (copy
+what must outlive it), and pipeline decodes run on one thread at a time
+(single-threaded; one process per worker).
 
 Edge-stack overflows are counted after a decode, for any stack capacity,
 from the tree sizes in its `DecodeStats` (`stack_overflows`).
 
-Also evaluates the closed-form memory-cost table and the per-stage read
-estimates.
+Also evaluates the closed-form memory-cost table (`memory_footprint`, the
+bits of each physical memory) and the per-stage read estimates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 from ._kernel import check_integer
 from .lattice import DecodingGraph, LatticeParams
 from .noise import Syndrome
-from .uf_core import Correction, Decoder, DecodeStats, SpanningForest, cluster_stats
+from .uf_core import (Correction, Decoder, DecodeStats, SpanningForest, cluster_stats,
+                      spanning_forest)
 
 
 @dataclass
@@ -98,16 +101,15 @@ class PipelineState:
         return self.cs.signature()
 
 
-_cs: Decoder | None = None  # the decoder of every pipeline decode
+# the decoder of every pipeline decode; graphs hash by identity, so an equal
+# graph that is another object gets a decoder of its own
+_decoder = functools.lru_cache(maxsize=1)(Decoder)
 
 
 def new_pipeline_state(graph: DecodingGraph) -> PipelineState:
     """State on the model's one decoder, built anew when `graph` is not the
     object the decoder was built for; `run_grgen` resets it."""
-    global _cs
-    if _cs is None or _cs.graph is not graph:
-        _cs = Decoder(graph)
-    return PipelineState(_cs)
+    return PipelineState(_decoder(graph))
 
 
 def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
@@ -126,21 +128,22 @@ def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
 
 def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
-    cluster's edge stack, in one kernel call. The forest views the
-    decoder's record: it is valid until the next pipeline decode. The engine
-    reads each member vertex once, and the clusters' sizes sum to the
-    member count."""
+    cluster's edge stack: `uf_core.spanning_forest` of the state's decoder,
+    one kernel call. The forest views the decoder's record: it is valid
+    until the next pipeline decode. The engine reads each member vertex
+    once, and the clusters' sizes sum to the member count."""
     cs = state.cs
-    forest = cs.forest_view()
+    forest = spanning_forest(cs.graph, cs)
     state.trace.dfs = cs.n_members
     return forest
 
 
 def run_corr(state: PipelineState, forest: SpanningForest) -> Correction:
     """Corr engine: peel every edge stack of `forest`, the record `run_dfs`
-    left in the decoder, one pop per tree edge, with the defects Gr-Gen
-    seeded as the syndrome, in one kernel call. The correction views a
-    buffer of the decoder: it is valid until the next pipeline decode."""
+    left in the decoder, one pop per tree edge, with the defects the last
+    accepted Gr-Gen seeded as the syndrome, in one kernel call. The
+    correction views a buffer of the decoder: it is valid until the next
+    pipeline decode."""
     state.trace.corr = forest.k
     return state.cs.peel_seeded()
 
@@ -167,62 +170,21 @@ def stack_overflows(stats: DecodeStats, stack_capacity: int) -> int:
 # -- memory cost model -----------------------------------------------------
 
 
-@dataclass
-class MemoryFootprint:
-    """Bit budget of one decoder instance, by component.
-
-    Worst-case edge stacks cover a cluster spanning the whole graph;
-    sized stacks hold `stack_entries` edges each.
-    """
-
-    d: int
-    stm_bits: float
-    table_bits: float        # each of root table and size table
-    parity_bits: float
-    zdr_bits: float
-    edge_stack_bits: float   # each of the two stacks
-    stack_entries: int | None
-
-    @property
-    def total_bits(self) -> float:
-        return sum(bits for _, bits in self.rows())
-
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8.0
-
-    def rows(self) -> list[tuple[str, float]]:
-        """(memory, bits) for every physical memory of the instance."""
-        return [
-            ("stm", self.stm_bits),
-            ("root_table", self.table_bits),
-            ("size_table", self.table_bits),
-            ("parity", self.parity_bits),
-            ("zdr", self.zdr_bits),
-            ("edge_stack_0", self.edge_stack_bits),
-            ("edge_stack_1", self.edge_stack_bits),
-        ]
-
-
-def memory_footprint(d: int, stack_entries: int | None = None) -> MemoryFootprint:
-    """Component memory budget: STM 7d^3, tables 3d^3 log2 d each, parity
-    d^3, ZDR 3d^3, edge stacks 3d^3 log2 d each (worst case) or
-    3 S log2 d when sized to S entries."""
+def memory_footprint(d: int, stack_entries: int | None = None) -> dict[str, float]:
+    """Bits of each physical memory of one decoder instance, by name: STM
+    7d^3, root and size tables 3d^3 log2 d each, parity d^3, ZDR 3d^3, and
+    two edge stacks of 3d^3 log2 d each (worst case: a cluster spanning the
+    whole graph) or 3 S log2 d each when sized to S entries. The
+    instance's budget is the sum of the values."""
     LatticeParams(d)  # raises ValueError for a distance no graph has
     if stack_entries is not None:
         stack_entries = check_integer(stack_entries, "stack_entries", 0, math.inf)
     log2d = math.log2(d)
     cube = float(d**3)
-    stack = 3 * cube * log2d if stack_entries is None else 3 * stack_entries * log2d
-    return MemoryFootprint(
-        d=d,
-        stm_bits=7 * cube,
-        table_bits=3 * cube * log2d,
-        parity_bits=cube,
-        zdr_bits=3 * cube,
-        edge_stack_bits=stack,
-        stack_entries=stack_entries,
-    )
+    table = 3 * cube * log2d
+    stack = table if stack_entries is None else 3 * stack_entries * log2d
+    return {"stm": 7 * cube, "root_table": table, "size_table": table, "parity": cube,
+            "zdr": 3 * cube, "edge_stack_0": stack, "edge_stack_1": stack}
 
 
 def grgen_read_estimate(stats: DecodeStats) -> int:

@@ -4,10 +4,13 @@ The only decoding engine in the package. Growth, the spanning forest and
 peeling run in one C kernel, `_ufkernel.c` (built and loaded by `_kernel`),
 over flat buffers that a `Decoder` owns; `assess` is one call into the
 same kernel. This module validates input, owns the buffers and turns the
-kernel's output into Python values. All iteration orders are fixed
-(ascending vertex ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a
-decode is a deterministic function of the syndrome; the hardware pipeline
-model in `microarch` counts memory reads on top of this engine's state.
+kernel's output into Python values. What a decoder hands out (its tables,
+the `spanning_forest` record, `peel_seeded`'s correction) views its
+buffers, with no copy, and is valid until its next growth; `peel` returns
+a correction of its own. All iteration orders are fixed (ascending vertex
+ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a decode is a
+deterministic function of the syndrome; the hardware pipeline model in
+`microarch` counts memory reads on top of this engine's state.
 
 Growth policy: every odd, non-boundary cluster grows all of its incident
 half-edges by one increment per pass; edges reaching the fully-grown
@@ -26,7 +29,8 @@ import numpy as np
 
 from ._kernel import (BAD_EDGE, FOREST_BAD_TREE, FOREST_COLUMNS, FOREST_ODD_CLUSTER, N_COUNTS,
                       N_SEEDED, N_TOUCHED_E, N_TOUCHED_V, NO_MEMORY, PASSES, PEEL_BAD_DEFECT,
-                      RESIDUAL_SYNDROME, TABLE_READS, K, addr, int64_ids, integer_ids)
+                      RESIDUAL_SYNDROME, TABLE_READS, K, addr, check_integer, int64_ids,
+                      integer_ids)
 from .lattice import DecodingGraph, reject_off_graph
 from .noise import ErrorPattern, Syndrome
 
@@ -119,8 +123,9 @@ class Decoder:
 
     State is reusable across decodes: `grow` starts by restoring the
     initial state over the entries the last growth touched, as `uf_init`
-    does over every entry. A refused growth changes no state, the defects
-    `peel_seeded` peels included.
+    does over every entry. A refused growth changes no state but the staged
+    ids: `peel_seeded` peels the ids the last accepted growth seeded, which
+    `touched_v` starts with.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -181,14 +186,10 @@ class Decoder:
     # Growth makes its finds and unions in the kernel; these wrappers stay as the tests'
     # only handle on the find compression cap, its reads and the union tie rule.
 
-    def _check(self, v: int) -> int:
-        if not 0 <= v < self.graph.n_internal:
-            raise IndexError(f"vertex {v} is not an internal vertex")
-        return v
-
     def find(self, v: int) -> int:
-        """Root of v's cluster; repoints at most the last 5 visited vertices."""
-        return K.uf_find(self._c, self._check(v))
+        """Root of v's cluster; repoints at most the last 5 visited vertices.
+        ValueError unless v is an integer in [0, n_internal), as for `union`."""
+        return K.uf_find(self._c, check_integer(v, "vertex", 0, self.graph.n_internal))
 
     def union(self, u: int, v: int) -> int:
         """Make u and v members, then merge their clusters; returns the
@@ -197,7 +198,9 @@ class Decoder:
         Weighted by vertex count; on a size tie the smaller root id wins.
         Parity XORs, boundary flags OR, growth counts take the max.
         """
-        return K.uf_union(self._c, self._check(u), self._check(v))
+        n = self.graph.n_internal
+        return K.uf_union(self._c, check_integer(u, "vertex", 0, n),
+                          check_integer(v, "vertex", 0, n))
 
     def signature(self) -> frozenset:
         """Canonical cluster-set value for engine-equivalence checks.
@@ -246,10 +249,7 @@ class Decoder:
 
     def _refuse(self, ids: np.ndarray) -> NoReturn:
         """Raise the ValueError for defect ids `ids`, never empty, that the
-        kernel refused to seed, naming the first rule they break, after putting
-        back the last growth's staged defects (`touched_v` starts with them)."""
-        seeded = self._counts[N_SEEDED]
-        self._defects[:seeded] = self._tv[:seeded]
+        kernel refused to seed, naming the first rule they break."""
         if (ids[1:] <= ids[:-1]).any():
             raise ValueError("defect ids must be strictly ascending")
         if ids[0] < 0 or ids[-1] >= self.graph.n_internal:
@@ -269,15 +269,11 @@ class Decoder:
             self._refuse(ids)
         return self._counts[PASSES:N_SEEDED].tolist()
 
-    def forest_view(self) -> SpanningForest:
-        """`spanning_forest` of this decoder without the copy: the forest
-        views the decoder's record, so it is valid until the next growth."""
-        return SpanningForest._unchecked(_forest_record(self))
-
     def peel_seeded(self) -> Correction:
-        """`peel` of the record that `forest_view` left, with the seeded
-        defects as the syndrome, in one kernel call. The correction's int64
-        ids view a buffer of the decoder, valid until the next growth."""
+        """`peel` of the record that `spanning_forest` left, with the defects
+        the last accepted growth seeded as the syndrome, in one kernel call.
+        The correction's int64 ids view a buffer of the decoder, valid until
+        the next growth."""
         n = K.uf_run_corr(self._c)
         if n < 0:
             _check_peeled(n, self._defects[:self._counts[N_SEEDED]])
@@ -404,14 +400,12 @@ def spanning_forest(graph: DecodingGraph, dec: Decoder) -> SpanningForest:
     fully grown internal edge never leaves its cluster, so one visited flag
     per vertex serves the whole forest. No `find` is made, so the parent
     table and `table_reads` stay as growth left them.
+
+    The forest views the decoder's record, with no copy, so it is valid
+    until the decoder's next growth, as are the decoder's other views.
     """
     if graph is not dec.graph:
         raise ValueError("the decoder was grown on another graph")
-    return SpanningForest._unchecked(_forest_record(dec).copy())
-
-
-def _forest_record(dec: Decoder) -> np.ndarray:
-    """Run `uf_forest` on `dec` and return the record it wrote, a view."""
     n = K.uf_forest(dec._c)
     rec = dec._forest
     if n == FOREST_ODD_CLUSTER:
@@ -419,7 +413,7 @@ def _forest_record(dec: Decoder) -> np.ndarray:
     if n == FOREST_BAD_TREE:
         raise InvariantViolation(
             f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
-    return rec[:n]
+    return SpanningForest._unchecked(rec[:n])
 
 
 def peel(forest: SpanningForest, syn: Syndrome) -> Correction:

@@ -7,7 +7,8 @@
  * the byte offsets of a `uf_core.Decoder`'s buffers in its block and the
  * defects of a list of decodes. The driver runs every decode REPEATS times
  * (REPEATS >= 1) through the oracle's kernel path: uf_grow, uf_forest, then
- * uf_run_corr. For the first round it writes to OUT, per decode, the forest
+ * uf_run_corr, which peels the ids uf_grow seeded, read back from
+ * touched_v. For the first round it writes to OUT, per decode, the forest
  * record (int64 length, int32 entries) and the correction (int64 count,
  * int64 ids). Every size comes from the dump: the graph's arrays and the
  * buffers are laid into the kernel's structs in the order of their pointer

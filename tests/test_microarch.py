@@ -141,16 +141,14 @@ def test_pipeline_rejects_a_stack_capacity_no_stack_has(capacity):
 @pytest.mark.parametrize("d", [3, 5, 11, 25])
 @pytest.mark.parametrize("entries", [None, 0, 64])
 def test_memory_footprint_total_is_sum_of_rows(d, entries):
-    fp = memory_footprint(d, entries)
-    rows = fp.rows()
-    assert fp.total_bits == sum(bits for _, bits in rows)
-    assert fp.total_bytes == fp.total_bits / 8
-    names = [name for name, _ in rows]
-    assert len(names) == len(set(names)) == 7
+    # one row per physical memory: STM, root and size tables, parity, ZDR
+    # and the two edge stacks; their sum is the instance's closed form
+    rows = memory_footprint(d, entries)
+    assert len(rows) == 7
     log2d = np.log2(d)
     expect = 7 * d**3 + 2 * 3 * d**3 * log2d + d**3 + 3 * d**3 \
         + 2 * 3 * (d**3 if entries is None else entries) * log2d
-    assert fp.total_bits == pytest.approx(expect)
+    assert sum(rows.values()) == pytest.approx(expect)
 
 
 @pytest.mark.parametrize("d,entries", [(1, None), (2, None), (4, None), (10, 64), (5.0, None),

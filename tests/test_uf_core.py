@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ufpipe.uf_core import (
     InvariantViolation,
     SpanningForest,
     assess,
+    cluster_stats,
     peel,
     spanning_forest,
 )
@@ -40,7 +43,7 @@ def g5():
     return build_decoding_graph(LatticeParams(5))
 
 
-_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5)}
+_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 25)}
 
 
 def syn_of(g, defects):
@@ -95,6 +98,18 @@ def test_find_table_reads(g3):
         assert cs.find(v) == 8
         assert cs.table_reads - before == reads
     assert cs.parent[:8].tolist() == [1, 8, 8, 8, 8, 8, 8, 8]
+
+
+@pytest.mark.parametrize("v", [True, 2.5, np.float64(3.0), "3", None, -1, _GRAPHS[3].n_internal])
+def test_find_and_union_take_only_internal_vertex_integers(g3, v):
+    # one integer rule for every id Python passes: a bool is not vertex 1,
+    # and a float or a string never reaches ctypes
+    cs = Decoder(g3)
+    for call in (lambda: cs.find(v), lambda: cs.union(v, 4), lambda: cs.union(4, v)):
+        with pytest.raises(ValueError, match=r"vertex must be an integer in \[0, 18\)"):
+            call()
+    assert cs.n_members == 0 and cs.table_reads == 0
+    assert cs.find(np.int64(4)) == 4 and cs.union(np.int64(4), np.int32(9)) == 4
 
 
 # -- union ---------------------------------------------------------------
@@ -604,3 +619,48 @@ def test_decoding_survives_freed_graphs():
         assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
         del g, err, syn, corr
         gc.collect()
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05])
+def test_two_threads_decode_on_one_graph_as_they_do_serially(p):
+    # the kernel only reads the graph, and every decoder owns its buffers, so
+    # two decoders on one graph, one per thread, decode as they do serially
+    g = _GRAPHS[25]
+    syns = [[syndrome_of(g, sample_error(g, NoiseParams(p=p, seed=seed, trial_index=t)))
+             for t in range(16)] for seed in (1, 2)]
+
+    def decode_all(dec, batch):
+        out = []
+        for syn in batch:
+            cs = dec.grow(syn.defects)
+            forest = spanning_forest(g, cs)
+            corr = peel(forest, syn)
+            out.append((corr.edge_ids.tolist(), cluster_stats(cs, forest), cs.signature(),
+                        cs.table_reads))
+        return out
+
+    serial = [decode_all(Decoder(g), s) for s in syns]
+    assert serial[0] != serial[1]
+    errors = []
+
+    def worker(i):
+        try:
+            dec = Decoder(g)
+            for _ in range(5):
+                if decode_all(dec, syns[i]) != serial[i]:
+                    errors.append(i)
+        except Exception as exc:  # reported below: an exception in a thread is otherwise lost
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
