@@ -129,9 +129,10 @@ def run_grgen(state: PipelineState, syn: Syndrome) -> AccessTrace:
 def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
     cluster's edge stack: `uf_core.spanning_forest` of the state's decoder,
-    one kernel call. The forest views the decoder's record: it is valid
-    until the next pipeline decode. The engine reads each member vertex
-    once, and the clusters' sizes sum to the member count."""
+    one kernel call. The forest is a read-only view of the decoder's
+    record: it is valid until the next pipeline decode. The engine reads
+    each member vertex once, and the clusters' sizes sum to the member
+    count."""
     cs = state.cs
     forest = spanning_forest(cs.graph, cs)
     state.trace.dfs = cs.n_members

@@ -4,13 +4,14 @@ The only decoding engine in the package. Growth, the spanning forest and
 peeling run in one C kernel, `_ufkernel.c` (built and loaded by `_kernel`),
 over flat buffers that a `Decoder` owns; `assess` is one call into the
 same kernel. This module validates input, owns the buffers and turns the
-kernel's output into Python values. What a decoder hands out (its tables,
-the `spanning_forest` record, `peel_seeded`'s correction) views its
-buffers, with no copy, and is valid until its next growth; `peel` returns
-a correction of its own. All iteration orders are fixed (ascending vertex
-ids, W/E/N/S/D/U edge order, LIFO fusion stack), so a decode is a
-deterministic function of the syndrome; the hardware pipeline model in
-`microarch` counts memory reads on top of this engine's state.
+kernel's output into Python values. What a decoder hands out views its
+buffers, with no copy: its tables and `peel_seeded`'s correction are valid
+until its next growth, and the read-only `spanning_forest` record until
+its next forest, which `peel` checks; `peel` returns a correction of its
+own. All iteration orders are fixed (ascending vertex ids, W/E/N/S/D/U
+edge order, LIFO fusion stack), so a decode is a deterministic function
+of the syndrome; the hardware pipeline model in `microarch` counts memory
+reads on top of this engine's state.
 
 Growth policy: every odd, non-boundary cluster grows all of its incident
 half-edges by one increment per pass; edges reaching the fully-grown
@@ -142,6 +143,7 @@ class Decoder:
         base = addr(block)
         self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
+        self._forest.flags.writeable = False  # only the kernel writes it, through the context
         K.uf_init(self._c)
 
     @property
@@ -310,7 +312,9 @@ class SpanningForest:
 
     def __init__(self, record: np.ndarray):
         """ValueError unless `record` has this layout, no negative entry and
-        tree edge counts that sum to k: `peel` reads no other within bounds."""
+        tree edge counts that sum to k: `peel` reads no other within bounds.
+        The forest keeps a read-only copy, which no later write can change."""
+        record = np.array(record)
         if record.ndim != 1 or record.dtype != _INT32 or record.size < 2:
             raise ValueError("a forest record is a 1-D int32 array of at least 2 entries, "
                              f"got {record.dtype} of shape {record.shape}")
@@ -321,13 +325,16 @@ class SpanningForest:
         if record.min() < 0 or record[2 + 4 * m:2 + 5 * m].sum() != k:
             raise ValueError("a forest record's entries must be >= 0 and its tree edge "
                              f"counts must sum to its edge count k = {k}")
+        self._at = addr(record)  # the kernel's pointer to the record
+        record.flags.writeable = False
         self.record, self.m, self.k = record, m, k
 
     @classmethod
-    def _unchecked(cls, record: np.ndarray) -> SpanningForest:
-        """The forest of a record that `uf_forest` wrote, taken as valid."""
+    def _unchecked(cls, record: np.ndarray, at: int) -> SpanningForest:
+        """The forest of a record at address `at` that `uf_forest` wrote,
+        taken as valid."""
         self = cls.__new__(cls)
-        self.record = record
+        self.record, self._at = record, at
         self.m, self.k = record[:2].tolist()
         return self
 
@@ -401,8 +408,11 @@ def spanning_forest(graph: DecodingGraph, dec: Decoder) -> SpanningForest:
     per vertex serves the whole forest. No `find` is made, so the parent
     table and `table_reads` stay as growth left them.
 
-    The forest views the decoder's record, with no copy, so it is valid
-    until the decoder's next growth, as are the decoder's other views.
+    The forest is a read-only view of the decoder's record, with no copy.
+    Growth leaves the record as it is; the decoder's next `spanning_forest`
+    (or `microarch.run_dfs`) rewrites it. `peel` then refuses the old
+    forest, or, where the new record has the same tree and edge counts,
+    peels the new record.
     """
     if graph is not dec.graph:
         raise ValueError("the decoder was grown on another graph")
@@ -413,7 +423,7 @@ def spanning_forest(graph: DecodingGraph, dec: Decoder) -> SpanningForest:
     if n == FOREST_BAD_TREE:
         raise InvariantViolation(
             f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
-    return SpanningForest._unchecked(rec[:n])
+    return SpanningForest._unchecked(rec[:n], dec._ctx.forest)
 
 
 def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
@@ -422,13 +432,18 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     rootward endpoint's held bit. Boundary entry points absorb flips.
 
     Every defect must be a distinct vertex of a tree of the forest, which
-    excludes the virtual entry points; anything else raises ValueError. The
-    correction's ids are int64, as the kernel writes them and as `assess`
-    reads them without a copy.
+    excludes the virtual entry points; anything else raises ValueError, as
+    does a decoder's forest whose record a later `spanning_forest` gave
+    other tree or edge counts: the kernel would write past the correction's
+    k entries. The correction's ids are int64, as the kernel writes them
+    and as `assess` reads them without a copy.
     """
+    if forest.record[:2].tolist() != [forest.m, forest.k]:
+        raise ValueError("the forest's record was rewritten by a later spanning_forest "
+                         "of its decoder")
     defects, at = int64_ids(syn.defects, "defect")  # uint64 past 2**63 wraps: rejected too
     out = np.empty(forest.k, dtype=np.int64)
-    n = K.uf_peel(addr(forest.record), at, defects.size, addr(out))
+    n = K.uf_peel(forest._at, at, defects.size, addr(out))
     if n < 0:
         _check_peeled(n, np.asarray(syn.defects))
     # a copy: a kept correction does not hold the forest-sized buffer

@@ -404,6 +404,36 @@ def test_forest_rejects_a_record_peel_cannot_read(record):
         SpanningForest(record)
 
 
+def test_peel_refuses_a_forest_that_a_later_forest_of_its_decoder_rewrote(g3):
+    # the first forest views the decoder's record; the second rewrites it
+    # with more edges, and the kernel reads the live record, so a peel of
+    # the first would write the second's longer correction past its k entries
+    dec = Decoder(g3)
+    syn = Syndrome(defects=[4, 5], length=g3.n_internal)
+    far = Syndrome(defects=[0, g3.n_internal - 1], length=g3.n_internal)
+    first = spanning_forest(g3, dec.grow(syn.defects))
+    assert peel(first, syn).edge_ids.tolist() == [7]
+    second = spanning_forest(g3, dec.grow(np.arange(g3.n_internal)))
+    assert peel(second, far).weight > first.k
+    for s in (syn, far):
+        with pytest.raises(ValueError, match="rewritten by a later spanning_forest"):
+            peel(first, s)
+    # growth alone leaves the record, and the forest, as they were
+    dec.grow([0, 1])
+    assert peel(second, far).weight > first.k
+
+
+def test_forest_records_are_read_only(g3):
+    forest = spanning_forest(g3, Decoder(g3).grow([4, 5]))
+    with pytest.raises(ValueError, match="read-only"):
+        forest.record[1] = 10**6
+    mine = forest.record.copy()
+    kept = SpanningForest(mine)
+    mine[1] = 10**6  # the forest took a copy
+    assert kept.record[1] == kept.k == 1 and not kept.record.flags.writeable
+    assert peel(kept, Syndrome(defects=[4, 5], length=g3.n_internal)).edge_ids.tolist() == [7]
+
+
 # -- decode / assess -----------------------------------------------------
 
 
