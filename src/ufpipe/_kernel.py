@@ -3,9 +3,10 @@ once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
 `GraphView` (the kernel's `uf_graph`), the kernel's numbers under its own
 names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to
 `N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`, `FOREST_BAD_TREE`,
-`BAD_EDGE`, `RESIDUAL_SYNDROME`, `PEEL_BAD_DEFECT`, `NO_MEMORY`), which
-`tests/test_kernel_build.py` reads from the C source, and the checks of
-what Python passes (`check_integer`, `integer_ids`, `int64_ids`, `addr`).
+`PEEL_BAD_DEFECT`, `PEEL_LEFTOVER`, `BAD_EDGE`, `RESIDUAL_SYNDROME`,
+`NO_MEMORY`), which `tests/test_kernel_build.py` reads from the C source,
+and the checks of what Python passes (`check_integer`, `integer_ids`,
+`int64_ids`, `addr`).
 
 Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static
@@ -19,8 +20,9 @@ older versions of the source or flags left. A missing or failing compiler,
 or a numpy without the library, raises ImportError.
 
 ctypes releases the interpreter lock for every kernel call, so two threads
-may call the kernel at once; every function that allocates scratch memory
-allocates its own.
+may call the kernel at once, each with a `Decoder` of its own: a decoder's
+scratch is its own buffers, and `uf_syndrome` and `uf_assess`, which take
+only the shared graph, allocate theirs per call.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
     ("uf_union", _I32, [_CTX, _I32, _I32]),
     ("uf_grow", _I64, [_CTX, _I64]),
     ("uf_forest", _I64, [_CTX]),
-    ("uf_peel", _I64, [_PTR, _PTR, _I64, _PTR]),
+    ("uf_peel", _I64, [_CTX, _PTR, _I64]),
     ("uf_run_grgen", _I64, [_CTX, _I64]),
     ("uf_run_corr", _I64, [_CTX]),
     ("uf_syndrome", _I64, [_PTR, _PTR, _I64, _PTR]),
@@ -150,10 +152,10 @@ LEFT_SIDE, RIGHT_SIDE = 1, 2  # bits of a cluster's boundary_sides
 (N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS, N_SEEDED,
  N_FUSED_BOUNDARY, N_COUNTS) = range(10)
 FOREST_COLUMNS = 6  # per-tree columns of a forest record
-FOREST_ODD_CLUSTER, FOREST_BAD_TREE = -1, -2  # error returns of uf_forest
+FOREST_ODD_CLUSTER, FOREST_BAD_TREE = -1, -2  # error returns of uf_forest and
+PEEL_BAD_DEFECT, PEEL_LEFTOVER = -1, -2  # of uf_peel, their detail in the decoder's scan
 BAD_EDGE, RESIDUAL_SYNDROME = -1, 2  # returns of uf_syndrome and uf_assess
-PEEL_BAD_DEFECT = -(2**32)  # uf_peel returns PEEL_BAD_DEFECT - i for a bad defect i
-NO_MEMORY = -(2**63)  # INT64_MIN: a kernel function could not allocate its scratch
+NO_MEMORY = -(2**63)  # INT64_MIN: uf_syndrome or uf_assess could not allocate its scratch
 _BYTES = ctypes.c_char * 0
 _INT64 = np.dtype(np.int64)
 

@@ -6,28 +6,33 @@
  *   - `uf_core.Decoder`, one layer per call:
  *     `uf_init`, `uf_grow(ctx, k)` (checks the first k staged defects,
  *     resets over the last decode's entries, seeds and grows), `uf_forest`
- *     and `uf_peel`, and for the tests of hand-built tables `uf_find` and
- *     `uf_union`;
+ *     (writes the context's forest record) and `uf_peel(ctx, defects, n)`
+ *     (peels that record), and for the tests of hand-built tables `uf_find`
+ *     and `uf_union`;
  *   - the pipeline model of `microarch`, one call per stage, composing the
  *     functions above: `uf_run_grgen(ctx, k)` (`uf_grow`, then the Gr-Gen
- *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel` of
- *     the forest record with the defects that growth seeded, read back from
- *     `touched_v`, so that a refused growth's staged ids are never peeled);
+ *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel`
+ *     with the defects that growth seeded, read back from `touched_v`, so
+ *     that a refused growth's staged ids are never peeled);
  *   - `lattice` and `uf_core.assess`: `uf_syndrome` and `uf_assess`;
  *   - `noise.TrialSampler`: `uf_sample`, the failed edges of one trial, drawn
  *     with numpy's own `random_geometric` (linked from numpy's static
  *     library `libnpyrandom.a`) from a Philox4x64-10 stream on the stack.
  * Every function reads a graph through the one `uf_graph` that its Python
  * `DecodingGraph` owns; a `uf_ctx` points to it and holds the addresses of
- * the decoding buffers, one numpy block of a Python `Decoder`. The kernel
- * allocates nothing except the scratch bits of `uf_peel`, `uf_syndrome` and
- * `uf_assess`, a fresh block per call, so that the graph is only read and
- * can be shared between threads. `uf_graph` mirrors `_kernel.GraphView` and
- * `uf_ctx` mirrors `uf_core._Ctx`, field for field; `_kernel` states this
- * file's numbers for Python under the same names (side bits, counts enum,
- * FOREST_COLUMNS, error returns). `tests/test_kernel_build.py` checks every
- * mirror against this file: `test_ctypes_mirrors_declare_the_c_structs_fields_in_order`
- * the structs, `test_kernel_mirrors_hold_the_c_numbers` the numbers.
+ * the decoding buffers, one numpy block of a Python `Decoder`, scratch
+ * included. The kernel allocates nothing except the scratch bits of
+ * `uf_syndrome` and `uf_assess`, which take no context: a fresh block per
+ * call. So the graph is only read and can be shared between threads, each
+ * with a context of its own. A context's forest record is always whole:
+ * growth empties it and `uf_forest` writes its header last, so `uf_peel`
+ * reads a record that `uf_forest` wrote, or an empty one. `uf_graph`
+ * mirrors `_kernel.GraphView` and `uf_ctx` mirrors `uf_core._Ctx`, field for
+ * field; `_kernel` states this file's numbers for Python under the same
+ * names (side bits, counts enum, FOREST_COLUMNS, error returns).
+ * `tests/test_kernel_build.py` checks every mirror against this file:
+ * `test_ctypes_mirrors_declare_the_c_structs_fields_in_order` the structs,
+ * `test_kernel_mirrors_hold_the_c_numbers` the numbers.
  * Vertex and edge ids that Python passes in or reads out (defects, edge
  * ids, corrections) are int64; the graph and the tables are int32.
  *
@@ -44,8 +49,8 @@
  * in both endpoints' grown-slot masks, each fused boundary edge joins a
  * list, and each root keeps its cluster's smallest vertex.
  *
- * Every bitmap (the context's vertex bits and the scratch bits of
- * `uf_syndrome`, `uf_assess` and `uf_peel`) has `words` words and then a
+ * Every bitmap (the context's vertex bits and peeling's edge bits, and the
+ * scratch bits of `uf_syndrome` and `uf_assess`) has `words` words and then a
  * summary of (words + 63) / 64 words, whose bit w is set when word w may
  * hold a set bit. Every setter marks the summary, and a drain reads only
  * the words it marks, so a drain costs the words that hold bits, not the
@@ -82,10 +87,12 @@ typedef struct {
     /* the decoder's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
     int64_t *defects; /* staged ids for uf_grow, as the caller gave them; uf_run_corr's syndrome */
-    /* scratch: growth's scan list, the forest's smallest vertices and
-       uf_run_corr's correction */
+    /* scratch: growth's scan list, the forest's smallest vertices, uf_peel's
+       correction, and the detail of an error of uf_forest or uf_peel */
     int64_t *scan;
-    uint64_t *bits;  /* bitmap over internal vertices and its summary, all zero between calls */
+    /* bitmaps and their summaries, all zero between calls: over internal
+       vertices, and over edges (uf_peel's correction) */
+    uint64_t *bits, *chosen;
     /* per internal vertex: the union-find tables, whose parent table is the
        only record of the partition, and each root's smallest member */
     int32_t *parent, *size, *growth_steps, *low;
@@ -100,6 +107,7 @@ typedef struct {
     /* per internal vertex; grown: bit i set once its CSR slot i holds a fully
        grown edge to an internal vertex */
     uint8_t *parity, *boundary_sides, *member, *visited, *grown;
+    uint8_t *held; /* per internal vertex: uf_peel's marks, all zero between calls */
     uint8_t *edge_state; /* per edge: 0 untouched, 1 half grown, 2 fully grown */
 } uf_ctx;
 
@@ -208,7 +216,8 @@ static inline int64_t set_new_bit(uf_ctx *c, int32_t v) {
 }
 
 /* Restore the initial state over the entries the last decode touched: the
-   one statement of what a fresh vertex and a fresh edge hold. */
+   one statement of what a fresh vertex and a fresh edge hold. The forest
+   record is emptied, so that no forest outlives the growth it spans. */
 static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t v = c->touched_v[i];
@@ -224,15 +233,19 @@ static void uf_reset(uf_ctx *c) {
     for (int64_t i = 0; i < c->counts[N_TOUCHED_E]; i++) c->edge_state[c->touched_e[i]] = 0;
     c->counts[N_TOUCHED_V] = c->counts[N_TOUCHED_E] = c->counts[PASSES] = c->counts[TABLE_READS] = 0;
     c->counts[N_FUSED_BOUNDARY] = 0;
+    c->forest[0] = c->forest[1] = 0;
 }
 
-/* Initial state: zero counts, bitmap and visited flags, then uf_reset over
-   every vertex and every edge, taken as touched. */
+/* Initial state: zero counts, bitmaps, visited flags and peeling marks,
+   then uf_reset over every vertex and every edge, taken as touched. */
 void uf_init(uf_ctx *c) {
     int64_t n = c->g->n_internal, words = (n + 63) / 64;
+    int64_t e_words = (c->g->n_edges + 63) / 64;
     memset(c->counts, 0, N_COUNTS * sizeof *c->counts);
     memset(c->bits, 0, (size_t)(words + summary_words(words)) * sizeof *c->bits);
+    memset(c->chosen, 0, (size_t)(e_words + summary_words(e_words)) * sizeof *c->chosen);
     memset(c->visited, 0, (size_t)n);
+    memset(c->held, 0, (size_t)n);
     for (int32_t v = 0; v < n; v++) c->touched_v[v] = v;
     for (int32_t e = 0; e < c->g->n_edges; e++) c->touched_e[e] = e;
     c->counts[N_TOUCHED_V] = n;
@@ -461,10 +474,12 @@ static inline int64_t dfs_tree(uf_ctx *c, const uf_graph *g, int32_t u, int32_t 
 #define FOREST_ODD_CLUSTER (-1) /* uf_forest: an odd cluster off the boundary */
 #define FOREST_BAD_TREE (-2)    /* uf_forest: a spanning tree of the wrong size */
 
-/* DFS spanning tree per cluster over fully grown edges, written as one
-   int32 record: m, k, then root, start vertex, vertex count, boundary flag,
-   tree edge count and growth count of each of the m trees, then k (edge,
-   leafward, rootward) triples, tree by tree in DFS visit order.
+/* DFS spanning tree per cluster over fully grown edges, written as the
+   context's int32 forest record: m, k, then root, start vertex, vertex
+   count, boundary flag, tree edge count and growth count of each of the m
+   trees, then k (edge, leafward, rootward) triples, tree by tree in DFS
+   visit order. A forest has at most n_internal edges, one per internal
+   vertex.
 
    Trees are ordered by the smallest vertex of their cluster, the traversal
    root, which each root keeps in `low`. A boundary cluster is entered
@@ -473,13 +488,15 @@ static inline int64_t dfs_tree(uf_ctx *c, const uf_graph *g, int32_t u, int32_t 
    one, found in `fused_boundary` before the trees. A cluster is connected
    by its fully grown internal edges, so the DFS from that entry reaches
    every member and the tree needs no second entry. The DFS follows the
-   `grown` masks and reads no edge state. Makes no find. Returns the record
-   length, or FOREST_ODD_CLUSTER (record[0] = root) or FOREST_BAD_TREE
-   (record[0..2] = root, edges, expected edges). */
+   `grown` masks and reads no edge state. Makes no find. The record's header
+   is emptied first and written last, so the record is whole even after an
+   error. Returns the record length, or FOREST_ODD_CLUSTER (scan[0] = root)
+   or FOREST_BAD_TREE (scan[0..2] = root, edges, expected edges). */
 int64_t uf_forest(uf_ctx *c) {
     const uf_graph g = *c->g; /* a local copy, which the uint8_t stores cannot alias */
     int32_t n_int = (int32_t)g.n_internal, *rec = c->forest;
     int64_t words = (g.n_internal + 63) / 64;
+    rec[0] = rec[1] = 0;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) c->visited[c->touched_v[i]] = 0;
     for (int64_t i = 0; i < c->counts[N_TOUCHED_V]; i++) {
         int32_t r = c->touched_v[i];
@@ -503,7 +520,7 @@ int64_t uf_forest(uf_ctx *c) {
         int32_t low = (int32_t)c->scan[t], r = root_of(c->parent, low);
         uint8_t sides = c->boundary_sides[r];
         if (c->parity[r] && !sides) {
-            rec[0] = r;
+            c->scan[0] = r;
             return FOREST_ODD_CLUSTER;
         }
         int32_t s = low, u = low, expect = c->size[r] - 1;
@@ -524,9 +541,9 @@ int64_t uf_forest(uf_ctx *c) {
             k = dfs_tree(c, &g, u, edges, k);
         }
         if (k - k0 != expect) {
-            rec[0] = r;
-            rec[1] = (int32_t)(k - k0);
-            rec[2] = expect;
+            c->scan[0] = r;
+            c->scan[1] = k - k0;
+            c->scan[2] = expect;
             return FOREST_BAD_TREE;
         }
         root[t] = r;
@@ -541,74 +558,67 @@ int64_t uf_forest(uf_ctx *c) {
     return 2 + FOREST_COLUMNS * (int64_t)m + 3 * k;
 }
 
-/* Reverse-order peeling of a forest record: pop tree edges leaf first; an
-   edge whose leafward endpoint holds a defect joins the correction and
-   flips the rootward endpoint's bit, which a boundary entry point absorbs.
-   Every defect must be a vertex of a tree, given once: a leafward endpoint
-   or the root of a tree off the boundary. Writes the correction in
-   ascending edge order to `corr` (room for k edges) and returns its size;
-   otherwise PEEL_BAD_DEFECT - i for the first defect i that is not such a
-   vertex or repeats one, -1 - v for a defect left over at the root v of a
-   tree off the boundary, or INT64_MIN when the scratch bits cannot be
-   allocated. The scratch is bounded by the forest's largest vertex. */
-#define PEEL_BAD_DEFECT (-((int64_t)1 << 32))
-enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's scratch byte */
+#define PEEL_BAD_DEFECT (-1) /* uf_peel: a defect off every tree, or repeated */
+#define PEEL_LEFTOVER (-2)   /* uf_peel: a defect left over at a root off the boundary */
+enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's `held` byte */
 
-int64_t uf_peel(const int32_t *rec, const int64_t *defects, int64_t n_defects, int64_t *corr) {
+/* Reverse-order peeling of the context's forest record: pop tree edges leaf
+   first; an edge whose leafward endpoint holds a defect joins the
+   correction and flips the rootward endpoint's mark, which a boundary
+   entry point, a virtual vertex, absorbs. Every one of the n defects must
+   be a vertex of a tree, given once: a leafward endpoint or the root of a
+   tree off the boundary. Writes the correction in ascending edge order to
+   `scan` and returns its size (at most the record's k); otherwise
+   PEEL_BAD_DEFECT with scan[0] = the index of the first defect that is not
+   such a vertex or repeats one, or PEEL_LEFTOVER with scan[0] = the first
+   root off the boundary where a defect is left over. Its scratch is the
+   context's `held` marks and `chosen` edge bits, which every return,
+   a refused peel's too, leaves clear: every tree is peeled. */
+int64_t uf_peel(uf_ctx *c, const int64_t *defects, int64_t n) {
+    const int32_t *rec = c->forest;
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
     const int32_t *edges = n_edges + 2 * m; /* past the growth counts */
-    int32_t hi = 0, hi_edge = 0;
-    for (int64_t i = 0; i < k; i++) {
-        if (edges[3 * i] > hi_edge) hi_edge = edges[3 * i];
-        if (edges[3 * i + 1] > hi) hi = edges[3 * i + 1];
-        if (edges[3 * i + 2] > hi) hi = edges[3 * i + 2];
-    }
+    int64_t n_int = c->g->n_internal, words = (c->g->n_edges + 63) / 64, bad = -1, leftover = -1;
+    uint8_t *held = c->held;
+    for (int64_t i = 0; i < k; i++) held[edges[3 * i + 1]] = IN_TREE;
     for (int32_t t = 0; t < m; t++)
-        if (start[t] > hi) hi = start[t];
-    /* a bitmap of the correction's edges and its summary, then one byte per vertex */
-    int64_t words = hi_edge / 64 + 1, all_words = words + summary_words(words);
-    uint64_t *chosen = calloc((size_t)all_words * sizeof *chosen + (size_t)hi + 1, 1);
-    if (!chosen) return INT64_MIN;
-    uint8_t *bit = (uint8_t *)(chosen + all_words);
-    for (int64_t i = 0; i < k; i++) bit[edges[3 * i + 1]] = IN_TREE;
-    for (int32_t t = 0; t < m; t++)
-        if (!boundary[t]) bit[start[t]] = IN_TREE;
-    for (int64_t i = 0; i < n_defects; i++) {
+        if (!boundary[t]) held[start[t]] = IN_TREE;
+    for (int64_t i = 0; i < n && bad < 0; i++) {
         int64_t v = defects[i];
-        if (v < 0 || v > hi || bit[v] != IN_TREE) {
-            free(chosen);
-            return PEEL_BAD_DEFECT - i;
-        }
-        bit[v] |= HELD;
+        if (v < 0 || v >= n_int || held[v] != IN_TREE)
+            bad = i;
+        else
+            held[v] |= HELD;
     }
-    int64_t result = 0, j = 0;
-    for (int32_t t = 0; t < m && !result; t++) {
+    for (int32_t t = 0, j = 0; t < m; t++) {
         j += n_edges[t];
-        for (int64_t i = j - 1; i >= j - n_edges[t]; i--) {
+        for (int32_t i = j - 1; i >= j - n_edges[t]; i--) {
             int32_t e = edges[3 * i], child = edges[3 * i + 1], parent = edges[3 * i + 2];
-            uint8_t b = bit[child] & HELD;
-            bit[child] = 0;
+            uint8_t b = held[child] & HELD;
+            held[child] = 0;
             if (b) {
-                set_bit(chosen, words, e);
-                if (!boundary[t] || parent != start[t]) bit[parent] ^= HELD;
+                set_bit(c->chosen, words, e);
+                if (parent < n_int) held[parent] ^= HELD; /* not a boundary entry point */
             }
         }
-        if (!boundary[t] && bit[start[t]] & HELD) result = -1 - (int64_t)start[t];
-        bit[start[t]] = 0;
+        if (!boundary[t]) {
+            if (held[start[t]] & HELD && leftover < 0) leftover = start[t];
+            held[start[t]] = 0;
+        }
     }
-    int32_t n = drain_bits(chosen, words, corr);
-    free(chosen);
-    return result ? result : n;
+    int32_t n_corr = drain_bits(c->chosen, words, c->scan);
+    if (bad < 0 && leftover < 0) return n_corr;
+    c->scan[0] = bad >= 0 ? bad : leftover;
+    return bad >= 0 ? PEEL_BAD_DEFECT : PEEL_LEFTOVER;
 }
 
-/* The Corr stage: uf_peel of the context's forest record with the defects
-   that the last accepted uf_grow seeded, the first N_SEEDED entries of
-   touched_v, widened into `defects`, writing the correction to `scan`. */
+/* The Corr stage: uf_peel with the defects that the last accepted uf_grow
+   seeded, the first N_SEEDED entries of touched_v, widened into `defects`. */
 int64_t uf_run_corr(uf_ctx *c) {
     int64_t k = c->counts[N_SEEDED];
     for (int64_t i = 0; i < k; i++) c->defects[i] = c->touched_v[i];
-    return uf_peel(c->forest, c->defects, k, c->scan);
+    return uf_peel(c, c->defects, k);
 }
 
 /* Sampling. `bitgen_t` is numpy's bit generator interface, declared as in

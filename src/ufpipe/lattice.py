@@ -56,8 +56,6 @@ class DecodingGraph:
 
     d: int
     n_internal: int
-    left: int            # virtual boundary vertex id (= n_internal)
-    right: int           # virtual boundary vertex id (= n_internal + 1)
     # endpoints as int32 arrays, for the decoding kernel, syndrome extraction
     # and `uf_core.assess`
     edges_u: np.ndarray  # internal endpoint
@@ -76,8 +74,7 @@ class DecodingGraph:
     # internal vertex has at most 6 edges, so growth marks a fully grown edge
     # by its slot's bit in a uint8 mask per vertex.
     edge_slot: np.ndarray = field(repr=False)
-    n_space_edges: int = 0  # space edges come first: edge e is a time edge iff e >= this
-    n_time_edges: int = 0
+    n_space_edges: int  # space edges come first: edge e is a time edge iff e >= this
 
     def __post_init__(self):
         # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
@@ -90,6 +87,9 @@ class DecodingGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges_u)
+
+    left = property(lambda self: self.n_internal)  # the virtual boundary vertices
+    right = property(lambda self: self.n_internal + 1)
 
     def vertex_id(self, layer: int, row: int, col: int) -> int:
         d = self.d
@@ -151,8 +151,6 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     g = DecodingGraph(
         d=d,
         n_internal=n_int,
-        left=left,
-        right=right,
         edges_u=u,
         edges_v=v,
         adj_start=adj_start,
@@ -160,7 +158,6 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adj_far=np.concatenate((v, u))[order],
         edge_slot=edge_slot,
         n_space_edges=n_space,
-        n_time_edges=u.size - n_space,
     )
     for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot):
         a.flags.writeable = False  # the kernel reads them through fixed addresses

@@ -14,20 +14,22 @@ engine's by construction.
 Each stage is one call into the engine's kernel plus O(1) Python:
 Gr-Gen is the oracle's growth call (check, reset, seed, grow) plus one
 walk of the engine's logs for its reads (`Decoder.grgen`); the DFS
-engine writes the forest record (`uf_core.spanning_forest`, the oracle's
-own forest call), and the Corr engine peels it with the defects growth
-seeded (`Decoder.peel_seeded`). The DFS and Corr counts are
-the member count and the forest's edge count, so no stage does Python
-work per touched vertex or edge.
+engine writes the decoder's forest record (`uf_core.spanning_forest`, the
+oracle's own forest call), and the Corr engine peels that record with the
+defects growth seeded, on the decoder's own scratch
+(`Decoder.peel_seeded`). The DFS and Corr counts are the member count and
+the forest's edge count, so no stage does Python work per touched vertex
+or edge.
 
 State is reused: the model keeps one `uf_core.Decoder` per process, the
 one cached for the last graph object a decode named (`_decoder`), and lets
 Gr-Gen reset it as it grows, as every growth does; a new one is built only
-when a decode names another graph object. So a `PipelineState`, the
-`SpanningForest` of `run_dfs` and the `Correction` of `run_corr`, which
-view the decoder's buffers, are valid until the next pipeline decode (copy
-what must outlive it), and pipeline decodes run on one thread at a time
-(single-threaded; one process per worker).
+when a decode names another graph object. So a `PipelineState` and the
+`SpanningForest` of `run_dfs`, which view the decoder's buffers, are valid
+until the next pipeline decode, and the `Correction` of `run_corr`, which
+views the decoder's scratch, until the decoder's next kernel call, a
+stage included (copy what must outlive it). Pipeline decodes run on one
+thread at a time (single-threaded; one process per worker).
 
 Edge-stack overflows are counted after a decode, for any stack capacity,
 from the tree sizes in its `DecodeStats` (`stack_overflows`).
@@ -130,9 +132,9 @@ def run_dfs(state: PipelineState) -> SpanningForest:
     """DFS engine: one spanning tree per cluster, whose edge list is that
     cluster's edge stack: `uf_core.spanning_forest` of the state's decoder,
     one kernel call. The forest is a read-only view of the decoder's
-    record: it is valid until the next pipeline decode. The engine reads
-    each member vertex once, and the clusters' sizes sum to the member
-    count."""
+    record, valid until the decoder's next growth, the next pipeline
+    decode's Gr-Gen. The engine reads each member vertex once, and the
+    clusters' sizes sum to the member count."""
     cs = state.cs
     forest = spanning_forest(cs.graph, cs)
     state.trace.dfs = cs.n_members
@@ -143,8 +145,8 @@ def run_corr(state: PipelineState, forest: SpanningForest) -> Correction:
     """Corr engine: peel every edge stack of `forest`, the record `run_dfs`
     left in the decoder, one pop per tree edge, with the defects the last
     accepted Gr-Gen seeded as the syndrome, in one kernel call. The
-    correction views a buffer of the decoder: it is valid until the next
-    pipeline decode."""
+    correction views the decoder's scratch: it is valid until the decoder's
+    next kernel call."""
     state.trace.corr = forest.k
     return state.cs.peel_seeded()
 

@@ -4,10 +4,13 @@ The only decoding engine in the package. Growth, the spanning forest and
 peeling run in one C kernel, `_ufkernel.c` (built and loaded by `_kernel`),
 over flat buffers that a `Decoder` owns; `assess` is one call into the
 same kernel. This module validates input, owns the buffers and turns the
-kernel's output into Python values. What a decoder hands out views its
-buffers, with no copy: its tables and `peel_seeded`'s correction are valid
-until its next growth, and the read-only `spanning_forest` record until
-its next forest, which `peel` checks; `peel` returns a correction of its
+kernel's output into Python values. One lifetime rule: what a decoder
+hands out views its buffers, with no copy, and is valid until its next
+accepted growth. That holds for its tables and for a `SpanningForest`, the
+read-only view of its record that only `spanning_forest` makes, which
+`peel` and `cluster_stats` refuse after that growth. Only `peel_seeded`'s
+correction lives shorter: it views the decoder's scratch `scan`, which the
+decoder's next kernel call rewrites; `peel` returns a correction of its
 own. All iteration orders are fixed (ascending vertex ids, W/E/N/S/D/U
 edge order, LIFO fusion stack), so a decode is a deterministic function
 of the syndrome; the hardware pipeline model in `microarch` counts memory
@@ -44,8 +47,9 @@ _BUFFERS = (
     ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
     ("defects", _INT64, lambda n, n_e: n, "_defects"),
     ("scan", _INT64, lambda n, n_e: n, "_scan"),
-    # the vertex bitmap, then its summary: one bit per bitmap word
+    # the vertex and the edge bitmap, each then its summary: a bit per bitmap word
     ("bits", _UINT64, lambda n, n_e: (n + 63) // 64 + (n + 4095) // 4096, None),
+    ("chosen", _UINT64, lambda n, n_e: (n_e + 63) // 64 + (n_e + 4095) // 4096, None),
     ("parent", _INT32, lambda n, n_e: n, "parent"),
     ("size", _INT32, lambda n, n_e: n, "size"),
     ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
@@ -64,6 +68,7 @@ _BUFFERS = (
     ("member", _UINT8, lambda n, n_e: n, None),
     ("visited", _UINT8, lambda n, n_e: n, None),
     ("grown", _UINT8, lambda n, n_e: n, "grown"),
+    ("held", _UINT8, lambda n, n_e: n, None),
     ("edge_state", _UINT8, lambda n, n_e: n_e, "edge_state"),
 )
 
@@ -114,19 +119,21 @@ class Decoder:
       start of the pass and the last the size of the pass's fusion edge
       stack. These read int32 buffers as lists of plain ints.
       `grgen` derives the Gr-Gen read counts from them in the kernel.
-    - scratch for the kernel and the forest record. Every buffer is sized
-      for the worst case from `n_internal` and `n_edges`: each holds at
-      most one entry per vertex or per edge (an internal vertex has at most
-      one boundary edge), and there are at most 2 * n_edges growth passes,
-      since each pass advances an edge state. `touched_e` and the fusion
-      edge stack hold one entry more, which growth's branch-free scan
-      writes and does not keep.
+    - the forest record and the kernel's scratch, peeling's marks and edge
+      bitmap among it. Every buffer is sized for the worst case from
+      `n_internal` and `n_edges`: each holds at most one entry per vertex
+      or per edge (an internal vertex has at most one boundary edge, and a
+      forest one edge per vertex), and there are at most 2 * n_edges growth
+      passes, since each pass advances an edge state. `touched_e` and the
+      fusion edge stack hold one entry more, which growth's branch-free
+      scan writes and does not keep.
 
     State is reusable across decodes: `grow` starts by restoring the
     initial state over the entries the last growth touched, as `uf_init`
-    does over every entry. A refused growth changes no state but the staged
-    ids: `peel_seeded` peels the ids the last accepted growth seeded, which
-    `touched_v` starts with.
+    does over every entry, and empties the forest record; the growths it
+    accepts are counted, to date a forest. A refused growth changes no
+    state but the staged ids: `peel_seeded` peels the ids the last accepted
+    growth seeded, which `touched_v` starts with.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -144,6 +151,7 @@ class Decoder:
         self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
         self._forest.flags.writeable = False  # only the kernel writes it, through the context
+        self._growths = 0  # accepted growths, by which a forest is dated
         K.uf_init(self._c)
 
     @property
@@ -234,6 +242,7 @@ class Decoder:
         ids = self._stage(defects)
         if K.uf_grow(self._c, ids.size):
             self._refuse(ids)
+        self._growths += 1
         return self
 
     def decode(self, syn: Syndrome) -> tuple[Correction, DecodeStats]:
@@ -269,16 +278,18 @@ class Decoder:
         ids = self._stage(defects)
         if K.uf_run_grgen(self._c, ids.size):
             self._refuse(ids)
+        self._growths += 1
         return self._counts[PASSES:N_SEEDED].tolist()
 
     def peel_seeded(self) -> Correction:
-        """`peel` of the record that `spanning_forest` left, with the defects
-        the last accepted growth seeded as the syndrome, in one kernel call.
-        The correction's int64 ids view a buffer of the decoder, valid until
-        the next growth."""
+        """`peel` of the decoder's forest record with the defects the last
+        accepted growth seeded as the syndrome, in one kernel call. Growth
+        empties the record, so before that growth's `spanning_forest` every
+        seeded defect lies in no tree. The correction's int64 ids view the
+        decoder's scratch `scan`, which its next kernel call rewrites."""
         n = K.uf_run_corr(self._c)
         if n < 0:
-            _check_peeled(n, self._defects[:self._counts[N_SEEDED]])
+            _check_peeled(n, self._defects[:self._counts[N_SEEDED]], int(self._scan[0]))
         return Correction(self._scan[:n])
 
 
@@ -296,65 +307,42 @@ class ClusterTree:
     edges: list[tuple[int, int, int]]
     n_vertices: int
     boundary: bool
-    growth_steps: int = 0
+    growth_steps: int
 
 
 class SpanningForest:
-    """Spanning trees of one decode, as the kernel's int32 record:
+    """Spanning trees of one decode: a read-only view, with no copy, of its
+    decoder's int32 forest record, which only `spanning_forest` makes:
 
     `[m, k, root × m, start vertex × m, n_vertices × m, boundary × m,
     tree edge count × m, growth steps × m, (edge, leafward, rootward) × k]`
 
     `m` and `k` are plain ints; `columns` is the (6, m) per-tree part and
     `edges` the (k, 3) rest, both views of the record; `trees` gives the
-    same as `ClusterTree` objects holding plain ints.
+    same as `ClusterTree` objects holding plain ints. The forest keeps its
+    decoder and is valid until the decoder's next accepted growth, which
+    empties the record.
     """
 
-    def __init__(self, record: np.ndarray):
-        """ValueError unless `record` has this layout, no negative entry and
-        tree edge counts that sum to k: `peel` reads no other within bounds.
-        The forest keeps a read-only copy, which no later write can change."""
-        record = np.array(record)
-        if record.ndim != 1 or record.dtype != _INT32 or record.size < 2:
-            raise ValueError("a forest record is a 1-D int32 array of at least 2 entries, "
-                             f"got {record.dtype} of shape {record.shape}")
-        m, k = int(record[0]), int(record[1])
-        if record.size != 2 + FOREST_COLUMNS * m + 3 * k:
-            raise ValueError(f"a forest record of {m} trees and {k} edges has "
-                             f"{2 + FOREST_COLUMNS * m + 3 * k} int32 entries, got {record.size}")
-        if record.min() < 0 or record[2 + 4 * m:2 + 5 * m].sum() != k:
-            raise ValueError("a forest record's entries must be >= 0 and its tree edge "
-                             f"counts must sum to its edge count k = {k}")
-        self._at = addr(record)  # the kernel's pointer to the record
-        record.flags.writeable = False
-        self.record, self.m, self.k = record, m, k
+    def __init__(self, dec: Decoder, n: int):
+        """The forest of the first `n` entries of `dec`'s record, which
+        `uf_forest` has just written."""
+        self.record = dec._forest[:n]
+        self.m, self.k = self.record[:2].tolist()
+        self._dec, self._growth = dec, dec._growths
 
-    @classmethod
-    def _unchecked(cls, record: np.ndarray, at: int) -> SpanningForest:
-        """The forest of a record at address `at` that `uf_forest` wrote,
-        taken as valid."""
-        self = cls.__new__(cls)
-        self.record, self._at = record, at
-        self.m, self.k = record[:2].tolist()
-        return self
+    def _current(self) -> Decoder:
+        """The forest's decoder; ValueError if it has grown since the forest."""
+        if self._growth != self._dec._growths:
+            raise ValueError("the forest is of an earlier growth of its decoder: a forest is "
+                             "valid until its decoder's next growth")
+        return self._dec
 
     columns = functools.cached_property(
         lambda self: self.record[2:2 + FOREST_COLUMNS * self.m].reshape(FOREST_COLUMNS, self.m))
     edges = functools.cached_property(
         lambda self: self.record[2 + FOREST_COLUMNS * self.m:].reshape(self.k, 3))
     tree_edges = property(lambda self: self.columns[4])
-
-    @classmethod
-    def of_trees(cls, trees: list[ClusterTree]) -> SpanningForest:
-        """The record of hand-built trees; every id must fit int32 and be >= 0."""
-        cols = [(t.root, t.start_vertex, t.n_vertices, t.boundary, len(t.edges), t.growth_steps)
-                for t in trees]
-        edges = [x for t in trees for x in t.edges]
-        record = np.array([len(trees), len(edges), *np.ravel(np.transpose(cols)), *np.ravel(edges)],
-                          dtype=np.int64)
-        if record.min() < 0 or record.max() > np.iinfo(np.int32).max:
-            raise ValueError("forest ids must lie in [0, 2**31)")
-        return cls(record.astype(np.int32))
 
     @property
     def trees(self) -> list[ClusterTree]:
@@ -408,22 +396,20 @@ def spanning_forest(graph: DecodingGraph, dec: Decoder) -> SpanningForest:
     per vertex serves the whole forest. No `find` is made, so the parent
     table and `table_reads` stay as growth left them.
 
-    The forest is a read-only view of the decoder's record, with no copy.
-    Growth leaves the record as it is; the decoder's next `spanning_forest`
-    (or `microarch.run_dfs`) rewrites it. `peel` then refuses the old
-    forest, or, where the new record has the same tree and edge counts,
-    peels the new record.
+    The forest is a read-only view of the decoder's record, with no copy,
+    valid until the decoder's next accepted growth. A forest that raises
+    leaves the record empty.
     """
     if graph is not dec.graph:
         raise ValueError("the decoder was grown on another graph")
     n = K.uf_forest(dec._c)
-    rec = dec._forest
+    detail = dec._scan
     if n == FOREST_ODD_CLUSTER:
-        raise InvariantViolation(f"cluster at root {rec[0]} is odd and not on a boundary")
+        raise InvariantViolation(f"cluster at root {detail[0]} is odd and not on a boundary")
     if n == FOREST_BAD_TREE:
         raise InvariantViolation(
-            f"spanning tree of cluster {rec[0]} has {rec[1]} edges, expected {rec[2]}")
-    return SpanningForest._unchecked(rec[:n], dec._ctx.forest)
+            f"spanning tree of cluster {detail[0]} has {detail[1]} edges, expected {detail[2]}")
+    return SpanningForest(dec, n)
 
 
 def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
@@ -431,41 +417,39 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     leafward endpoint holds a defect joins the correction and flips the
     rootward endpoint's held bit. Boundary entry points absorb flips.
 
-    Every defect must be a distinct vertex of a tree of the forest, which
-    excludes the virtual entry points; anything else raises ValueError, as
-    does a decoder's forest whose record a later `spanning_forest` gave
-    other tree or edge counts: the kernel would write past the correction's
-    k entries. The correction's ids are int64, as the kernel writes them
-    and as `assess` reads them without a copy.
+    One kernel call on the forest's decoder, which peels its record with
+    the decoder's own scratch. Every defect must be a distinct vertex of a
+    tree of the forest, which excludes the virtual entry points; anything
+    else raises ValueError, as does a forest of an earlier growth of its
+    decoder. The correction's ids are int64, as the kernel writes them and
+    as `assess` reads them without a copy, in an array of their own.
     """
-    if forest.record[:2].tolist() != [forest.m, forest.k]:
-        raise ValueError("the forest's record was rewritten by a later spanning_forest "
-                         "of its decoder")
+    dec = forest._current()
     defects, at = int64_ids(syn.defects, "defect")  # uint64 past 2**63 wraps: rejected too
-    out = np.empty(forest.k, dtype=np.int64)
-    n = K.uf_peel(forest._at, at, defects.size, addr(out))
+    n = K.uf_peel(dec._c, at, defects.size)
     if n < 0:
-        _check_peeled(n, np.asarray(syn.defects))
-    # a copy: a kept correction does not hold the forest-sized buffer
-    return Correction(edge_ids=out[:n].copy())
+        _check_peeled(n, np.asarray(syn.defects), int(dec._scan[0]))
+    return Correction(edge_ids=dec._scan[:n].copy())
 
 
-def _check_peeled(n: int, ids: np.ndarray) -> NoReturn:
-    """Raise for the error `n` < 0 that the peeling kernel returned; `ids`
-    are the defects it peeled."""
-    if n == NO_MEMORY:
-        raise MemoryError("no memory for the peeling kernel's scratch bits")
-    if n <= PEEL_BAD_DEFECT:
-        i = PEEL_BAD_DEFECT - n
-        v = ids[i].item()
-        why = "repeats an earlier one" if v in ids[:i].tolist() else "lies in no tree of the forest"
-        raise ValueError(f"defect {i} of the syndrome, {v}, {why}")
-    raise InvariantViolation(f"leftover defect at non-boundary root {-1 - n}")
+def _check_peeled(n: int, ids: np.ndarray, detail: int) -> NoReturn:
+    """Raise for the error `n` < 0 that the peeling kernel returned with
+    `detail` in the decoder's scan; `ids` are the defects it peeled."""
+    if n == PEEL_BAD_DEFECT:
+        v = ids[detail].item()
+        why = ("repeats an earlier one" if v in ids[:detail].tolist()
+               else "lies in no tree of the forest")
+        raise ValueError(f"defect {detail} of the syndrome, {v}, {why}")
+    raise InvariantViolation(f"leftover defect at non-boundary root {detail}")
 
 
 def cluster_stats(dec: Decoder, forest: SpanningForest) -> DecodeStats:
     """The statistics of the clusters of `forest`, grown in `dec`: one read
-    of the forest record's per-tree columns."""
+    of the forest record's per-tree columns. ValueError for a forest of
+    another decoder or of an earlier growth of `dec`, whose statistics
+    would mix two decodes."""
+    if forest._current() is not dec:
+        raise ValueError("the forest is of another decoder")
     m = forest.m
     c = forest.record[2 + 2 * m:2 + FOREST_COLUMNS * m].tolist()  # sizes, boundary, edges, growth
     return DecodeStats(m, tuple(c[:m]), tuple(c[3 * m:]), tuple(map(bool, c[m:2 * m])),

@@ -7,10 +7,12 @@
  * the byte offsets of a `uf_core.Decoder`'s buffers in its block and the
  * defects of a list of decodes. The driver runs every decode REPEATS times
  * (REPEATS >= 1) through the oracle's kernel path: uf_grow, uf_forest, then
- * uf_run_corr, which peels the ids uf_grow seeded, read back from
- * touched_v. For the first round it writes to OUT, per decode, the forest
- * record (int64 length, int32 entries) and the correction (int64 count,
- * int64 ids). Every size comes from the dump: the graph's arrays and the
+ * uf_run_corr, which peels the context's forest record with the ids uf_grow
+ * seeded, read back from touched_v, on the context's own peeling scratch
+ * (the `held` marks and the `chosen` edge bits, two of its buffers). For
+ * the first round it writes to OUT, per decode, the forest record (int64
+ * length, int32 entries) and the correction (int64 count, int64 ids). Every
+ * size comes from the dump: the graph's arrays and the
  * buffers are laid into the kernel's structs in the order of their pointer
  * fields, which `_kernel.GraphView` and `uf_core._Ctx` mirror. Each array
  * and each buffer is an allocation of its own, of exactly its size: a

@@ -291,7 +291,7 @@ def test_kernel_mirrors_hold_the_c_numbers():
         name: slot for slot, name in enumerate(counts)}
     defines = c_defines(source)
     names = ("LEFT_SIDE", "RIGHT_SIDE", "FOREST_COLUMNS", "FOREST_ODD_CLUSTER", "FOREST_BAD_TREE",
-             "BAD_EDGE", "RESIDUAL_SYNDROME", "PEEL_BAD_DEFECT")
+             "BAD_EDGE", "RESIDUAL_SYNDROME", "PEEL_BAD_DEFECT", "PEEL_LEFTOVER")
     assert {name: getattr(_kernel, name) for name in names} == {
         name: defines[name] for name in names}
 
@@ -309,7 +309,7 @@ import numpy as np
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.microarch import decode_with_pipeline
 from ufpipe.noise import ErrorPattern, NoiseParams, Syndrome, TrialSampler, sample_error, syndrome_of
-from ufpipe.uf_core import Decoder, assess
+from ufpipe.uf_core import Decoder, InvariantViolation, assess, peel, spanning_forest
 
 if os.path.exists("/proc/self/maps"):
     with open("/proc/self/maps") as f:
@@ -328,6 +328,27 @@ for d in (3, 5, 11, 25):
         assert np.array_equal(syndrome_indices_of_edges(g, corr.edge_ids), syn.defects)
     for err in errs:
         assess(g, err, dec.decode(syndrome_of(g, err))[0])
+    # a fresh decoder's record, refused peels before a good one, and a
+    # refused forest's record after an empty growth
+    fresh = Decoder(g)
+    assert fresh.peel_seeded().weight == 0
+    forest = spanning_forest(g, fresh.grow([4, 5]))  # one edge, off the boundary
+    for bad in ([4], [4, 4], [0, 4, 5], [-1]):
+        try:
+            peel(forest, Syndrome(defects=bad, length=g.n_internal))
+        except (ValueError, InvariantViolation):
+            continue
+        raise AssertionError(f"defects {bad} were peeled")
+    assert peel(forest, Syndrome(defects=[4, 5], length=g.n_internal)).weight == 1
+    fresh.grow([])
+    fresh.parity[5] = 1
+    fresh.union(5, 5)
+    try:
+        spanning_forest(g, fresh)
+    except InvariantViolation:
+        assert fresh.peel_seeded().weight == 0
+    else:
+        raise AssertionError("an odd cluster off the boundary was spanned")
     for p in (5e-324, 1e-3, 0.34, 0.45):
         sampler = TrialSampler(g.n_edges, p, 2**64 + d)
         for t in (0, 2**63 + 1, 2**64 - 1):

@@ -65,7 +65,7 @@ def test_graph_arrays_are_pinned(d):
 def test_d3_counts(g3):
     assert g3.n_internal == 18
     assert g3.n_space_edges == 39
-    assert g3.n_time_edges == 12
+    assert g3.n_edges - g3.n_space_edges == 12
     assert g3.n_edges == 51
 
 
@@ -75,7 +75,7 @@ def test_counts_match_brute_force(d):
     g = build_decoding_graph(LatticeParams(d))
     assert g.n_internal == verts
     assert g.n_space_edges == space
-    assert g.n_time_edges == time
+    assert g.n_edges - g.n_space_edges == time
     assert g.n_edges == space + time
 
 

@@ -1,7 +1,10 @@
 import gc
 import itertools
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_edges import edge_between, incident
+import ufpipe
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import (
     ErrorPattern,
@@ -21,11 +25,9 @@ from ufpipe.noise import (
 )
 from ufpipe._kernel import LEFT_SIDE, RIGHT_SIDE
 from ufpipe.uf_core import (
-    ClusterTree,
     Correction,
     Decoder,
     InvariantViolation,
-    SpanningForest,
     assess,
     cluster_stats,
     peel,
@@ -325,47 +327,45 @@ def test_forest_leaves_parent_table_and_reads_unchanged(g5):
 
 
 def test_peel_single_edge(g3):
-    # one tree edge whose leafward endpoint is the only defect; the flip is
-    # absorbed by the boundary entry point
+    # one defect beside LEFT: its tree enters from LEFT through the defect's
+    # own edge, the only tree edge whose leafward endpoint holds a defect;
+    # the flip is absorbed by the boundary entry point
     v = g3.vertex_id(1, 1, 0)
     e = edge_between(g3, v, g3.left)
-    tree = ClusterTree(root=v, start_vertex=g3.left, edges=[(e, v, g3.left)],
-                       n_vertices=1, boundary=True)
-    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, [v]))
+    forest = spanning_forest(g3, Decoder(g3).grow([v]))
+    assert forest.trees[0].edges[0] == (e, v, g3.left)
+    corr = peel(forest, syn_of(g3, [v]))
     assert list(corr.edge_ids) == [e]
 
 
 def test_peel_path_defects_at_ends(g3):
-    # hand-peeled: v1 - v2 - v3 with defects at v1 and v3 yields both edges
-    v1 = g3.vertex_id(1, 0, 0)
-    v2 = g3.vertex_id(1, 1, 0)
-    v3 = g3.vertex_id(1, 2, 0)
+    # hand-peeled: v1 - v2 - v3 along time, with defects at v1 and v3, lies
+    # in one tree and yields both edges
+    v1 = g3.vertex_id(0, 0, 0)
+    v2 = g3.vertex_id(1, 0, 0)
+    v3 = g3.vertex_id(2, 0, 0)
     e1 = edge_between(g3, v1, v2)
     e2 = edge_between(g3, v2, v3)
-    tree = ClusterTree(root=v1, start_vertex=v1,
-                       edges=[(e1, v2, v1), (e2, v3, v2)], n_vertices=3, boundary=False)
-    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, [v1, v3]))
+    forest = spanning_forest(g3, Decoder(g3).grow([v1, v3]))
+    (tree,) = forest.trees
+    assert {(e1, v2, v1), (e2, v3, v2)} <= set(tree.edges)
+    corr = peel(forest, syn_of(g3, [v1, v3]))
     assert sorted(corr.edge_ids) == sorted([e1, e2])
 
 
 def test_peel_even_cluster_no_defects(g3):
-    v1 = g3.vertex_id(1, 0, 0)
-    v2 = g3.vertex_id(1, 1, 0)
-    e1 = edge_between(g3, v1, v2)
-    tree = ClusterTree(root=v1, start_vertex=v1, edges=[(e1, v2, v1)], n_vertices=2,
-                       boundary=False)
-    corr = peel(SpanningForest.of_trees([tree]), syn_of(g3, []))
+    forest = spanning_forest(g3, Decoder(g3).grow([4, 5]))
+    assert [(t.boundary, t.edges) for t in forest.trees] == [(False, [(7, 5, 4)])]
+    corr = peel(forest, syn_of(g3, []))
     assert corr.weight == 0
 
 
 def test_peel_leftover_defect_raises(g3):
-    v1 = g3.vertex_id(1, 0, 0)
-    v2 = g3.vertex_id(1, 1, 0)
-    e1 = edge_between(g3, v1, v2)
-    tree = ClusterTree(root=v1, start_vertex=v1, edges=[(e1, v2, v1)], n_vertices=2,
-                       boundary=False)
-    with pytest.raises(InvariantViolation):
-        peel(SpanningForest.of_trees([tree]), syn_of(g3, [v1]))
+    # the even cluster {4, 5} off the boundary, rooted at 4, with one defect
+    forest = spanning_forest(g3, Decoder(g3).grow([4, 5]))
+    for defects in ([4], [5]):
+        with pytest.raises(InvariantViolation, match="leftover defect at non-boundary root 4"):
+            peel(forest, syn_of(g3, defects))
 
 
 @pytest.mark.parametrize("defects,message", [
@@ -384,54 +384,162 @@ def test_peel_rejects_a_syndrome_that_is_not_the_forests(g3, defects, message):
         peel(forest, Syndrome(defects=defects, length=g3.n_internal))
 
 
-@pytest.mark.parametrize("record", [
-    [1, 0, 0, 0, 1, 0, 1000000, 0],  # tree edge counts past k: peel read past the record
-    [1, 1, 0, 0, 2, 0, 2, 1, 7, 1, 0],  # tree edge counts past k, within the record
-    [1, 2, 0, 0, 3, 0, 1, 1, 7, 1, 0, 8, 2, 1],  # tree edge counts short of k
-    [-1, 2],  # m < 0, of the length m and k give
-    [1, -1, 0, 0, 1],  # k < 0, likewise
-    [1, 0, 0, -5, 1, 0, 0, 0],  # a negative start vertex: peel wrote before its scratch
-    [1, 1, 0, 0, 2, 0, 1, 1, 7, -3, 0],  # a negative leafward vertex
-    [1, 1, 0, 0, 2, 0, 1, 1, -7, 1, 0],  # a negative edge id
-    [],  # no m or k: raised IndexError
-    [[1, 0]],  # 2-D: raised TypeError
-])
-def test_forest_rejects_a_record_peel_cannot_read(record):
-    record = np.array(record, dtype=np.int32)
-    message = ("must be >= 0 and its tree edge counts must sum" if record.ndim == 1 and record.size
-               else "a forest record is a 1-D int32 array of at least 2 entries")
-    with pytest.raises(ValueError, match=message):
-        SpanningForest(record)
-
-
 def test_peel_refuses_a_forest_that_a_later_forest_of_its_decoder_rewrote(g3):
-    # the first forest views the decoder's record; the second rewrites it
-    # with more edges, and the kernel reads the live record, so a peel of
-    # the first would write the second's longer correction past its k entries
+    # a forest views its decoder's record and is valid until the decoder's
+    # next accepted growth: after that, `peel` refuses it, whether or not a
+    # later forest rewrote the record, and even where the later forest has
+    # the same tree and edge counts, whose record the kernel would peel
     dec = Decoder(g3)
     syn = Syndrome(defects=[4, 5], length=g3.n_internal)
-    far = Syndrome(defects=[0, g3.n_internal - 1], length=g3.n_internal)
+    twin = Syndrome(defects=[10, 11], length=g3.n_internal)  # one edge, off the boundary
     first = spanning_forest(g3, dec.grow(syn.defects))
     assert peel(first, syn).edge_ids.tolist() == [7]
-    second = spanning_forest(g3, dec.grow(np.arange(g3.n_internal)))
-    assert peel(second, far).weight > first.k
-    for s in (syn, far):
-        with pytest.raises(ValueError, match="rewritten by a later spanning_forest"):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        dec.grow([5, 4])  # a refused growth leaves the forest valid
+    assert peel(first, syn).edge_ids.tolist() == [7]
+    dec.grow(twin.defects)
+    with pytest.raises(ValueError, match="earlier growth of its decoder"):
+        peel(first, syn)
+    second = spanning_forest(g3, dec)
+    assert (second.m, second.k) == (first.m, first.k)
+    assert peel(second, twin).weight == 1
+    for s in (syn, twin):
+        with pytest.raises(ValueError, match="earlier growth of its decoder"):
             peel(first, s)
-    # growth alone leaves the record, and the forest, as they were
+    # a later forest of the same growth is the same forest
+    assert np.array_equal(spanning_forest(g3, dec).record, second.record)
+    assert peel(second, twin).weight == 1
+
+
+def test_cluster_stats_refuses_a_forest_of_another_decode(g3):
+    # the statistics pair the decoder's pass count with the forest's
+    # columns, so both must come from one growth of one decoder
+    dec, other = Decoder(g3), Decoder(g3)
+    forest = spanning_forest(g3, dec.grow([4, 5]))
+    assert cluster_stats(dec, forest).sizes == (2,)
+    with pytest.raises(ValueError, match="another decoder"):
+        cluster_stats(other.grow([4, 5]), forest)
+    dec.grow([10, 11])
+    with pytest.raises(ValueError, match="earlier growth of its decoder"):
+        cluster_stats(dec, forest)
+
+
+def test_peel_seeded_after_a_growth_without_a_forest_finds_no_tree(g3):
+    # growth empties the record: the seeded defects of a growth are never
+    # peeled on the last growth's forest, even where they lie in its trees
+    dec = Decoder(g3)
+    spanning_forest(g3, dec.grow(np.arange(g3.n_internal)))
     dec.grow([0, 1])
-    assert peel(second, far).weight > first.k
+    assert dec._forest[:2].tolist() == [0, 0]
+    with pytest.raises(ValueError, match="defect 0 of the syndrome, 0, lies in no tree"):
+        dec.peel_seeded()
+    spanning_forest(g3, dec)
+    assert dec.peel_seeded().edge_ids.tolist() == [edge_between(g3, 0, 1)]
+
+
+def test_a_refused_forest_leaves_an_empty_record(g3):
+    # the error's detail goes to the scratch, not over the last record
+    dec = Decoder(g3)
+    spanning_forest(g3, dec.grow([4, 5]))
+    dec.size[9] = 5
+    assert dec.union(2, 9) == 9  # a root that is not its cluster's smallest vertex
+    dec.parity[9] = 1
+    with pytest.raises(InvariantViolation, match="cluster at root 9 is odd"):
+        spanning_forest(g3, dec)
+    assert dec._forest[:2].tolist() == [0, 0]
+    with pytest.raises(ValueError, match="lies in no tree"):
+        dec.peel_seeded()
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports this checkout's
+    package: a kernel that reads a stale record can kill the interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ufpipe.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+# a fresh decoder takes its block from `np.empty`, here freed memory full
+# of 0x7f bytes, in which no record was ever written
+CHURNED_DECODER = """
+import numpy as np
+from ufpipe.lattice import LatticeParams, build_decoding_graph
+from ufpipe.uf_core import Decoder, InvariantViolation, spanning_forest
+g = build_decoding_graph(LatticeParams(3))
+size = Decoder(g)._block.size
+for fill in range(0x70, 0x80):
+    junk = np.full(size, fill, np.uint8)
+    del junk
+    dec = Decoder(g)
+"""
+
+
+@pytest.mark.parametrize("then", [
+    pytest.param("assert dec.peel_seeded().weight == 0", id="fresh"),
+    # a refused forest after a real one and an empty growth: the error's
+    # detail used to land on the record's header, over the other forest's body
+    pytest.param("""
+    spanning_forest(g, dec.grow(np.arange(g.n_internal)))
+    dec.grow([])
+    dec.parity[5] = 1
+    dec.union(5, 5)
+    try:
+        spanning_forest(g, dec)
+        raise AssertionError("an odd cluster off the boundary was spanned")
+    except InvariantViolation:
+        pass
+    try:
+        assert dec.peel_seeded().weight == 0
+    except ValueError as exc:
+        assert "lies in no tree" in str(exc)
+    """, id="refused_forest"),
+])
+def test_peel_seeded_reads_a_whole_record_in_a_fresh_or_refused_decoder(then):
+    loop_body = textwrap.indent(textwrap.dedent(then), "    ")
+    out = run_child(CHURNED_DECODER + loop_body + "\nprint('ok')")
+    assert out.returncode == 0 and out.stdout == "ok\n", (out.returncode, out.stderr)
+
+
+def test_refused_peels_leave_no_trace(g5):
+    # refused peels of every kind end each growth of one decoder; on the
+    # next growth's forest every vertex off its trees is still refused, so
+    # no mark survived, and each good peel equals a fresh decoder's
+    dec = Decoder(g5)
+    cleared = 0
+    for t in range(40):
+        syn = syndrome_of(g5, sample_error(g5, NoiseParams(p=0.05, seed=13, trial_index=t)))
+        forest = spanning_forest(g5, dec.grow(syn.defects))
+        trees = forest.trees
+        on_trees = {w for tree in trees for _, w, _ in tree.edges}
+        on_trees |= {tree.start_vertex for tree in trees if not tree.boundary}
+        off = sorted(set(range(g5.n_internal)) - on_trees)
+        for v in off:
+            with pytest.raises(ValueError, match="lies in no tree"):
+                peel(forest, syn_of(g5, [v]))
+        fresh_corr, fresh_stats = Decoder(g5).decode(syn)
+        assert np.array_equal(peel(forest, syn).edge_ids, fresh_corr.edge_ids)
+        assert np.array_equal(dec.peel_seeded().edge_ids, fresh_corr.edge_ids)
+        assert cluster_stats(dec, forest) == fresh_stats
+        refused = [[*syn.defects, off[t % len(off)]], [*syn.defects, *syn.defects[-1:]]]
+        for ids in refused if syn.defects.size else refused[:1]:
+            with pytest.raises(ValueError):
+                peel(forest, Syndrome(defects=ids, length=g5.n_internal))
+        # a defect alone at the root of the first tree off the boundary,
+        # whose later trees must still be cleared
+        inner = [i for i, tree in enumerate(trees) if not tree.boundary]
+        if inner:
+            cleared += inner[0] < len(trees) - 1
+            with pytest.raises(InvariantViolation, match="leftover"):
+                peel(forest, syn_of(g5, [trees[inner[0]].start_vertex]))
+    assert cleared > 10
 
 
 def test_forest_records_are_read_only(g3):
     forest = spanning_forest(g3, Decoder(g3).grow([4, 5]))
-    with pytest.raises(ValueError, match="read-only"):
-        forest.record[1] = 10**6
-    mine = forest.record.copy()
-    kept = SpanningForest(mine)
-    mine[1] = 10**6  # the forest took a copy
-    assert kept.record[1] == kept.k == 1 and not kept.record.flags.writeable
-    assert peel(kept, Syndrome(defects=[4, 5], length=g3.n_internal)).edge_ids.tolist() == [7]
+    for view in (forest.record, forest.columns, forest.edges):
+        with pytest.raises(ValueError, match="read-only"):
+            view[(0,) * view.ndim] = 10**6
+    assert peel(forest, Syndrome(defects=[4, 5], length=g3.n_internal)).edge_ids.tolist() == [7]
 
 
 # -- decode / assess -----------------------------------------------------
