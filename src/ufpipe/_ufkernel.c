@@ -86,7 +86,7 @@ typedef struct {
     const uf_graph *g; /* the graph decoded on */
     /* the decoder's buffers, in the order `uf_core._BUFFERS` lays them out */
     int64_t *counts;  /* indexed by the enum above */
-    int64_t *defects; /* staged ids for uf_grow, as the caller gave them; uf_run_corr's syndrome */
+    int64_t *defects; /* ids Python stages for uf_grow and uf_peel; uf_run_corr's syndrome */
     /* scratch: growth's scan list, the forest's smallest vertices, uf_peel's
        correction, and the detail of an error of uf_forest or uf_peel */
     int64_t *scan;
@@ -267,7 +267,7 @@ static void uf_seed(uf_ctx *c, int64_t k) {
 
 /* Root of v; 1 table read at a root, 2 at depth 1, len(path) + 1 deeper,
    where only the last FIND_COMPRESSION_CAP path vertices are repointed. */
-int32_t uf_find(uf_ctx *c, int32_t v) {
+static inline int32_t find(uf_ctx *c, int32_t v) {
     int32_t *parent = c->parent;
     int32_t r = parent[v];
     if (r == v) {
@@ -300,10 +300,10 @@ static inline void join(uf_ctx *c, int32_t v) {
    vertex count, the smaller root id winning a tie. Parity XORs, boundary
    sides OR, growth counts and smallest members take the max and the min.
    Returns the surviving root. */
-int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
+static inline int32_t unite(uf_ctx *c, int32_t u, int32_t w) {
     join(c, u);
     join(c, w);
-    int32_t ru = uf_find(c, u), rv = uf_find(c, w);
+    int32_t ru = find(c, u), rv = find(c, w);
     if (ru == rv) return ru;
     c->counts[TABLE_READS] += 2;
     if (c->size[rv] > c->size[ru] || (c->size[rv] == c->size[ru] && rv < ru)) {
@@ -319,6 +319,13 @@ int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) {
     if (c->low[rv] < c->low[ru]) c->low[ru] = c->low[rv];
     return ru;
 }
+
+/* The exported find and union, for the tests of hand-built tables. Growth
+   calls the static bodies above, which an exported function could not
+   inline: under -fPIC a call to it may be interposed. */
+int32_t uf_find(uf_ctx *c, int32_t v) { return find(c, v); }
+
+int32_t uf_union(uf_ctx *c, int32_t u, int32_t w) { return unite(c, u, w); }
 
 /* Root of v by a read-only walk of the parent table: no table read is
    counted and no path is compressed. */
@@ -387,37 +394,58 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
             int32_t e = c->fes[--n_fes];
             int32_t u = g.eu[e], w = g.ev[e];
             if (w >= g.n_internal) {
-                c->boundary_sides[uf_find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
+                c->boundary_sides[find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
                 c->fused_boundary[counts[N_FUSED_BOUNDARY]++] = e;
             } else {
                 c->grown[u] |= (uint8_t)(1u << g.edge_slot[e]);
                 c->grown[w] |= (uint8_t)(1u << g.edge_slot[g.n_edges + e]);
-                uf_union(c, u, w);
+                unite(c, u, w);
             }
         }
     }
 }
 
+/* v / s without a division (Granlund & Montgomery), exact for
+   0 <= v <= INT32_MAX and 1 <= s <= INT32_MAX, which every vertex id and
+   every row stride meet. With l = ceil(log2 s) and
+   mul = ceil(2^(31 + l) / s) <= 2^32, v * mul < 2^63 does not overflow, and
+   (v * mul) >> (31 + l) = floor(v / s + v * e / (s * 2^(31 + l))), where
+   e = mul * s - 2^(31 + l) < s <= 2^l: the second term is below 1 / s, too
+   little to carry v / s past the next integer. */
+typedef struct {
+    uint64_t mul;
+    int shift;
+} divider;
+
+static inline divider divider_of(int32_t s) {
+    int l = s > 1 ? 64 - __builtin_clzll((uint64_t)s - 1) : 0;
+    divider d = {(((uint64_t)1 << (31 + l)) + (uint64_t)s - 1) / (uint64_t)s, 31 + l};
+    return d;
+}
+
+static inline int32_t quotient(divider d, int32_t v) {
+    return (int32_t)(((uint64_t)v * d.mul) >> d.shift);
+}
+
 /* The Gr-Gen stage: uf_grow, then, when it accepts the defects, the Gr-Gen
    read counts of the growth into counts[STM_ROW_READS..FES_POPS]: per pass,
-   the STM rows (v / g->row_stride) that hold a member vertex or file a touched
-   edge (under the row of its internal endpoint eu) before the pass starts;
-   the member vertices scanned at each pass start; and the fusion edges
-   popped. The low words of the vertex bitmap serve as the row bitmap, which
-   never marks the summary, and are left cleared. Returns what uf_grow
-   returns. */
+   the STM rows (v / g->row_stride, by `quotient`: no division per vertex or
+   edge) that hold a member vertex or file a touched edge (under the row of
+   its internal endpoint eu) before the pass starts; the member vertices
+   scanned at each pass start; and the fusion edges popped. The low words of
+   the vertex bitmap serve as the row bitmap, which never marks the summary,
+   and are left cleared. Returns what uf_grow returns. */
 int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     int64_t refused = uf_grow(c, k);
     if (refused) return refused;
     const uf_graph g = *c->g;
+    const divider row = divider_of((int32_t)g.row_stride); /* d - 1 for a graph of distance d */
     int64_t rows = 0, iv = 0, ie = 0, *counts = c->counts;
     counts[STM_ROW_READS] = counts[MEMBER_SCANS] = counts[FES_POPS] = 0;
     for (int64_t p = 0; p < counts[PASSES]; p++) {
         const int32_t *log = c->pass_log + 3 * p;
-        for (; iv < log[0]; iv++)
-            rows += set_new_bit(c, (int32_t)(c->touched_v[iv] / g.row_stride));
-        for (; ie < log[1]; ie++)
-            rows += set_new_bit(c, (int32_t)(g.eu[c->touched_e[ie]] / g.row_stride));
+        for (; iv < log[0]; iv++) rows += set_new_bit(c, quotient(row, c->touched_v[iv]));
+        for (; ie < log[1]; ie++) rows += set_new_bit(c, quotient(row, g.eu[c->touched_e[ie]]));
         counts[STM_ROW_READS] += rows;
         counts[MEMBER_SCANS] += log[0];
         counts[FES_POPS] += log[2];

@@ -26,12 +26,17 @@ the number k of edge ids plus O(n_internal / 64) for the bitmap.
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernel import NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
+
+
+# The largest code distance whose graph fits the kernel's int32 ids and
+# offsets: its CSR adjacency holds 2 * n_edges = 2 * (d^3 + 2d(d - 1)^2)
+# entries, and every vertex id and the STM row stride d - 1 are smaller.
+MAX_DISTANCE = 709
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,12 @@ class LatticeParams:
 
     def __post_init__(self):
         try:
-            odd = check_integer(self.d, "code distance", 3, math.inf) % 2
+            odd = check_integer(self.d, "code distance", 3, MAX_DISTANCE + 1) % 2
         except ValueError:
             odd = 0
         if not odd:
-            raise ValueError(f"code distance must be an odd integer >= 3, got {self.d}")
+            raise ValueError(f"code distance must be an odd integer >= 3 and <= {MAX_DISTANCE}, "
+                             f"got {self.d}")
 
 
 @dataclass(frozen=True, eq=False)

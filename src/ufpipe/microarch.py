@@ -11,15 +11,16 @@ records; the zero data register (ZDR) flags the STM rows that hold any
 nonzero entry. Corrections, statistics and cluster partitions equal the
 engine's by construction.
 
-Each stage is one call into the engine's kernel plus O(1) Python:
-Gr-Gen is the oracle's growth call (check, reset, seed, grow) plus one
-walk of the engine's logs for its reads (`Decoder.grgen`); the DFS
-engine writes the decoder's forest record (`uf_core.spanning_forest`, the
-oracle's own forest call), and the Corr engine peels that record with the
-defects growth seeded, on the decoder's own scratch
-(`Decoder.peel_seeded`). The DFS and Corr counts are the member count and
-the forest's edge count, so no stage does Python work per touched vertex
-or edge.
+Each stage is one call into the engine's kernel plus a fixed number of
+Python operations: Gr-Gen is the oracle's growth call (check, reset, seed,
+grow) plus one walk of the engine's logs for its reads, in the same call
+(`Decoder.grgen`); the DFS engine writes the decoder's forest record
+(`uf_core.spanning_forest`, the oracle's own forest call), and the Corr
+engine peels that record with the defects growth seeded, on the decoder's
+own scratch (`Decoder.peel_seeded`). The DFS and Corr counts are the
+member count and the forest's edge count, and the decode's `DecodeStats`
+are one struct read of the record (`uf_core.cluster_stats`), so no Python
+code runs per cluster, touched vertex or edge.
 
 State is reused: the model keeps one `uf_core.Decoder` per process, the
 one cached for the last graph object a decode named (`_decoder`), and lets

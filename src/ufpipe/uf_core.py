@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import struct
+import sys
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -132,8 +134,9 @@ class Decoder:
     initial state over the entries the last growth touched, as `uf_init`
     does over every entry, and empties the forest record; the growths it
     accepts are counted, to date a forest. A refused growth changes no
-    state but the staged ids: `peel_seeded` peels the ids the last accepted
-    growth seeded, which `touched_v` starts with.
+    state but the staged ids, where `peel` stages its defects too:
+    `peel_seeded` peels the ids the last accepted growth seeded, which
+    `touched_v` starts with.
     """
 
     def __init__(self, graph: DecodingGraph):
@@ -150,21 +153,23 @@ class Decoder:
         base = addr(block)
         self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
+        self._defects_at = self._ctx.defects  # where `_stage` writes, which `peel` passes
+        self._forest_first = self._ctx.forest - base  # the record's first byte in the block
         self._forest.flags.writeable = False  # only the kernel writes it, through the context
         self._growths = 0  # accepted growths, by which a forest is dated
         K.uf_init(self._c)
 
     @property
     def passes(self) -> int:
-        return int(self._counts[PASSES])
+        return self._counts.item(PASSES)
 
     @property
     def table_reads(self) -> int:
-        return int(self._counts[TABLE_READS])
+        return self._counts.item(TABLE_READS)
 
     @property
     def n_members(self) -> int:
-        return int(self._counts[N_TOUCHED_V])
+        return self._counts.item(N_TOUCHED_V)
 
     @property
     def touched_v(self) -> list[int]:
@@ -250,12 +255,15 @@ class Decoder:
         return peel(forest, syn), cluster_stats(self, forest)
 
     def _stage(self, defects) -> np.ndarray:
-        """Copy integer defect ids to the buffer the kernel seeds from, where
-        uint64 ids past 2**63 wrap negative; returns them as an array."""
+        """Copy integer defect ids, the first n_internal of them, to the
+        buffer the kernel seeds and peels from, where uint64 ids past 2**63
+        wrap negative; returns them all as an array. The caller's ids are
+        only read."""
         ids = integer_ids(defects, "defect")
-        if ids.size > self.graph.n_internal:  # so many cannot be valid, and do not fit
-            self._refuse(ids)
-        self._defects[:ids.size] = ids
+        if ids.size > self.graph.n_internal:  # so many cannot be valid: the kernel refuses them
+            self._defects[:] = ids[:self.graph.n_internal]
+        else:
+            self._defects[:ids.size] = ids
         return ids
 
     def _refuse(self, ids: np.ndarray) -> NoReturn:
@@ -289,7 +297,7 @@ class Decoder:
         decoder's scratch `scan`, which its next kernel call rewrites."""
         n = K.uf_run_corr(self._c)
         if n < 0:
-            _check_peeled(n, self._defects[:self._counts[N_SEEDED]], int(self._scan[0]))
+            _check_peeled(n, self._defects[:self._counts[N_SEEDED]], self._scan.item(0))
         return Correction(self._scan[:n])
 
 
@@ -317,18 +325,18 @@ class SpanningForest:
     `[m, k, root × m, start vertex × m, n_vertices × m, boundary × m,
     tree edge count × m, growth steps × m, (edge, leafward, rootward) × k]`
 
-    `m` and `k` are plain ints; `columns` is the (6, m) per-tree part and
-    `edges` the (k, 3) rest, both views of the record; `trees` gives the
-    same as `ClusterTree` objects holding plain ints. The forest keeps its
-    decoder and is valid until the decoder's next accepted growth, which
-    empties the record.
+    `m` and `k` are plain ints, read from the header with `ndarray.item`;
+    `columns` is the (6, m) per-tree part and `edges` the (k, 3) rest, both
+    views of the record; `trees` gives the same as `ClusterTree` objects
+    holding plain ints. The forest keeps its decoder and is valid until the
+    decoder's next accepted growth, which empties the record.
     """
 
     def __init__(self, dec: Decoder, n: int):
         """The forest of the first `n` entries of `dec`'s record, which
         `uf_forest` has just written."""
-        self.record = dec._forest[:n]
-        self.m, self.k = self.record[:2].tolist()
+        self.record = record = dec._forest[:n]
+        self.m, self.k = record.item(0), record.item(1)
         self._dec, self._growth = dec, dec._growths
 
     def _current(self) -> Decoder:
@@ -418,17 +426,23 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     rootward endpoint's held bit. Boundary entry points absorb flips.
 
     One kernel call on the forest's decoder, which peels its record with
-    the decoder's own scratch. Every defect must be a distinct vertex of a
-    tree of the forest, which excludes the virtual entry points; anything
-    else raises ValueError, as does a forest of an earlier growth of its
-    decoder. The correction's ids are int64, as the kernel writes them and
-    as `assess` reads them without a copy, in an array of their own.
+    the decoder's own scratch, the defects staged in its `defects` buffer
+    as `grow` stages them (uint64 ids past 2**63 wrap negative: rejected
+    too). Every defect must be a distinct vertex of a tree of the forest,
+    which excludes the virtual entry points; anything else raises
+    ValueError, as does a forest of an earlier growth of its decoder. The
+    correction's ids are int64, as the kernel writes them and as `assess`
+    reads them without a copy, in an array of their own.
     """
     dec = forest._current()
-    defects, at = int64_ids(syn.defects, "defect")  # uint64 past 2**63 wraps: rejected too
-    n = K.uf_peel(dec._c, at, defects.size)
-    if n < 0:
-        _check_peeled(n, np.asarray(syn.defects), int(dec._scan[0]))
+    ids = dec._stage(syn.defects)
+    k = ids.size if ids.size <= dec.graph.n_internal else dec.graph.n_internal  # the staged ids
+    n = K.uf_peel(dec._c, dec._defects_at, k)
+    if n < 0 or k < ids.size:
+        # more ids than vertices: when the first n_internal are each a tree vertex once,
+        # the next is not, and it is the first bad one
+        past = k < ids.size and n != PEEL_BAD_DEFECT
+        _check_peeled(PEEL_BAD_DEFECT if past else n, ids, k if past else dec._scan.item(0))
     return Correction(edge_ids=dec._scan[:n].copy())
 
 
@@ -443,17 +457,29 @@ def _check_peeled(n: int, ids: np.ndarray, detail: int) -> NoReturn:
     raise InvariantViolation(f"leftover defect at non-boundary root {detail}")
 
 
+# an int32 boundary flag, 0 or 1, read as the bool of its low-order byte
+_FLAG = "?3x" if sys.byteorder == "little" else "3x?"
+
+
+@functools.lru_cache(maxsize=64)  # a format's size grows with m, and m reaches thousands
+def _stats_struct(m: int) -> struct.Struct:
+    """The native int32 columns sizes, boundary flags, tree edge counts and
+    growth counts of a forest record of m trees, the flags as bools."""
+    return struct.Struct(f"={m}i{_FLAG * m}{2 * m}i")
+
+
 def cluster_stats(dec: Decoder, forest: SpanningForest) -> DecodeStats:
-    """The statistics of the clusters of `forest`, grown in `dec`: one read
-    of the forest record's per-tree columns. ValueError for a forest of
-    another decoder or of an earlier growth of `dec`, whose statistics
-    would mix two decodes."""
+    """The statistics of the clusters of `forest`, grown in `dec`: one
+    struct unpack of the forest record's four per-tree columns, straight
+    out of the decoder's block, gives their ints and bools. ValueError for
+    a forest of another decoder or of an earlier growth of `dec`, whose
+    statistics would mix two decodes."""
     if forest._current() is not dec:
         raise ValueError("the forest is of another decoder")
     m = forest.m
-    c = forest.record[2 + 2 * m:2 + FOREST_COLUMNS * m].tolist()  # sizes, boundary, edges, growth
-    return DecodeStats(m, tuple(c[:m]), tuple(c[3 * m:]), tuple(map(bool, c[m:2 * m])),
-                       tuple(c[2 * m:3 * m]), dec.passes)
+    at = dec._forest_first + 4 * (2 + 2 * m)  # past the header and the root and start columns
+    c = _stats_struct(m).unpack_from(dec._block, at)
+    return DecodeStats(m, c[:m], c[3 * m:], c[m:2 * m], c[2 * m:3 * m], dec.passes)
 
 
 def assess(

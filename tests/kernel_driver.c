@@ -1,7 +1,7 @@
 /* Standalone driver of the decoding kernel, for profiling it outside Python
  * and for checking it there against `uf_core`.
  *
- *   kernel_driver DUMP OUT REPEATS
+ *   kernel_driver DUMP OUT REPEATS [grgen]
  *
  * DUMP, written by `tests/kernel_driver.py`, holds a decoding graph's arrays,
  * the byte offsets of a `uf_core.Decoder`'s buffers in its block and the
@@ -9,10 +9,13 @@
  * (REPEATS >= 1) through the oracle's kernel path: uf_grow, uf_forest, then
  * uf_run_corr, which peels the context's forest record with the ids uf_grow
  * seeded, read back from touched_v, on the context's own peeling scratch
- * (the `held` marks and the `chosen` edge bits, two of its buffers). For
- * the first round it writes to OUT, per decode, the forest record (int64
- * length, int32 entries) and the correction (int64 count, int64 ids). Every
- * size comes from the dump: the graph's arrays and the
+ * (the `held` marks and the `chosen` edge bits, two of its buffers). With
+ * `grgen`, it runs the pipeline model's path instead: uf_run_grgen (uf_grow,
+ * then the Gr-Gen read counts) in place of uf_grow. For the first round it
+ * writes to OUT, per decode, the forest record (int64 length, int32
+ * entries) and the correction (int64 count, int64 ids), and with `grgen`
+ * then the counts [PASSES, N_SEEDED) that `uf_core.Decoder.grgen` returns
+ * (int64 each). Every size comes from the dump: the graph's arrays and the
  * buffers are laid into the kernel's structs in the order of their pointer
  * fields, which `_kernel.GraphView` and `uf_core._Ctx` mirror. Each array
  * and each buffer is an allocation of its own, of exactly its size: a
@@ -29,12 +32,11 @@
  *
  * The kernel is included, so that one compile builds both:
  *   cc -O2 -o kernel_driver tests/kernel_driver.c <`_kernel.link_args()`>
- * and with `-pg -fno-inline` for gprof. There the one-line bitmap helpers
- * (`summary_words`, `mark_word`, `set_bit`), which `-O2` inlines, are calls
- * of their own. GCC's one `.isra` clone, `set_new_bit`, serves only
- * `uf_run_grgen`, which the driver does not call; gprof would book its calls
- * under the function placed before it, `read_array`, whose own calls number
- * one per array of the dump.
+ * and with `-pg -fno-inline -fno-ipa-sra` for gprof. There the one-line
+ * helpers (`summary_words`, `mark_word`, `set_bit`, `set_new_bit`,
+ * `quotient`), which `-O2` inlines, are calls of their own, and
+ * `-fno-ipa-sra` keeps GCC from cloning `find`, `set_new_bit` and `quotient`
+ * into `.isra` copies, whose calls gprof books under other functions.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c11 */
 #include <stddef.h>
@@ -84,8 +86,10 @@ static void set_pointers(void *first, const void *end, void *const *ptrs, int64_
 }
 
 int main(int argc, char **argv) {
-    long repeats = argc == 4 ? strtol(argv[3], NULL, 10) : 0;
-    if (repeats < 1) fail("usage: kernel_driver DUMP OUT REPEATS");
+    long repeats = argc == 4 || argc == 5 ? strtol(argv[3], NULL, 10) : 0;
+    int grgen = argc == 5 && !strcmp(argv[4], "grgen");
+    if (repeats < 1 || (argc == 5 && !grgen))
+        fail("usage: kernel_driver DUMP OUT REPEATS [grgen]");
     if (!(dump = fopen(argv[1], "rb"))) fail("cannot open the dump");
 
     uf_graph g;
@@ -129,7 +133,7 @@ int main(int argc, char **argv) {
     for (long round = 0; round < repeats; round++) {
         for (int64_t i = 0; i < n_decodes; i++) {
             memcpy(c.defects, defects[i], (size_t)counts[i] * sizeof *c.defects);
-            if (uf_grow(&c, counts[i])) fail("uf_grow refused the defects");
+            if ((grgen ? uf_run_grgen : uf_grow)(&c, counts[i])) fail("growth refused the defects");
             int64_t n_rec = uf_forest(&c);
             if (n_rec < 0) fail("uf_forest returned an error");
             int64_t n_corr = uf_run_corr(&c);
@@ -139,6 +143,8 @@ int main(int argc, char **argv) {
             fwrite(c.forest, sizeof *c.forest, (size_t)n_rec, out);
             fwrite(&n_corr, sizeof n_corr, 1, out);
             fwrite(c.scan, sizeof *c.scan, (size_t)n_corr, out);
+            if (grgen)
+                fwrite(c.counts + PASSES, sizeof *c.counts, (size_t)(N_SEEDED - PASSES), out);
         }
     }
     clock_gettime(CLOCK_MONOTONIC, &t1);

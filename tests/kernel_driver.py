@@ -5,11 +5,13 @@
 writes the decoding graph of distance d and the syndromes of trials
 0 .. trials - 1 at (p, seed) to DUMP. To profile the kernel with gprof:
 
-    cc -O2 -pg -fno-inline -o kernel_driver tests/kernel_driver.c <link args>
+    cc -O2 -pg -fno-inline -fno-ipa-sra -o kernel_driver tests/kernel_driver.c <link args>
     ./kernel_driver DUMP OUT 20
     gprof -b kernel_driver gmon.out
 
-where the link args are `ufpipe._kernel.link_args()`. To check the kernel's
+where the link args are `ufpipe._kernel.link_args()`; `./kernel_driver DUMP
+OUT 20 grgen` runs the pipeline model's Gr-Gen kernel, `uf_run_grgen`, in
+place of `uf_grow`, and writes its read counts too. To check the kernel's
 memory accesses, build it with `-O1 -g -fsanitize=address` instead: the
 driver gives every buffer an allocation of its own. The dump takes every
 size from the package itself: the graph's arrays in the order of
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ufpipe._kernel import GraphView, addr
+from ufpipe._kernel import N_SEEDED, PASSES, GraphView, addr
 from ufpipe.lattice import DecodingGraph, LatticeParams, build_decoding_graph
 from ufpipe.noise import NoiseParams, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
@@ -57,16 +59,23 @@ def write_dump(path, graph: DecodingGraph, defect_lists) -> None:
             f.write(_array(np.asarray(ids, dtype=np.int64)))
 
 
-def read_output(path) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(forest record, correction) of every decode in the driver's output."""
+def read_output(path, grgen: bool = False) -> list[tuple]:
+    """(forest record, correction) of every decode in the driver's output,
+    and with `grgen`, for output of the driver's `grgen` mode, the Gr-Gen
+    counts as a list of ints, as `Decoder.grgen` returns them, as well."""
     data, out, i = Path(path).read_bytes(), [], 0
+    n_counts = N_SEEDED - PASSES
     while i < len(data):
         (n,) = np.frombuffer(data, np.int64, 1, i)
         record = np.frombuffer(data, np.int32, n, i + 8)
         i += 8 + 4 * int(n)
         (n,) = np.frombuffer(data, np.int64, 1, i)
-        out.append((record, np.frombuffer(data, np.int64, n, i + 8)))
+        decode = (record, np.frombuffer(data, np.int64, n, i + 8))
         i += 8 + 8 * int(n)
+        if grgen:
+            decode += (np.frombuffer(data, np.int64, n_counts, i).tolist(),)
+            i += 8 * n_counts
+        out.append(decode)
     return out
 
 

@@ -5,8 +5,9 @@ runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
 its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
 order, and Python mirrors in `_kernel` of its numbers that hold their values.
 The standalone driver `kernel_driver.c`, which profiles the kernel outside
-Python, builds and decodes as `uf_core` does, and runs clean under the
-address sanitizer with every buffer in an allocation of its own.
+Python, builds and decodes as `uf_core` does, in its Gr-Gen mode too, and
+runs clean under the address sanitizer with every buffer in an allocation of
+its own.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -29,7 +30,7 @@ import pytest
 from kernel_driver import read_output, trial_defects, write_dump
 from ufpipe import _kernel
 from ufpipe._kernel import BINDINGS, GraphView, cache_path, link_args
-from ufpipe.lattice import LatticeParams, build_decoding_graph
+from ufpipe.lattice import MAX_DISTANCE, LatticeParams, build_decoding_graph
 from ufpipe.noise import Syndrome
 from ufpipe.uf_core import Decoder, _Ctx, peel, spanning_forest
 
@@ -172,11 +173,13 @@ def build_driver(tmp_path, *flags):
     return driver
 
 
-def check_driver(driver, tmp_path, g, defects):
-    """Run `driver` twice over each defect list of `defects` on `g`, and
-    check its two stdout lines and its records against `uf_core`'s."""
+def check_driver(driver, tmp_path, g, defects, grgen=False):
+    """Run `driver` twice over each defect list of `defects` on `g`, in its
+    `grgen` mode if `grgen`, and check its two stdout lines and its records,
+    and its Gr-Gen counts, against `uf_core`'s."""
     write_dump(tmp_path / "dump", g, defects)
-    out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2"],
+    mode = ["grgen"] if grgen else []
+    out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2", *mode],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     # the driver's two stdout lines: the work done, then its time per decode
@@ -186,9 +189,11 @@ def check_driver(driver, tmp_path, g, defects):
     assert re.fullmatch(r"\d+\.\d{3} us per decode", timing), timing
     assert float(timing.split()[0]) > 0
     dec = Decoder(g)
-    got = read_output(tmp_path / "out")
+    got = read_output(tmp_path / "out", grgen)
     assert len(got) == len(defects)
-    for (record, corr), ids in zip(got, defects):
+    for (record, corr, *counts), ids in zip(got, defects):
+        if grgen:
+            assert counts == [dec.grgen(ids)]
         forest = spanning_forest(g, dec.grow(ids))
         assert np.array_equal(record, forest.record)
         assert np.array_equal(corr, peel(forest, Syndrome(ids, g.n_internal)).edge_ids)
@@ -200,7 +205,12 @@ def test_kernel_driver_decodes_a_dump_as_uf_core_does(tmp_path):
     driver = build_driver(tmp_path, "-O2", *WARNINGS)
     for d, p in ((3, 0.1), (5, 0.02), (5, 0.2), (5, 0.45)):
         g = build_decoding_graph(LatticeParams(d))
-        check_driver(driver, tmp_path, g, trial_defects(g, p, seed=d, trials=30))
+        for grgen in (False, True):
+            check_driver(driver, tmp_path, g, trial_defects(g, p, seed=d, trials=30), grgen)
+    # a mode it does not have
+    out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2", "peel"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1 and "usage" in out.stderr
 
 
 def test_kernel_driver_runs_clean_under_the_address_sanitizer(tmp_path):
@@ -219,6 +229,75 @@ def test_kernel_driver_runs_clean_under_the_address_sanitizer(tmp_path):
     for d in (5, 25):
         g = build_decoding_graph(LatticeParams(d))
         check_driver(driver, tmp_path, g, [np.arange(g.n_internal)])
+    # the Gr-Gen mode once, where growth fills the pass log and the row bitmap
+    g = build_decoding_graph(LatticeParams(25))
+    check_driver(driver, tmp_path, g, trial_defects(g, 0.2, seed=25, trials=10), grgen=True)
+
+
+# reads (stride, vertex) int32 pairs on stdin and writes the STM row that
+# uf_run_grgen files each vertex under, int32, to stdout
+ROW_HARNESS = r"""
+#include <stdio.h>
+
+#include "_ufkernel.c"
+
+int main(void) {
+    int32_t pair[2];
+    while (fread(pair, sizeof pair, 1, stdin) == 1) {
+        int32_t row = quotient(divider_of(pair[0]), pair[1]);
+        fwrite(&row, sizeof row, 1, stdout);
+    }
+    return 0;
+}
+"""
+
+
+def test_stm_rows_divide_exactly_up_to_the_kernels_bound(tmp_path):
+    # Gr-Gen finds a vertex's STM row by a multiply and a shift, which the
+    # kernel states exact for every stride and vertex id up to INT32_MAX:
+    # check it against v // stride at every vertex and every edge's filing
+    # vertex of the graphs tier-1 builds, and at strides and vertices up to
+    # that bound; beyond it no graph is built
+    (tmp_path / "rows.c").write_text(ROW_HARNESS)
+    harness = tmp_path / "rows"
+    out = subprocess.run(["cc", "-O2", *WARNINGS, "-I", str(PKG), "-o", str(harness),
+                          str(tmp_path / "rows.c"), *link_args()],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    top = 2**31 - 1
+    pairs = []
+    for d in range(3, 27, 2):
+        g = build_decoding_graph(LatticeParams(d))
+        vs = np.concatenate((np.arange(g.n_internal), g.edges_u))
+        pairs.append(np.stack((np.full(vs.size, g.d - 1), vs), axis=1))
+    rng = np.random.default_rng(5)
+    strides = np.unique(np.concatenate((
+        np.arange(1, 1025), [2**k + j for k in range(10, 31) for j in (-1, 0, 1)],
+        rng.integers(1, top, 300, endpoint=True), [top])))
+    for stride in strides.tolist():
+        last = top // stride * stride  # the last multiple at or under the bound
+        vs = np.concatenate(([0, 1, stride - 1, stride, stride + 1, last - 1, last, top - 1, top],
+                             rng.integers(0, top, 20, endpoint=True)))
+        vs = vs[vs <= top]
+        pairs.append(np.stack((np.full(vs.size, stride), vs), axis=1))
+    pairs = np.concatenate(pairs).astype(np.int32)
+    assert pairs.min() >= 0 and pairs[:, 0].min() == 1 and pairs.max() == top
+    out = subprocess.run([str(harness)], input=pairs.tobytes(), capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    rows = np.frombuffer(out.stdout, np.int32)
+    expect = pairs[:, 1].astype(np.int64) // pairs[:, 0]
+    assert rows.size == len(pairs) and np.array_equal(rows, expect)
+    # the largest graph: its CSR offsets, which exceed every vertex id and
+    # its stride, fit int32, and the next distance's would not
+    def csr_entries(d):
+        return 2 * (d**3 + 2 * d * (d - 1) ** 2)
+
+    assert [csr_entries(d) for d in (3, 5)] == [
+        2 * build_decoding_graph(LatticeParams(d)).n_edges for d in (3, 5)]
+    assert csr_entries(MAX_DISTANCE) <= top < csr_entries(MAX_DISTANCE + 2)
+    LatticeParams(MAX_DISTANCE)
+    with pytest.raises(ValueError, match=f"<= {MAX_DISTANCE}"):
+        LatticeParams(MAX_DISTANCE + 2)
 
 
 def test_kernel_exports_exactly_the_functions_python_binds():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from graph_edges import edge_between, incident
 import ufpipe
+from ufpipe import uf_core
 from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
 from ufpipe.noise import (
     ErrorPattern,
@@ -23,10 +25,11 @@ from ufpipe.noise import (
     sample_error,
     syndrome_of,
 )
-from ufpipe._kernel import LEFT_SIDE, RIGHT_SIDE
+from ufpipe._kernel import LEFT_SIDE, PASSES, RIGHT_SIDE
 from ufpipe.uf_core import (
     Correction,
     Decoder,
+    DecodeStats,
     InvariantViolation,
     assess,
     cluster_stats,
@@ -45,7 +48,7 @@ def g5():
     return build_decoding_graph(LatticeParams(5))
 
 
-_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 25)}
+_GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 11, 25)}
 
 
 def syn_of(g, defects):
@@ -422,6 +425,138 @@ def test_cluster_stats_refuses_a_forest_of_another_decode(g3):
     dec.grow([10, 11])
     with pytest.raises(ValueError, match="earlier growth of its decoder"):
         cluster_stats(dec, forest)
+
+
+def reference_stats(dec, forest):
+    """`cluster_stats` built as it once was, one `tolist` of the forest's
+    columns, then list slices and `map(bool, ...)`."""
+    _, _, sizes, boundary, tree_edges, growth_steps = forest.columns.tolist()
+    return DecodeStats(forest.m, tuple(sizes), tuple(growth_steps), tuple(map(bool, boundary)),
+                       tuple(tree_edges), int(dec._counts[PASSES]))
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 25])
+def test_cluster_stats_equal_a_tolist_reference_field_by_field(d):
+    # the statistics are one struct read of the record, whose boundary
+    # flags are read as bools from the low-order byte of each int32 flag;
+    # the values and their types must be the reference's, from forests of no
+    # tree up to hundreds (d=25, p=0.02)
+    g, dec = _GRAPHS[d], Decoder(_GRAPHS[d])
+    seen = set()
+    for p in (0, 1e-3, 0.02, 0.2):
+        for t in range(8 if d < 25 else 3):
+            syn = syndrome_of(g, sample_error(g, NoiseParams(p=p, seed=d, trial_index=t)))
+            forest = spanning_forest(g, dec.grow(syn.defects))
+            got, ref = cluster_stats(dec, forest), reference_stats(dec, forest)
+            for f in dataclasses.fields(DecodeStats):
+                a, b = getattr(got, f.name), getattr(ref, f.name)
+                assert type(a) is type(b) and a == b, f.name
+                if type(a) is tuple:
+                    assert [type(x) for x in a] == [type(x) for x in b], f.name
+            assert set(map(type, got.sizes + got.growth_steps + got.tree_edges)) <= {int}
+            assert set(map(type, got.boundary)) <= {bool}
+            seen.add(forest.m)
+    assert 0 in seen
+    if d == 25:
+        assert max(seen) > 300
+    # the formats' cache is bounded: a format's size grows with the tree count
+    info = uf_core._stats_struct.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 1000
+
+
+@pytest.fixture(scope="module")
+def staged():
+    """A d=5 decoder grown on a seeded syndrome, and its forest and correction."""
+    g = _GRAPHS[5]
+    syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.05, seed=3, trial_index=0)))
+    dec = Decoder(g)
+    forest = spanning_forest(g, dec.grow(syn.defects))
+    return g, dec, forest, syn.defects.copy(), peel(forest, syn).edge_ids.copy()
+
+
+def test_peel_stages_any_integer_form_and_leaves_it_unchanged(staged):
+    # peel copies its defects to the decoder's staging buffer, as grow does,
+    # so every integer form peels alike and the caller's array is only read
+    g, dec, forest, defects, corr = staged
+    assert defects.size > 3 and corr.size > 0
+    read_only = defects.copy()
+    read_only.flags.writeable = False
+    forms = [defects.tolist(), read_only, np.repeat(defects, 2)[::2], defects.astype(np.int32),
+             defects.astype(np.uint32), defects.astype(np.uint64)]
+    for ids in forms:
+        before = np.array(ids, copy=True)
+        got = peel(forest, Syndrome(defects=ids, length=g.n_internal))
+        assert got.edge_ids.dtype == np.int64 and np.array_equal(got.edge_ids, corr)
+        assert np.array_equal(np.asarray(ids), before)
+    for empty in (np.array([], np.int64), np.array([]), []):
+        assert peel(forest, Syndrome(defects=empty, length=g.n_internal)).weight == 0
+
+
+def test_peel_refuses_what_it_stages_with_the_texts_it_had(staged):
+    # uint64 ids at or above 2**63 wrap negative when staged, and are named
+    # as the caller gave them
+    g, dec, forest, defects, corr = staged
+    n = defects.size
+    big = np.array([*defects, 2**63 + 4], np.uint64)
+    with pytest.raises(ValueError, match=f"^defect {n} of the syndrome, {2**63 + 4}, lies in no "):
+        peel(forest, Syndrome(defects=big, length=g.n_internal))
+    top = np.array([2**63, *defects], np.uint64)
+    with pytest.raises(ValueError, match=f"^defect 0 of the syndrome, {2**63}, lies in no "):
+        peel(forest, Syndrome(defects=top, length=g.n_internal))
+    with pytest.raises(ValueError, match="^defect ids must be a 1-D integer sequence"):
+        peel(forest, Syndrome(defects=defects.astype(float), length=g.n_internal))
+    assert np.array_equal(peel(forest, Syndrome(defects, g.n_internal)).edge_ids, corr)
+
+
+def test_peel_names_the_first_bad_id_of_more_ids_than_vertices(g3):
+    # more ids than internal vertices cannot all be staged: when the first
+    # n_internal are every vertex once, the next is the first bad one
+    n = g3.n_internal
+    forest = spanning_forest(g3, Decoder(g3).grow(np.arange(n)))
+    off, again = "lies in no tree of the forest", "repeats an earlier one"
+    cases = [
+        (np.arange(n + 1), f"defect {n} of the syndrome, {n}, {off}"),
+        ([*range(n), 3], f"defect {n} of the syndrome, 3, {again}"),
+        ([*range(n), -1, 0], f"defect {n} of the syndrome, -1, {off}"),
+        ([0, 1, 1, *range(2, n)], f"defect 2 of the syndrome, 1, {again}"),
+        ([0, n + 2, *range(1, n)], f"defect 1 of the syndrome, {n + 2}, {off}"),
+    ]
+    for ids, message in cases:
+        before = np.array(ids, copy=True)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            peel(forest, Syndrome(defects=ids, length=n))
+        assert np.array_equal(np.asarray(ids), before)
+    assert peel(forest, Syndrome(defects=np.arange(n), length=n)).weight == n // 2
+
+
+def test_stages_interleaved_on_one_decoder_decode_as_a_fresh_decoder(g5):
+    # peel, grow, grgen and peel_seeded share the decoder's staging buffer:
+    # whatever one staged, the next gives what a fresh decoder gives
+    syns = [syndrome_of(g5, sample_error(g5, NoiseParams(p=0.04, seed=29, trial_index=t)))
+            for t in range(12)]
+    dec = Decoder(g5)
+    for t, syn in enumerate(syns):
+        other = syns[t - 1]
+        fresh = Decoder(g5)
+        counts = fresh.grgen(syn.defects)
+        fresh_forest = spanning_forest(g5, fresh)
+        corr = peel(fresh_forest, syn).edge_ids
+        stats = cluster_stats(fresh, fresh_forest)
+        if t % 2:
+            assert dec.grgen(syn.defects) == counts
+        else:
+            dec.grow(syn.defects)
+        forest = spanning_forest(g5, dec)
+        with pytest.raises(ValueError):  # stages other ids, refused
+            peel(forest, Syndrome(defects=[*other.defects, g5.n_internal], length=g5.n_internal))
+        assert np.array_equal(dec.peel_seeded().edge_ids, corr)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dec.grow(other.defects[::-1] if other.defects.size > 1 else [1, 1])
+        assert np.array_equal(peel(forest, syn).edge_ids, corr)
+        assert np.array_equal(dec.peel_seeded().edge_ids, corr)
+        assert cluster_stats(dec, forest) == stats
+        if t % 2:
+            assert dec.grgen(syn.defects) == counts
 
 
 def test_peel_seeded_after_a_growth_without_a_forest_finds_no_tree(g3):
