@@ -1,12 +1,12 @@
 """The boundary between Python and the compiled kernel `_ufkernel.c`, stated
 once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
-`GraphView` (the kernel's `uf_graph`), the kernel's numbers under its own
-names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to
-`N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`, `FOREST_BAD_TREE`,
-`PEEL_BAD_DEFECT`, `PEEL_LEFTOVER`, `BAD_EDGE`, `RESIDUAL_SYNDROME`,
-`NO_MEMORY`), which `tests/test_kernel_build.py` reads from the C source,
-and the checks of what Python passes (`check_integer`, `integer_ids`,
-`int64_ids`, `addr`).
+`GraphView` (the kernel's `uf_graph`) with `GRAPH_ATTRS`, the kernel's
+numbers under its own names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots
+`N_TOUCHED_V` to `N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`,
+`FOREST_BAD_TREE`, `PEEL_BAD_DEFECT`, `PEEL_LEFTOVER`, `BAD_EDGE`,
+`RESIDUAL_SYNDROME`, `NO_MEMORY`), which `tests/test_kernel_build.py`
+reads from the C source, and the checks of what Python passes
+(`check_integer`, `integer_ids`, `int64_ids`, `addr`).
 
 Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static
@@ -45,15 +45,19 @@ CC_FLAGS = ("-O2", "-shared", "-fPIC")  # of every cached build; `cache_path` ha
 class GraphView(ctypes.Structure):
     """`uf_graph` of `_ufkernel.c`, field for field: the kernel's only
     description of a decoding graph, owned by the `DecodingGraph` and read by
-    every kernel function. `row_stride` is the number of vertices per STM
-    row; the pointers are the addresses of the graph's int32 arrays
-    `adj_start`, `adj_edge`, `adj_far`, `edges_u` and `edges_v`, then of its
-    uint8 `edge_slot`. LEFT is vertex n_internal and RIGHT vertex
-    n_internal + 1."""
+    every kernel function. Each field holds the graph's attribute of the same
+    name, or of the name `GRAPH_ATTRS` maps it to: its sizes, then the
+    addresses of its int32 arrays `adj_start`, `adj_edge`, `adj_far`,
+    `edges_u`, `edges_v` and `stm_rows` and of its uint8 `edge_slot`. LEFT is
+    vertex n_internal and RIGHT vertex n_internal + 1."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges", "row_stride")]
-    _fields_ += [(name, ctypes.c_void_p)
-                 for name in ("adj_start", "adj_edge", "adj_far", "eu", "ev", "edge_slot")]
+    _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges")]
+    _fields_ += [(name, ctypes.c_void_p) for name in
+                 ("adj_start", "adj_edge", "adj_far", "eu", "ev", "stm_rows", "edge_slot")]
+
+
+# GraphView's fields that DecodingGraph names otherwise
+GRAPH_ATTRS = {"eu": "edges_u", "ev": "edges_v"}
 
 
 def _archive() -> str:

@@ -68,17 +68,20 @@
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
        N_SEEDED, N_FUSED_BOUNDARY, N_COUNTS };
 
-/* A decoding graph, read only: sizes, vertices per STM row, the CSR
-   adjacency over n_internal + 2 vertices, each edge's internal endpoint eu
-   and internal or virtual endpoint ev, and each edge e's slot at its ends:
-   edge_slot[e] is its position in eu's CSR range, counted from
-   adj_start[eu], and edge_slot[n_edges + e] its position in ev's (0xff at
-   a virtual ev). LEFT is vertex n_internal and RIGHT vertex n_internal + 1.
-   An internal vertex has at most 6 edges, so a slot fits a bit of a uint8
+/* A decoding graph, read only: sizes, the CSR adjacency over n_internal + 2
+   vertices, each edge's internal endpoint eu and internal or virtual
+   endpoint ev, each internal vertex's STM row (ascending in the vertex id,
+   so that the last vertex's row is the largest, and below n_internal), and
+   each edge e's slot at its ends: edge_slot[e] is its position in eu's CSR
+   range, counted from adj_start[eu], and edge_slot[n_edges + e] its
+   position in ev's (0xff at a virtual ev). Internal vertices are
+   0 .. n_internal - 1, LEFT is vertex n_internal and RIGHT vertex
+   n_internal + 1; the kernel assumes nothing else of the numbering. An
+   internal vertex has at most 6 edges, so a slot fits a bit of a uint8
    mask, and at most one of them ends on LEFT or RIGHT. */
 typedef struct {
-    int64_t n_internal, n_edges, row_stride;
-    const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev;
+    int64_t n_internal, n_edges;
+    const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev, *stm_rows;
     const uint8_t *edge_slot;
 } uf_graph;
 
@@ -405,52 +408,30 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
     }
 }
 
-/* v / s without a division (Granlund & Montgomery), exact for
-   0 <= v <= INT32_MAX and 1 <= s <= INT32_MAX, which every vertex id and
-   every row stride meet. With l = ceil(log2 s) and
-   mul = ceil(2^(31 + l) / s) <= 2^32, v * mul < 2^63 does not overflow, and
-   (v * mul) >> (31 + l) = floor(v / s + v * e / (s * 2^(31 + l))), where
-   e = mul * s - 2^(31 + l) < s <= 2^l: the second term is below 1 / s, too
-   little to carry v / s past the next integer. */
-typedef struct {
-    uint64_t mul;
-    int shift;
-} divider;
-
-static inline divider divider_of(int32_t s) {
-    int l = s > 1 ? 64 - __builtin_clzll((uint64_t)s - 1) : 0;
-    divider d = {(((uint64_t)1 << (31 + l)) + (uint64_t)s - 1) / (uint64_t)s, 31 + l};
-    return d;
-}
-
-static inline int32_t quotient(divider d, int32_t v) {
-    return (int32_t)(((uint64_t)v * d.mul) >> d.shift);
-}
-
 /* The Gr-Gen stage: uf_grow, then, when it accepts the defects, the Gr-Gen
    read counts of the growth into counts[STM_ROW_READS..FES_POPS]: per pass,
-   the STM rows (v / g->row_stride, by `quotient`: no division per vertex or
-   edge) that hold a member vertex or file a touched edge (under the row of
-   its internal endpoint eu) before the pass starts; the member vertices
-   scanned at each pass start; and the fusion edges popped. The low words of
-   the vertex bitmap serve as the row bitmap, which never marks the summary,
-   and are left cleared. Returns what uf_grow returns. */
+   the STM rows (g->stm_rows) that hold a member vertex or file a touched
+   edge (under the row of its internal endpoint eu) before the pass starts;
+   the member vertices scanned at each pass start; and the fusion edges
+   popped. The low words of the vertex bitmap serve as the row bitmap, which
+   never marks the summary, and are left cleared. Returns what uf_grow
+   returns. */
 int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     int64_t refused = uf_grow(c, k);
     if (refused) return refused;
     const uf_graph g = *c->g;
-    const divider row = divider_of((int32_t)g.row_stride); /* d - 1 for a graph of distance d */
     int64_t rows = 0, iv = 0, ie = 0, *counts = c->counts;
     counts[STM_ROW_READS] = counts[MEMBER_SCANS] = counts[FES_POPS] = 0;
     for (int64_t p = 0; p < counts[PASSES]; p++) {
         const int32_t *log = c->pass_log + 3 * p;
-        for (; iv < log[0]; iv++) rows += set_new_bit(c, quotient(row, c->touched_v[iv]));
-        for (; ie < log[1]; ie++) rows += set_new_bit(c, quotient(row, g.eu[c->touched_e[ie]]));
+        for (; iv < log[0]; iv++) rows += set_new_bit(c, g.stm_rows[c->touched_v[iv]]);
+        for (; ie < log[1]; ie++) rows += set_new_bit(c, g.stm_rows[g.eu[c->touched_e[ie]]]);
         counts[STM_ROW_READS] += rows;
         counts[MEMBER_SCANS] += log[0];
         counts[FES_POPS] += log[2];
     }
-    memset(c->bits, 0, (size_t)((g.n_internal / g.row_stride + 63) / 64) * sizeof *c->bits);
+    int64_t n_rows = g.stm_rows[g.n_internal - 1] + 1;
+    memset(c->bits, 0, (size_t)((n_rows + 63) / 64) * sizeof *c->bits);
     return 0;
 }
 

@@ -11,11 +11,15 @@ no loop over vertices or edges.
 Everything the decoding kernel reads is a flat array: the int32 edge
 endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
 `adj_edge`, `adj_far`, which lists every vertex's incident edges in a fixed
-order, and the uint8 `edge_slot`, each edge's position in its endpoints'
-CSR ranges. The graph describes itself to the kernel once, in one
-`_kernel.GraphView` it owns (sizes, the STM row stride and the addresses of
-the six arrays, which are immutable, as are the graph's fields); every
-kernel call and every `uf_core.Decoder` reads it at `kernel_view`.
+order, the int32 `stm_rows`, each internal vertex's row of the spanning
+tree memory (STM), and the uint8 `edge_slot`, each edge's position in its
+endpoints' CSR ranges. The graph describes itself to the kernel once, in
+one `_kernel.GraphView` it owns (sizes and the addresses of the seven
+arrays, which are immutable, as are the graph's fields); every kernel call
+and every `uf_core.Decoder` reads it at `kernel_view`. So the numbering of
+the vertices, their rows included, is stated here and nowhere else: the
+kernel takes internal ids 0 .. n_internal - 1, LEFT n_internal and RIGHT
+n_internal + 1, and nothing more of the grid.
 
 Syndrome extraction is one kernel call: it flips one bit per internal
 endpoint of each edge, so a vertex's bit ends up set iff it has odd
@@ -30,12 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
+from ._kernel import GRAPH_ATTRS, NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
 
 
 # The largest code distance whose graph fits the kernel's int32 ids and
 # offsets: its CSR adjacency holds 2 * n_edges = 2 * (d^3 + 2d(d - 1)^2)
-# entries, and every vertex id and the STM row stride d - 1 are smaller.
+# entries, and every vertex id and STM row is smaller.
 MAX_DISTANCE = 709
 
 
@@ -80,13 +84,16 @@ class DecodingGraph:
     # internal vertex has at most 6 edges, so growth marks a fully grown edge
     # by its slot's bit in a uint8 mask per vertex.
     edge_slot: np.ndarray = field(repr=False)
+    # int32, per internal vertex: its (layer, row) pair index layer * d + row,
+    # one STM row each, ascending in the vertex id
+    stm_rows: np.ndarray = field(repr=False)
     n_space_edges: int  # space edges come first: edge e is a time edge iff e >= this
 
     def __post_init__(self):
-        # the kernel's view of the graph, d - 1 vertices per STM row; O(1)
-        view = GraphView(self.n_internal, len(self.edges_u), self.d - 1, *(
-            a.ctypes.data for a in (self.adj_start, self.adj_edge, self.adj_far, self.edges_u,
-                                    self.edges_v, self.edge_slot)))
+        # the kernel's view of the graph, field by field; O(1)
+        fields = [(getattr(self, GRAPH_ATTRS.get(name, name)), kind)
+                  for name, kind in GraphView._fields_]
+        view = GraphView(*(a.ctypes.data if kind is ctypes.c_void_p else a for a, kind in fields))
         object.__setattr__(self, "_view", view)
         object.__setattr__(self, "kernel_view", ctypes.addressof(view))
 
@@ -101,17 +108,14 @@ class DecodingGraph:
         d = self.d
         return layer * d * (d - 1) + row * (d - 1) + col
 
-    def stm_row(self, v: int) -> int:
-        """(layer, row) pair index of an internal vertex; one STM row each."""
-        return v // self._view.row_stride
-
 
 def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     """Construct the decoding graph with deterministic vertex/edge numbering.
 
-    Vertex id = layer*d*(d-1) + row*(d-1) + col. Space edges are numbered
-    layer by layer (per row: W boundary, interior horizontals, E boundary;
-    then in-plane verticals row-major); all time edges follow, gap-major.
+    Vertex id = layer*d*(d-1) + row*(d-1) + col, in STM row layer*d + row.
+    Space edges are numbered layer by layer (per row: W boundary, interior
+    horizontals, E boundary; then in-plane verticals row-major); all time
+    edges follow, gap-major.
     """
     d = params.d
     n_int = d * d * (d - 1)
@@ -119,6 +123,8 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
     right = n_int + 1
 
     vid = np.arange(n_int, dtype=np.int32).reshape(d, d, d - 1)  # [layer, row, col]
+    stm_rows = np.empty(n_int, dtype=np.int32)
+    stm_rows[vid] = np.arange(d * d, dtype=np.int32).reshape(d, d, 1)  # layer * d + row
     first, last = vid[..., :1], vid[..., -1:]
     # per row: W boundary, interior horizontals, E boundary
     hu = np.concatenate((first, vid[..., :-1], last), axis=2)
@@ -163,9 +169,10 @@ def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
         adj_edge=np.concatenate((e, e))[order],
         adj_far=np.concatenate((v, u))[order],
         edge_slot=edge_slot,
+        stm_rows=stm_rows,
         n_space_edges=n_space,
     )
-    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot):
+    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot, g.stm_rows):
         a.flags.writeable = False  # the kernel reads them through fixed addresses
     return g
 
@@ -180,8 +187,7 @@ def reject_off_graph(graph: DecodingGraph, *id_seqs) -> None:
 
 def syndrome_indices_of_edges(graph: DecodingGraph, edge_ids) -> np.ndarray:
     """Internal vertices with odd incidence in the given edge set, as an
-    ascending int64 array, which `uf_core.peel` reads without a copy;
-    repeated edge ids cancel in pairs.
+    ascending int64 array; repeated edge ids cancel in pairs.
 
     Bit parity in the kernel, see the module docstring. Non-integer ids
     (float or bool) and ids outside [0, n_edges) raise ValueError.

@@ -96,7 +96,10 @@ class Decoder:
     lists, which the kernel reads and writes. The decoder's kernel context,
     `_Ctx`, holds the address of the graph's `GraphView` and of each buffer,
     nothing else; the buffers Python reads are numpy views, made once in
-    `__init__` as plain attributes:
+    `__init__` as plain attributes, read-only but for the staged ids and
+    the scratch `scan`: the kernel trusts its tables, so a value written
+    into one from Python could send it out of its buffers. Tests of
+    hand-built tables set a view's `flags.writeable` themselves. The views:
 
     - per internal vertex: the root and size tables `parent` and `size`,
       `growth_steps` (int32), `parity` and `boundary_sides` (uint8), and a
@@ -149,13 +152,16 @@ class Decoder:
         self._block = block = np.empty(off, np.uint8)  # uf_init sets what is read before written
         for (_, dtype, length, attr), first in zip(_BUFFERS, firsts):
             if attr:
-                setattr(self, attr, np.frombuffer(block, dtype, length(n, n_e), first))
+                view = np.frombuffer(block, dtype, length(n, n_e), first)
+                # the kernel trusts what it reads: Python writes only the staged ids
+                # and may write the scratch, which the kernel writes before it reads
+                view.flags.writeable = attr in ("_defects", "_scan")
+                setattr(self, attr, view)
         base = addr(block)
         self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
         self._defects_at = self._ctx.defects  # where `_stage` writes, which `peel` passes
         self._forest_first = self._ctx.forest - base  # the record's first byte in the block
-        self._forest.flags.writeable = False  # only the kernel writes it, through the context
         self._growths = 0  # accepted growths, by which a forest is dated
         K.uf_init(self._c)
 
@@ -350,7 +356,6 @@ class SpanningForest:
         lambda self: self.record[2:2 + FOREST_COLUMNS * self.m].reshape(FOREST_COLUMNS, self.m))
     edges = functools.cached_property(
         lambda self: self.record[2 + FOREST_COLUMNS * self.m:].reshape(self.k, 3))
-    tree_edges = property(lambda self: self.columns[4])
 
     @property
     def trees(self) -> list[ClusterTree]:

@@ -6,12 +6,14 @@
  * DUMP, written by `tests/kernel_driver.py`, holds a decoding graph's arrays,
  * the byte offsets of a `uf_core.Decoder`'s buffers in its block and the
  * defects of a list of decodes. The driver runs every decode REPEATS times
- * (REPEATS >= 1) through the oracle's kernel path: uf_grow, uf_forest, then
- * uf_run_corr, which peels the context's forest record with the ids uf_grow
- * seeded, read back from touched_v, on the context's own peeling scratch
- * (the `held` marks and the `chosen` edge bits, two of its buffers). With
- * `grgen`, it runs the pipeline model's path instead: uf_run_grgen (uf_grow,
- * then the Gr-Gen read counts) in place of uf_grow. For the first round it
+ * (REPEATS >= 1) through uf_grow, uf_forest, then uf_run_corr, the
+ * pipeline model's Corr stage, which peels the context's forest record with
+ * the ids uf_grow seeded, read back from touched_v, on the context's own
+ * peeling scratch (the `held` marks and the `chosen` edge bits, two of its
+ * buffers); it gives the correction that the oracle's uf_peel gives with
+ * those ids. With `grgen`, it runs the pipeline model's Gr-Gen stage,
+ * uf_run_grgen (uf_grow, then the Gr-Gen read counts), in place of uf_grow,
+ * so the whole path is the pipeline model's. For the first round it
  * writes to OUT, per decode, the forest record (int64 length, int32
  * entries) and the correction (int64 count, int64 ids), and with `grgen`
  * then the counts [PASSES, N_SEEDED) that `uf_core.Decoder.grgen` returns
@@ -33,10 +35,10 @@
  * The kernel is included, so that one compile builds both:
  *   cc -O2 -o kernel_driver tests/kernel_driver.c <`_kernel.link_args()`>
  * and with `-pg -fno-inline -fno-ipa-sra` for gprof. There the one-line
- * helpers (`summary_words`, `mark_word`, `set_bit`, `set_new_bit`,
- * `quotient`), which `-O2` inlines, are calls of their own, and
- * `-fno-ipa-sra` keeps GCC from cloning `find`, `set_new_bit` and `quotient`
- * into `.isra` copies, whose calls gprof books under other functions.
+ * helpers (`summary_words`, `mark_word`, `set_bit`, `set_new_bit`), which
+ * `-O2` inlines, are calls of their own, and `-fno-ipa-sra` keeps GCC from
+ * cloning `find` and `set_new_bit` into `.isra` copies, whose calls gprof
+ * books under other functions.
  */
 #define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c11 */
 #include <stddef.h>
@@ -95,7 +97,6 @@ int main(int argc, char **argv) {
     uf_graph g;
     g.n_internal = read_i64();
     g.n_edges = read_i64();
-    g.row_stride = read_i64();
     int64_t n_arrays = read_i64();
     void *arrays[16];
     if (n_arrays < 0 || n_arrays > 16) fail("bad array count");

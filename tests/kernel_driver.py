@@ -28,13 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ufpipe._kernel import N_SEEDED, PASSES, GraphView, addr
+from ufpipe._kernel import GRAPH_ATTRS, N_SEEDED, PASSES, GraphView, addr
 from ufpipe.lattice import DecodingGraph, LatticeParams, build_decoding_graph
 from ufpipe.noise import NoiseParams, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
-
-# GraphView's pointer fields that DecodingGraph names otherwise
-_GRAPH_ATTRS = {"eu": "edges_u", "ev": "edges_v"}
 
 
 def _array(a: np.ndarray) -> bytes:
@@ -47,11 +44,11 @@ def write_dump(path, graph: DecodingGraph, defect_lists) -> None:
     dec = Decoder(graph)
     base = addr(dec._block)
     buffers = [name for name, kind in dec._ctx._fields_ if name != "g"]
-    words = [graph.n_internal, graph.n_edges, graph._view.row_stride, len(pointers)]
+    words = [graph.n_internal, graph.n_edges, len(pointers)]
     with open(path, "wb") as f:
         f.write(np.array(words, dtype=np.int64).tobytes())
         for name in pointers:
-            f.write(_array(getattr(graph, _GRAPH_ATTRS.get(name, name))))
+            f.write(_array(getattr(graph, GRAPH_ATTRS.get(name, name))))
         offsets = [getattr(dec._ctx, name) - base for name in buffers]
         f.write(np.array([len(buffers), dec._block.size, *offsets], dtype=np.int64).tobytes())
         f.write(np.array([len(defect_lists)], dtype=np.int64).tobytes())

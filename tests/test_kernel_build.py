@@ -5,9 +5,10 @@ runs clean under the undefined-behaviour sanitizer, and has ctypes mirrors of
 its structs, and a copy of numpy's `bitgen_t`, that declare their fields in
 order, and Python mirrors in `_kernel` of its numbers that hold their values.
 The standalone driver `kernel_driver.c`, which profiles the kernel outside
-Python, builds and decodes as `uf_core` does, in its Gr-Gen mode too, and
-runs clean under the address sanitizer with every buffer in an allocation of
-its own.
+Python, builds and decodes as `uf_core` does, in its Gr-Gen mode too and on
+the dump that the command in `kernel_driver.py`'s docstring writes, and runs
+clean under the address sanitizer with every buffer in an allocation of its
+own.
 
 Each import test copies the package to a temporary directory, so that its
 build cache starts cold, and imports it in a subprocess. The build must not
@@ -30,7 +31,7 @@ import pytest
 from kernel_driver import read_output, trial_defects, write_dump
 from ufpipe import _kernel
 from ufpipe._kernel import BINDINGS, GraphView, cache_path, link_args
-from ufpipe.lattice import MAX_DISTANCE, LatticeParams, build_decoding_graph
+from ufpipe.lattice import LatticeParams, build_decoding_graph
 from ufpipe.noise import Syndrome
 from ufpipe.uf_core import Decoder, _Ctx, peel, spanning_forest
 
@@ -173,13 +174,16 @@ def build_driver(tmp_path, *flags):
     return driver
 
 
-def check_driver(driver, tmp_path, g, defects, grgen=False):
+def check_driver(driver, tmp_path, g, defects, grgen=False, dump=None):
     """Run `driver` twice over each defect list of `defects` on `g`, in its
     `grgen` mode if `grgen`, and check its two stdout lines and its records,
-    and its Gr-Gen counts, against `uf_core`'s."""
-    write_dump(tmp_path / "dump", g, defects)
+    and its Gr-Gen counts, against `uf_core`'s. The driver reads `dump`, or
+    when that is None a dump of `g` and `defects` that this writes."""
+    if dump is None:
+        dump = tmp_path / "dump"
+        write_dump(dump, g, defects)
     mode = ["grgen"] if grgen else []
-    out = subprocess.run([str(driver), str(tmp_path / "dump"), str(tmp_path / "out"), "2", *mode],
+    out = subprocess.run([str(driver), str(dump), str(tmp_path / "out"), "2", *mode],
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     # the driver's two stdout lines: the work done, then its time per decode
@@ -213,6 +217,21 @@ def test_kernel_driver_decodes_a_dump_as_uf_core_does(tmp_path):
     assert out.returncode == 1 and "usage" in out.stderr
 
 
+def test_kernel_driver_decodes_the_dump_its_documented_command_writes(tmp_path):
+    # the profiling recipe of `kernel_driver.py`'s docstring, run as written:
+    # its command line and its dump, then the driver in both modes on it
+    dump = tmp_path / "DUMP"
+    cmd = [sys.executable, "tests/kernel_driver.py", "--d", "3", "--p", "0.1", "--seed", "1",
+           "--trials", "20", str(dump)]
+    out = subprocess.run(cmd, cwd=PKG.parents[1], env=env_for("src"), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0 and not out.stdout, out.stderr
+    driver = build_driver(tmp_path, "-O2", *WARNINGS)
+    g = build_decoding_graph(LatticeParams(3))
+    for grgen in (False, True):
+        check_driver(driver, tmp_path, g, trial_defects(g, 0.1, seed=1, trials=20), grgen, dump)
+
+
 def test_kernel_driver_runs_clean_under_the_address_sanitizer(tmp_path):
     # each buffer is an allocation of its own there, so that an overrun into
     # the next buffer, which the one block of a Decoder hides, is caught;
@@ -232,72 +251,6 @@ def test_kernel_driver_runs_clean_under_the_address_sanitizer(tmp_path):
     # the Gr-Gen mode once, where growth fills the pass log and the row bitmap
     g = build_decoding_graph(LatticeParams(25))
     check_driver(driver, tmp_path, g, trial_defects(g, 0.2, seed=25, trials=10), grgen=True)
-
-
-# reads (stride, vertex) int32 pairs on stdin and writes the STM row that
-# uf_run_grgen files each vertex under, int32, to stdout
-ROW_HARNESS = r"""
-#include <stdio.h>
-
-#include "_ufkernel.c"
-
-int main(void) {
-    int32_t pair[2];
-    while (fread(pair, sizeof pair, 1, stdin) == 1) {
-        int32_t row = quotient(divider_of(pair[0]), pair[1]);
-        fwrite(&row, sizeof row, 1, stdout);
-    }
-    return 0;
-}
-"""
-
-
-def test_stm_rows_divide_exactly_up_to_the_kernels_bound(tmp_path):
-    # Gr-Gen finds a vertex's STM row by a multiply and a shift, which the
-    # kernel states exact for every stride and vertex id up to INT32_MAX:
-    # check it against v // stride at every vertex and every edge's filing
-    # vertex of the graphs tier-1 builds, and at strides and vertices up to
-    # that bound; beyond it no graph is built
-    (tmp_path / "rows.c").write_text(ROW_HARNESS)
-    harness = tmp_path / "rows"
-    out = subprocess.run(["cc", "-O2", *WARNINGS, "-I", str(PKG), "-o", str(harness),
-                          str(tmp_path / "rows.c"), *link_args()],
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    top = 2**31 - 1
-    pairs = []
-    for d in range(3, 27, 2):
-        g = build_decoding_graph(LatticeParams(d))
-        vs = np.concatenate((np.arange(g.n_internal), g.edges_u))
-        pairs.append(np.stack((np.full(vs.size, g.d - 1), vs), axis=1))
-    rng = np.random.default_rng(5)
-    strides = np.unique(np.concatenate((
-        np.arange(1, 1025), [2**k + j for k in range(10, 31) for j in (-1, 0, 1)],
-        rng.integers(1, top, 300, endpoint=True), [top])))
-    for stride in strides.tolist():
-        last = top // stride * stride  # the last multiple at or under the bound
-        vs = np.concatenate(([0, 1, stride - 1, stride, stride + 1, last - 1, last, top - 1, top],
-                             rng.integers(0, top, 20, endpoint=True)))
-        vs = vs[vs <= top]
-        pairs.append(np.stack((np.full(vs.size, stride), vs), axis=1))
-    pairs = np.concatenate(pairs).astype(np.int32)
-    assert pairs.min() >= 0 and pairs[:, 0].min() == 1 and pairs.max() == top
-    out = subprocess.run([str(harness)], input=pairs.tobytes(), capture_output=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    rows = np.frombuffer(out.stdout, np.int32)
-    expect = pairs[:, 1].astype(np.int64) // pairs[:, 0]
-    assert rows.size == len(pairs) and np.array_equal(rows, expect)
-    # the largest graph: its CSR offsets, which exceed every vertex id and
-    # its stride, fit int32, and the next distance's would not
-    def csr_entries(d):
-        return 2 * (d**3 + 2 * d * (d - 1) ** 2)
-
-    assert [csr_entries(d) for d in (3, 5)] == [
-        2 * build_decoding_graph(LatticeParams(d)).n_edges for d in (3, 5)]
-    assert csr_entries(MAX_DISTANCE) <= top < csr_entries(MAX_DISTANCE + 2)
-    LatticeParams(MAX_DISTANCE)
-    with pytest.raises(ValueError, match=f"<= {MAX_DISTANCE}"):
-        LatticeParams(MAX_DISTANCE + 2)
 
 
 def test_kernel_exports_exactly_the_functions_python_binds():
@@ -420,6 +373,7 @@ for d in (3, 5, 11, 25):
         raise AssertionError(f"defects {bad} were peeled")
     assert peel(forest, Syndrome(defects=[4, 5], length=g.n_internal)).weight == 1
     fresh.grow([])
+    fresh.parity.flags.writeable = True  # a hand-built odd cluster
     fresh.parity[5] = 1
     fresh.union(5, 5)
     try:

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_edges import incident
-from ufpipe.lattice import LatticeParams, build_decoding_graph, syndrome_indices_of_edges
+from ufpipe.lattice import (MAX_DISTANCE, LatticeParams, build_decoding_graph,
+                            syndrome_indices_of_edges)
 from ufpipe.noise import ErrorPattern
 from ufpipe.uf_core import Correction, InvariantViolation, assess
 
@@ -150,7 +151,8 @@ def test_graph_fields_cannot_be_rebound(g3):
     # the kernel reads each array at the address the graph's view took when
     # it was built: a rebound array would be freed under that view
     view = g3.kernel_view
-    for name in ("edges_u", "edges_v", "adj_start", "adj_edge", "adj_far", "edge_slot"):
+    for name in ("edges_u", "edges_v", "adj_start", "adj_edge", "adj_far", "edge_slot",
+                 "stm_rows"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(g3, name, getattr(g3, name).copy())
     assert g3.kernel_view == view
@@ -166,12 +168,31 @@ def test_invalid_distance():
             LatticeParams(d)
 
 
-def test_vertex_indexing(g5):
-    # ids run over (layer, row, col) in row-major order, one STM row per (layer, row)
-    d = g5.d
-    cells = [(layer, row, col) for layer in range(d) for row in range(d) for col in range(d - 1)]
-    assert [g5.vertex_id(*cell) for cell in cells] == list(range(g5.n_internal))
-    assert [g5.stm_row(v) for v in range(g5.n_internal)] == [l * d + r for l, r, _ in cells]
+def test_vertex_indexing():
+    # ids run over (layer, row, col) in row-major order, one STM row per
+    # (layer, row), at every distance tier-1 builds: Gr-Gen files each vertex
+    # and each edge under the row this table gives its vertex
+    for d in range(3, 27, 2):
+        g = build_decoding_graph(LatticeParams(d))
+        cells = [(layer, row, col)
+                 for layer in range(d) for row in range(d) for col in range(d - 1)]
+        assert [g.vertex_id(*cell) for cell in cells] == list(range(g.n_internal))
+        assert g.stm_rows.dtype == np.int32 and not g.stm_rows.flags.writeable
+        assert g.stm_rows.tolist() == [layer * d + row for layer, row, _ in cells]
+
+
+def test_max_distance_is_the_largest_whose_csr_fits_int32():
+    # the largest graph: its CSR offsets, which exceed every vertex id and
+    # STM row, fit int32, and the next distance's would not
+    def csr_entries(d):
+        return 2 * (d**3 + 2 * d * (d - 1) ** 2)
+
+    assert [csr_entries(d) for d in (3, 5)] == [
+        2 * build_decoding_graph(LatticeParams(d)).n_edges for d in (3, 5)]
+    assert csr_entries(MAX_DISTANCE) <= 2**31 - 1 < csr_entries(MAX_DISTANCE + 2)
+    LatticeParams(MAX_DISTANCE)
+    with pytest.raises(ValueError, match=f"<= {MAX_DISTANCE}"):
+        LatticeParams(MAX_DISTANCE + 2)
 
 
 def row_chain(g, layer, row):

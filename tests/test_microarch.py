@@ -16,11 +16,13 @@ GRAPHS = {d: build_decoding_graph(LatticeParams(d)) for d in (3, 5, 7, 11, 25)}
 
 def reference_grgen_counts(g, cs):
     """(stm_row_reads, table_reads, fes_pops) as the AccessTrace docstring
-    defines them, counted pass by pass from the engine's logs."""
-    tv, te = cs.touched_v, cs.touched_e
+    defines them, counted pass by pass from the engine's logs. A vertex's STM
+    row is its (layer, row) pair index, computed here from the numbering
+    rather than read from the graph's table, which the kernel reads."""
+    tv, te, stride = cs.touched_v, cs.touched_e, g.d - 1
     stm_row_reads, table_reads, fes_pops = 0, cs.table_reads, 0
     for n_v, n_e, n_fused in cs.pass_log:
-        rows = {g.stm_row(v) for v in tv[:n_v]} | {g.stm_row(int(g.edges_u[e])) for e in te[:n_e]}
+        rows = {v // stride for v in tv[:n_v]} | {int(g.edges_u[e]) // stride for e in te[:n_e]}
         stm_row_reads += len(rows)
         table_reads += n_v
         fes_pops += n_fused
@@ -57,7 +59,7 @@ def check_against_oracle(g, syn):
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 25])
 @pytest.mark.parametrize("p", [0.001, 0.01, 0.05])
 def test_pipeline_matches_oracle_seeded(d, p):
-    # at d=25 too, where the rows of 24 vertices are found without a division
+    # at d=25 too, where each STM row holds 24 vertices
     g = GRAPHS[d]
     for t in range(40 if d < 11 else 12 if d < 25 else 4):
         err = sample_error(g, NoiseParams(p=p, seed=2001, trial_index=t))
@@ -124,7 +126,7 @@ def test_overflow_events_at_small_stack_capacity():
         syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.03, seed=5, trial_index=t)))
         state, stats = check_against_oracle(g, syn)
         # the pipeline's own forest, from the cluster set the decode left
-        expect = int(np.count_nonzero(microarch.run_dfs(state).tree_edges > 3))
+        expect = int(np.count_nonzero(microarch.run_dfs(state).columns[4] > 3))
         assert stack_overflows(stats, 3) == expect
         seen += expect
     assert seen > 0

@@ -55,6 +55,13 @@ def syn_of(g, defects):
     return Syndrome(defects=np.asarray(sorted(defects), dtype=np.int64), length=g.n_internal)
 
 
+def writable(table: np.ndarray) -> np.ndarray:
+    """`table`, one of a decoder's read-only views, made writable: the opt-in
+    of a test that builds the decoder's tables by hand."""
+    table.flags.writeable = True
+    return table
+
+
 # -- find ----------------------------------------------------------------
 
 
@@ -65,8 +72,8 @@ def test_find_singleton(g3):
 
 def test_find_compresses_short_chain(g3):
     cs = Decoder(g3)
-    cs.parent[0] = 1
-    cs.parent[1] = 2
+    writable(cs.parent)[0] = 1
+    writable(cs.parent)[1] = 2
     assert cs.find(0) == 2
     assert cs.parent[0] == 2
 
@@ -75,7 +82,7 @@ def test_find_compression_cap_five(g3):
     # chain 0 -> 1 -> ... -> 7; only the last 5 visited vertices repoint
     cs = Decoder(g3)
     for i in range(7):
-        cs.parent[i] = i + 1
+        writable(cs.parent)[i] = i + 1
     assert cs.find(0) == 7
     assert cs.parent[0] == 1
     assert cs.parent[1] == 2
@@ -95,7 +102,7 @@ def test_find_table_reads(g3):
     # deeper, where only the last 5 path vertices are repointed
     cs = Decoder(g3)
     for i in range(8):
-        cs.parent[i] = i + 1  # chain 0 -> 1 -> ... -> 8
+        writable(cs.parent)[i] = i + 1  # chain 0 -> 1 -> ... -> 8
     assert cs.find(0) == 8 and cs.table_reads == 9
     assert cs.parent[:8].tolist() == [1, 2, 3, 8, 8, 8, 8, 8]
     for v, reads in ((8, 1), (7, 2), (1, 4)):
@@ -122,8 +129,8 @@ def test_find_and_union_take_only_internal_vertex_integers(g3, v):
 
 def test_union_weighted(g3):
     cs = Decoder(g3)
-    cs.size[2] = 3
-    cs.size[9] = 5
+    writable(cs.size)[2] = 3
+    writable(cs.size)[9] = 5
     assert cs.union(2, 9) == 9
     assert cs.find(2) == 9
     assert cs.size[9] == 8
@@ -136,7 +143,7 @@ def test_union_tie_smaller_root(g3):
     # a vertex that is no member yet wins the tie, by its smaller id,
     # against a one-vertex odd cluster, as growth seeds a defect
     cs = Decoder(g3)
-    cs.parity[5] = 1
+    writable(cs.parity)[5] = 1
     cs.union(5, 5)
     assert cs.union(5, 3) == 3
     assert cs.members == {3: [3, 5]}
@@ -144,12 +151,12 @@ def test_union_tie_smaller_root(g3):
 
 def test_union_parity_xor(g3):
     cs = Decoder(g3)
-    cs.parity[4] = 1
-    cs.parity[9] = 1
+    writable(cs.parity)[4] = 1
+    writable(cs.parity)[9] = 1
     r = cs.union(4, 9)
     assert cs.parity[r] == 0
     cs2 = Decoder(g3)
-    cs2.parity[4] = 1
+    writable(cs2.parity)[4] = 1
     r = cs2.union(4, 9)
     assert cs2.parity[r] == 1
 
@@ -260,17 +267,17 @@ def test_forest_tree_sizes_and_determinism(g5):
 
 def test_forest_rejects_odd_unfrozen_cluster(g3):
     cs = Decoder(g3)
-    cs.parity[5] = 1
+    writable(cs.parity)[5] = 1
     cs.union(5, 5)
     with pytest.raises(InvariantViolation):
         spanning_forest(g3, cs)
 
 
 def test_forest_rejects_boundary_flag_without_grown_boundary_edge(g3):
-    # the flags are writable views: a side set by hand has no entry edge
+    # a side set by hand has no entry edge
     cs = Decoder(g3).grow([g3.vertex_id(1, 1, 0), g3.vertex_id(1, 1, 1)])
     (root,) = cs.members
-    cs.boundary_sides[root] = LEFT_SIDE
+    writable(cs.boundary_sides)[root] = LEFT_SIDE
     with pytest.raises(InvariantViolation, match="has 0 edges, expected 2"):
         spanning_forest(g3, cs)
 
@@ -576,9 +583,9 @@ def test_a_refused_forest_leaves_an_empty_record(g3):
     # the error's detail goes to the scratch, not over the last record
     dec = Decoder(g3)
     spanning_forest(g3, dec.grow([4, 5]))
-    dec.size[9] = 5
+    writable(dec.size)[9] = 5
     assert dec.union(2, 9) == 9  # a root that is not its cluster's smallest vertex
-    dec.parity[9] = 1
+    writable(dec.parity)[9] = 1
     with pytest.raises(InvariantViolation, match="cluster at root 9 is odd"):
         spanning_forest(g3, dec)
     assert dec._forest[:2].tolist() == [0, 0]
@@ -616,6 +623,7 @@ for fill in range(0x70, 0x80):
     pytest.param("""
     spanning_forest(g, dec.grow(np.arange(g.n_internal)))
     dec.grow([])
+    dec.parity.flags.writeable = True
     dec.parity[5] = 1
     dec.union(5, 5)
     try:
@@ -675,6 +683,42 @@ def test_forest_records_are_read_only(g3):
         with pytest.raises(ValueError, match="read-only"):
             view[(0,) * view.ndim] = 10**6
     assert peel(forest, Syndrome(defects=[4, 5], length=g3.n_internal)).edge_ids.tolist() == [7]
+
+
+# a write into a decoder's table from Python: at d = 5, growth from [3, 4]
+# leaves vertex 10 untouched, so the next growth does not reset the root
+# written there, and follows it out of the table
+WRITTEN_TABLES = """
+import numpy as np
+from ufpipe.lattice import LatticeParams, build_decoding_graph
+from ufpipe.noise import NoiseParams, sample_error, syndrome_of
+from ufpipe.uf_core import Decoder
+g = build_decoding_graph(LatticeParams(5))
+dec = Decoder(g).grow([3, 4])
+tables = ("parent", "size", "growth_steps", "low", "parity", "boundary_sides", "grown",
+          "edge_state")
+refused = []
+for name in tables:
+    table = getattr(dec, name)
+    try:
+        table[10] = np.iinfo(table.dtype).max if table.dtype == np.uint8 else 10**8
+    except ValueError as exc:
+        assert "read-only" in str(exc)
+        refused.append(name)
+dec.grow([10])
+assert refused == list(tables), refused
+assert not any(getattr(dec, name).flags.writeable for name in ("_counts", "_tv", "_te", "_log"))
+for t in range(20):
+    syn = syndrome_of(g, sample_error(g, NoiseParams(p=0.05, seed=3, trial_index=t)))
+    (corr, stats), (fresh_corr, fresh_stats) = dec.decode(syn), Decoder(g).decode(syn)
+    assert np.array_equal(corr.edge_ids, fresh_corr.edge_ids) and stats == fresh_stats
+print("ok")
+"""
+
+
+def test_a_decoders_tables_refuse_writes_from_python():
+    out = run_child(WRITTEN_TABLES)
+    assert out.returncode == 0 and out.stdout == "ok\n", (out.returncode, out.stderr)
 
 
 # -- decode / assess -----------------------------------------------------
