@@ -1,12 +1,13 @@
 """The boundary between Python and the compiled kernel `_ufkernel.c`, stated
 once: the build (`K`, `CC_FLAGS`, `link_args`, `cache_path`), `BINDINGS`,
-`GraphView` (the kernel's `uf_graph`) with `GRAPH_ATTRS`, the kernel's
-numbers under its own names (`LEFT_SIDE`, `RIGHT_SIDE`, the counts slots
-`N_TOUCHED_V` to `N_COUNTS`, `FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`,
-`FOREST_BAD_TREE`, `PEEL_BAD_DEFECT`, `PEEL_LEFTOVER`, `BAD_EDGE`,
-`RESIDUAL_SYNDROME`, `NO_MEMORY`), which `tests/test_kernel_build.py`
-reads from the C source, and the checks of what Python passes
-(`check_integer`, `integer_ids`, `int64_ids`, `addr`).
+`GraphView` (the kernel's `uf_graph`, whose fields are named as the graph's
+attributes), the kernel's numbers under its own names (`LEFT_SIDE`,
+`RIGHT_SIDE`, the counts slots `N_TOUCHED_V` to `N_COUNTS`,
+`FOREST_COLUMNS`, `FOREST_ODD_CLUSTER`, `FOREST_BAD_TREE`,
+`PEEL_BAD_DEFECT`, `PEEL_LEFTOVER`, `BAD_EDGE`, `RESIDUAL_SYNDROME`,
+`NO_MEMORY`), which `tests/test_kernel_build.py` reads from the C source
+with the prototypes `BINDINGS` declares, and the checks of what Python
+passes (`check_integer`, `integer_ids`, `int64_ids`, `addr`).
 
 Build cache: importing this module compiles the kernel once with
 `cc -O2 -shared -fPIC` (`CC_FLAGS`) in a subprocess, linking numpy's static
@@ -46,18 +47,15 @@ class GraphView(ctypes.Structure):
     """`uf_graph` of `_ufkernel.c`, field for field: the kernel's only
     description of a decoding graph, owned by the `DecodingGraph` and read by
     every kernel function. Each field holds the graph's attribute of the same
-    name, or of the name `GRAPH_ATTRS` maps it to: its sizes, then the
-    addresses of its int32 arrays `adj_start`, `adj_edge`, `adj_far`,
-    `edges_u`, `edges_v` and `stm_rows` and of its uint8 `edge_slot`. LEFT is
-    vertex n_internal and RIGHT vertex n_internal + 1."""
+    name: its sizes, then the addresses of its int32 arrays `adj_start`,
+    `adj_edge`, `adj_far`, `edges_u`, `edges_v` and `stm_rows` and of its
+    uint8 `edge_slot`. LEFT is vertex n_internal and RIGHT vertex
+    n_internal + 1."""
 
     _fields_ = [(name, ctypes.c_int64) for name in ("n_internal", "n_edges")]
     _fields_ += [(name, ctypes.c_void_p) for name in
-                 ("adj_start", "adj_edge", "adj_far", "eu", "ev", "stm_rows", "edge_slot")]
-
-
-# GraphView's fields that DecodingGraph names otherwise
-GRAPH_ATTRS = {"eu": "edges_u", "ev": "edges_v"}
+                 ("adj_start", "adj_edge", "adj_far", "edges_u", "edges_v", "stm_rows",
+                  "edge_slot")]
 
 
 def _archive() -> str:
@@ -129,7 +127,7 @@ BINDINGS = (  # (name, restype, argtypes) of every kernel function Python calls
     ("uf_union", _I32, [_CTX, _I32, _I32]),
     ("uf_grow", _I64, [_CTX, _I64]),
     ("uf_forest", _I64, [_CTX]),
-    ("uf_peel", _I64, [_CTX, _PTR, _I64]),
+    ("uf_peel", _I64, [_CTX, _I64]),
     ("uf_run_grgen", _I64, [_CTX, _I64]),
     ("uf_run_corr", _I64, [_CTX]),
     ("uf_syndrome", _I64, [_PTR, _PTR, _I64, _PTR]),

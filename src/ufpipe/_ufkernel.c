@@ -6,9 +6,9 @@
  *   - `uf_core.Decoder`, one layer per call:
  *     `uf_init`, `uf_grow(ctx, k)` (checks the first k staged defects,
  *     resets over the last decode's entries, seeds and grows), `uf_forest`
- *     (writes the context's forest record) and `uf_peel(ctx, defects, n)`
- *     (peels that record), and for the tests of hand-built tables `uf_find`
- *     and `uf_union`;
+ *     (writes the context's forest record) and `uf_peel(ctx, n)` (peels
+ *     that record with the first n staged defects), and for the tests of
+ *     hand-built tables `uf_find` and `uf_union`;
  *   - the pipeline model of `microarch`, one call per stage, composing the
  *     functions above: `uf_run_grgen(ctx, k)` (`uf_grow`, then the Gr-Gen
  *     read counts), then `uf_forest` itself, then `uf_run_corr` (`uf_peel`
@@ -32,7 +32,8 @@
  * names (side bits, counts enum, FOREST_COLUMNS, error returns).
  * `tests/test_kernel_build.py` checks every mirror against this file:
  * `test_ctypes_mirrors_declare_the_c_structs_fields_in_order` the structs,
- * `test_kernel_mirrors_hold_the_c_numbers` the numbers.
+ * `test_kernel_mirrors_hold_the_c_numbers` the numbers and
+ * `test_bindings_declare_the_c_prototypes` the prototypes `BINDINGS` gives.
  * Vertex and edge ids that Python passes in or reads out (defects, edge
  * ids, corrections) are int64; the graph and the tables are int32.
  *
@@ -68,20 +69,21 @@
 enum { N_TOUCHED_V, N_TOUCHED_E, PASSES, TABLE_READS, STM_ROW_READS, MEMBER_SCANS, FES_POPS,
        N_SEEDED, N_FUSED_BOUNDARY, N_COUNTS };
 
-/* A decoding graph, read only: sizes, the CSR adjacency over n_internal + 2
-   vertices, each edge's internal endpoint eu and internal or virtual
-   endpoint ev, each internal vertex's STM row (ascending in the vertex id,
-   so that the last vertex's row is the largest, and below n_internal), and
-   each edge e's slot at its ends: edge_slot[e] is its position in eu's CSR
-   range, counted from adj_start[eu], and edge_slot[n_edges + e] its
-   position in ev's (0xff at a virtual ev). Internal vertices are
-   0 .. n_internal - 1, LEFT is vertex n_internal and RIGHT vertex
-   n_internal + 1; the kernel assumes nothing else of the numbering. An
-   internal vertex has at most 6 edges, so a slot fits a bit of a uint8
+/* A decoding graph, read only, each field named as the `DecodingGraph`
+   attribute it holds: sizes, the CSR adjacency over n_internal + 2
+   vertices, each edge e's internal endpoint edges_u[e] and internal or
+   virtual endpoint edges_v[e], each internal vertex's STM row (ascending in
+   the vertex id, so that the last vertex's row is the largest, and below
+   n_internal), and each edge e's slot at its ends: edge_slot[e] is its
+   position in the CSR range of edges_u[e] and edge_slot[n_edges + e] its
+   position in that of edges_v[e] (0xff at a virtual end). Internal
+   vertices are 0 .. n_internal - 1, LEFT is vertex n_internal and RIGHT
+   vertex n_internal + 1; the kernel assumes nothing else of the numbering.
+   An internal vertex has at most 6 edges, so a slot fits a bit of a uint8
    mask, and at most one of them ends on LEFT or RIGHT. */
 typedef struct {
     int64_t n_internal, n_edges;
-    const int32_t *adj_start, *adj_edge, *adj_far, *eu, *ev, *stm_rows;
+    const int32_t *adj_start, *adj_edge, *adj_far, *edges_u, *edges_v, *stm_rows;
     const uint8_t *edge_slot;
 } uf_graph;
 
@@ -163,7 +165,7 @@ static int64_t flip_ends(const uf_graph *g, const int64_t *ids, int64_t k, uint6
     for (int64_t i = 0; i < k; i++) {
         int64_t e = ids[i];
         if ((uint64_t)e >= (uint64_t)g->n_edges) return BAD_EDGE; /* negative ids too */
-        int32_t u = g->eu[e], v = g->ev[e];
+        int32_t u = g->edges_u[e], v = g->edges_v[e];
         bits[u >> 6] ^= 1ULL << (u & 63);
         mark_word(bits, words, u);
         if (v < g->n_internal) {
@@ -395,7 +397,7 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
         log[2] = n_fes;
         while (n_fes) {
             int32_t e = c->fes[--n_fes];
-            int32_t u = g.eu[e], w = g.ev[e];
+            int32_t u = g.edges_u[e], w = g.edges_v[e];
             if (w >= g.n_internal) {
                 c->boundary_sides[find(c, u)] |= w == g.n_internal ? LEFT_SIDE : RIGHT_SIDE;
                 c->fused_boundary[counts[N_FUSED_BOUNDARY]++] = e;
@@ -411,7 +413,7 @@ int64_t uf_grow(uf_ctx *c, int64_t k) {
 /* The Gr-Gen stage: uf_grow, then, when it accepts the defects, the Gr-Gen
    read counts of the growth into counts[STM_ROW_READS..FES_POPS]: per pass,
    the STM rows (g->stm_rows) that hold a member vertex or file a touched
-   edge (under the row of its internal endpoint eu) before the pass starts;
+   edge (under the row of its internal end, edges_u) before the pass starts;
    the member vertices scanned at each pass start; and the fusion edges
    popped. The low words of the vertex bitmap serve as the row bitmap, which
    never marks the summary, and are left cleared. Returns what uf_grow
@@ -425,7 +427,7 @@ int64_t uf_run_grgen(uf_ctx *c, int64_t k) {
     for (int64_t p = 0; p < counts[PASSES]; p++) {
         const int32_t *log = c->pass_log + 3 * p;
         for (; iv < log[0]; iv++) rows += set_new_bit(c, g.stm_rows[c->touched_v[iv]]);
-        for (; ie < log[1]; ie++) rows += set_new_bit(c, g.stm_rows[g.eu[c->touched_e[ie]]]);
+        for (; ie < log[1]; ie++) rows += set_new_bit(c, g.stm_rows[g.edges_u[c->touched_e[ie]]]);
         counts[STM_ROW_READS] += rows;
         counts[MEMBER_SCANS] += log[0];
         counts[FES_POPS] += log[2];
@@ -514,9 +516,9 @@ int64_t uf_forest(uf_ctx *c) {
         c->entry[r] = -1;
     }
     for (int64_t i = 0; i < c->counts[N_FUSED_BOUNDARY]; i++) {
-        int32_t e = c->fused_boundary[i], u = g.eu[e], r = root_of(c->parent, u);
-        if (g.ev[e] == entry_vertex(n_int, c->boundary_sides[r]) &&
-            (c->entry[r] < 0 || u < g.eu[c->entry[r]]))
+        int32_t e = c->fused_boundary[i], u = g.edges_u[e], r = root_of(c->parent, u);
+        if (g.edges_v[e] == entry_vertex(n_int, c->boundary_sides[r]) &&
+            (c->entry[r] < 0 || u < g.edges_u[c->entry[r]]))
             c->entry[r] = e;
     }
     /* the clusters' smallest vertices, ascending */
@@ -537,7 +539,7 @@ int64_t uf_forest(uf_ctx *c) {
         if (sides) {
             s = entry_vertex(n_int, sides);
             expect = c->size[r];
-            u = c->entry[r] < 0 ? -1 : g.eu[c->entry[r]]; /* -1: sides set by hand */
+            u = c->entry[r] < 0 ? -1 : g.edges_u[c->entry[r]]; /* -1: sides set by hand */
             if (u >= 0) {
                 edges[3 * k] = c->entry[r];
                 edges[3 * k + 1] = u;
@@ -574,16 +576,16 @@ enum { HELD = 1, IN_TREE = 2 }; /* bits of a vertex's `held` byte */
 /* Reverse-order peeling of the context's forest record: pop tree edges leaf
    first; an edge whose leafward endpoint holds a defect joins the
    correction and flips the rootward endpoint's mark, which a boundary
-   entry point, a virtual vertex, absorbs. Every one of the n defects must
-   be a vertex of a tree, given once: a leafward endpoint or the root of a
-   tree off the boundary. Writes the correction in ascending edge order to
-   `scan` and returns its size (at most the record's k); otherwise
+   entry point, a virtual vertex, absorbs. Every one of the first n ids
+   staged in `defects` must be a vertex of a tree, given once: a leafward
+   endpoint or the root of a tree off the boundary. Writes the correction
+   in ascending edge order to `scan` and returns its size (at most the record's k); otherwise
    PEEL_BAD_DEFECT with scan[0] = the index of the first defect that is not
    such a vertex or repeats one, or PEEL_LEFTOVER with scan[0] = the first
    root off the boundary where a defect is left over. Its scratch is the
    context's `held` marks and `chosen` edge bits, which every return,
    a refused peel's too, leaves clear: every tree is peeled. */
-int64_t uf_peel(uf_ctx *c, const int64_t *defects, int64_t n) {
+int64_t uf_peel(uf_ctx *c, int64_t n) {
     const int32_t *rec = c->forest;
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
@@ -594,7 +596,7 @@ int64_t uf_peel(uf_ctx *c, const int64_t *defects, int64_t n) {
     for (int32_t t = 0; t < m; t++)
         if (!boundary[t]) held[start[t]] = IN_TREE;
     for (int64_t i = 0; i < n && bad < 0; i++) {
-        int64_t v = defects[i];
+        int64_t v = c->defects[i];
         if (v < 0 || v >= n_int || held[v] != IN_TREE)
             bad = i;
         else
@@ -627,7 +629,7 @@ int64_t uf_peel(uf_ctx *c, const int64_t *defects, int64_t n) {
 int64_t uf_run_corr(uf_ctx *c) {
     int64_t k = c->counts[N_SEEDED];
     for (int64_t i = 0; i < k; i++) c->defects[i] = c->touched_v[i];
-    return uf_peel(c, c->defects, k);
+    return uf_peel(c, k);
 }
 
 /* Sampling. `bitgen_t` is numpy's bit generator interface, declared as in

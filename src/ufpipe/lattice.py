@@ -3,10 +3,11 @@
 One layer per measurement round. Each layer holds a d x (d-1) grid of
 syndrome vertices; horizontal (W/E) data-qubit edges terminate on two
 virtual boundary vertices shared by all layers. Consecutive layers are
-connected by time edges modelling measurement errors. The graph is
-immutable after construction and safe to share between workers. It is
-built from slices of one grid of vertex ids, indexed [layer, row, col], with
-no loop over vertices or edges.
+connected by time edges modelling measurement errors. A graph is built
+from its `LatticeParams` alone, by `DecodingGraph(params)` (also named
+`build_decoding_graph`), from slices of one grid of vertex ids, indexed
+[layer, row, col], with no loop over vertices or edges. It is immutable
+after construction and safe to share between workers.
 
 Everything the decoding kernel reads is a flat array: the int32 edge
 endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
@@ -14,9 +15,10 @@ endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
 order, the int32 `stm_rows`, each internal vertex's row of the spanning
 tree memory (STM), and the uint8 `edge_slot`, each edge's position in its
 endpoints' CSR ranges. The graph describes itself to the kernel once, in
-one `_kernel.GraphView` it owns (sizes and the addresses of the seven
-arrays, which are immutable, as are the graph's fields); every kernel call
-and every `uf_core.Decoder` reads it at `kernel_view`. So the numbering of
+one `_kernel.GraphView` it owns, whose every field holds the graph's
+attribute of the same name (sizes, and the addresses of the seven arrays,
+which are read-only, as the graph's fields are); every kernel call and
+every `uf_core.Decoder` reads it at `kernel_view`. So the numbering of
 the vertices, their rows included, is stated here and nowhere else: the
 kernel takes internal ids 0 .. n_internal - 1, LEFT n_internal and RIGHT
 n_internal + 1, and nothing more of the grid.
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import GRAPH_ATTRS, NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
+from ._kernel import NO_MEMORY, GraphView, K, addr, check_integer, int64_ids
 
 
 # The largest code distance whose graph fits the kernel's int32 ids and
@@ -59,10 +61,19 @@ class LatticeParams:
                              f"got {self.d}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DecodingGraph:
-    """A graph compares by identity. Its fields cannot be rebound: the
-    kernel reads the arrays at the addresses `kernel_view` holds."""
+    """The decoding graph of `LatticeParams(d)`, its only input, with a
+    deterministic numbering of vertices and edges.
+
+    Vertex id = layer*d*(d-1) + row*(d-1) + col, in STM row layer*d + row.
+    Space edges are numbered layer by layer (per row: W boundary, interior
+    horizontals, E boundary; then in-plane verticals row-major); all time
+    edges follow, gap-major.
+
+    A graph compares by identity. Its fields cannot be rebound and its
+    arrays are read-only: the kernel reads them at the addresses
+    `kernel_view` holds."""
 
     d: int
     n_internal: int
@@ -89,11 +100,65 @@ class DecodingGraph:
     stm_rows: np.ndarray = field(repr=False)
     n_space_edges: int  # space edges come first: edge e is a time edge iff e >= this
 
-    def __post_init__(self):
-        # the kernel's view of the graph, field by field; O(1)
-        fields = [(getattr(self, GRAPH_ATTRS.get(name, name)), kind)
-                  for name, kind in GraphView._fields_]
-        view = GraphView(*(a.ctypes.data if kind is ctypes.c_void_p else a for a, kind in fields))
+    def __init__(self, params: LatticeParams):
+        if not isinstance(params, LatticeParams):
+            raise TypeError(f"a decoding graph is built from a LatticeParams, got {params!r}")
+        d = params.d
+        n_int = d * d * (d - 1)
+        left, right = n_int, n_int + 1
+
+        vid = np.arange(n_int, dtype=np.int32).reshape(d, d, d - 1)  # [layer, row, col]
+        stm_rows = np.empty(n_int, dtype=np.int32)
+        stm_rows[vid] = np.arange(d * d, dtype=np.int32).reshape(d, d, 1)  # layer * d + row
+        first, last = vid[..., :1], vid[..., -1:]
+        # per row: W boundary, interior horizontals, E boundary
+        hu = np.concatenate((first, vid[..., :-1], last), axis=2)
+        hv = np.concatenate((np.full_like(first, left), vid[..., 1:], np.full_like(last, right)),
+                            axis=2)
+        # per layer: its rows' horizontals, then its in-plane verticals
+        su = np.concatenate((hu.reshape(d, -1), vid[:, :-1].reshape(d, -1)), axis=1)
+        sv = np.concatenate((hv.reshape(d, -1), vid[:, 1:].reshape(d, -1)), axis=1)
+        n_space = su.size
+        # then every time edge
+        u = np.concatenate((su.ravel(), vid[:-1].ravel()))
+        v = np.concatenate((sv.ravel(), vid[1:].ravel()))
+
+        # W/E/N/S/D/U slot of each edge at each end; LEFT and RIGHT list their
+        # edges in ascending edge id, so every boundary edge has slot 0 there
+        W, E, N, S, D, U = range(6)
+        e = np.arange(u.size, dtype=np.int32)
+        time = e >= n_space
+        side = v >= n_int
+        horiz = ~time & ~side & (v - u == 1)  # u west of v; other in-plane edges: u north of v
+        slot_u = np.select([time, side & (v == left), side | horiz], [U, W, E], S)
+        slot_v = np.select([time, side, horiz], [D, 0, W], N)
+        vert = np.concatenate((u, v))
+        # by vertex, then slot, then edge id: one stable sort, since the ends that
+        # share a vertex and a slot (at LEFT and RIGHT) come in ascending edge id
+        order = np.argsort(8 * vert.astype(np.int64) + np.concatenate((slot_u, slot_v)),
+                           kind="stable")
+        adj_start = np.zeros(n_int + 3, dtype=np.int32)
+        np.cumsum(np.bincount(vert, minlength=n_int + 2), out=adj_start[1:])
+        # each end's position in its vertex's CSR range, in the order of `vert`:
+        # sorted position less the vertex's first, put back through `order`
+        at = np.arange(order.size, dtype=np.int32)
+        at -= np.repeat(adj_start[:-1], np.diff(adj_start))
+        edge_slot = np.empty(order.size, dtype=np.uint8)
+        edge_slot[order] = at
+        edge_slot[u.size:][side] = 0xFF
+
+        fields = {"d": d, "n_internal": n_int, "edges_u": u, "edges_v": v,
+                  "adj_start": adj_start, "adj_edge": np.concatenate((e, e))[order],
+                  "adj_far": np.concatenate((v, u))[order], "edge_slot": edge_slot,
+                  "stm_rows": stm_rows, "n_space_edges": n_space}
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # the kernel reads it through a fixed address
+            object.__setattr__(self, name, value)
+        # the kernel's view: each field the attribute of its name, an array by its address
+        view = GraphView(*(getattr(self, name) if kind is ctypes.c_int64
+                           else getattr(self, name).ctypes.data
+                           for name, kind in GraphView._fields_))
         object.__setattr__(self, "_view", view)
         object.__setattr__(self, "kernel_view", ctypes.addressof(view))
 
@@ -109,72 +174,7 @@ class DecodingGraph:
         return layer * d * (d - 1) + row * (d - 1) + col
 
 
-def build_decoding_graph(params: LatticeParams) -> DecodingGraph:
-    """Construct the decoding graph with deterministic vertex/edge numbering.
-
-    Vertex id = layer*d*(d-1) + row*(d-1) + col, in STM row layer*d + row.
-    Space edges are numbered layer by layer (per row: W boundary, interior
-    horizontals, E boundary; then in-plane verticals row-major); all time
-    edges follow, gap-major.
-    """
-    d = params.d
-    n_int = d * d * (d - 1)
-    left = n_int
-    right = n_int + 1
-
-    vid = np.arange(n_int, dtype=np.int32).reshape(d, d, d - 1)  # [layer, row, col]
-    stm_rows = np.empty(n_int, dtype=np.int32)
-    stm_rows[vid] = np.arange(d * d, dtype=np.int32).reshape(d, d, 1)  # layer * d + row
-    first, last = vid[..., :1], vid[..., -1:]
-    # per row: W boundary, interior horizontals, E boundary
-    hu = np.concatenate((first, vid[..., :-1], last), axis=2)
-    hv = np.concatenate((np.full_like(first, left), vid[..., 1:], np.full_like(last, right)), axis=2)
-    # per layer: its rows' horizontals, then its in-plane verticals
-    su = np.concatenate((hu.reshape(d, -1), vid[:, :-1].reshape(d, -1)), axis=1)
-    sv = np.concatenate((hv.reshape(d, -1), vid[:, 1:].reshape(d, -1)), axis=1)
-    n_space = su.size
-    # then every time edge
-    u = np.concatenate((su.ravel(), vid[:-1].ravel()))
-    v = np.concatenate((sv.ravel(), vid[1:].ravel()))
-
-    # W/E/N/S/D/U slot of each edge at each end; LEFT and RIGHT list their
-    # edges in ascending edge id, so every boundary edge has slot 0 there
-    W, E, N, S, D, U = range(6)
-    e = np.arange(u.size, dtype=np.int32)
-    time = e >= n_space
-    side = v >= n_int
-    horiz = ~time & ~side & (v - u == 1)  # u west of v; other in-plane edges: u north of v
-    slot_u = np.select([time, side & (v == left), side | horiz], [U, W, E], S)
-    slot_v = np.select([time, side, horiz], [D, 0, W], N)
-    vert = np.concatenate((u, v))
-    # by vertex, then slot, then edge id: one stable sort, since the ends that
-    # share a vertex and a slot (at LEFT and RIGHT) come in ascending edge id
-    order = np.argsort(8 * vert.astype(np.int64) + np.concatenate((slot_u, slot_v)), kind="stable")
-    adj_start = np.zeros(n_int + 3, dtype=np.int32)
-    np.cumsum(np.bincount(vert, minlength=n_int + 2), out=adj_start[1:])
-    # each end's position in its vertex's CSR range, in the order of `vert`:
-    # sorted position less the vertex's first, put back through `order`
-    at = np.arange(order.size, dtype=np.int32)
-    at -= np.repeat(adj_start[:-1], np.diff(adj_start))
-    edge_slot = np.empty(order.size, dtype=np.uint8)
-    edge_slot[order] = at
-    edge_slot[u.size:][side] = 0xFF
-
-    g = DecodingGraph(
-        d=d,
-        n_internal=n_int,
-        edges_u=u,
-        edges_v=v,
-        adj_start=adj_start,
-        adj_edge=np.concatenate((e, e))[order],
-        adj_far=np.concatenate((v, u))[order],
-        edge_slot=edge_slot,
-        stm_rows=stm_rows,
-        n_space_edges=n_space,
-    )
-    for a in (g.edges_u, g.edges_v, g.adj_start, g.adj_edge, g.adj_far, g.edge_slot, g.stm_rows):
-        a.flags.writeable = False  # the kernel reads them through fixed addresses
-    return g
+build_decoding_graph = DecodingGraph  # the name every caller builds a graph by
 
 
 def reject_off_graph(graph: DecodingGraph, *id_seqs) -> None:

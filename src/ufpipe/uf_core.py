@@ -160,8 +160,6 @@ class Decoder:
         base = addr(block)
         self._ctx = _Ctx(graph.kernel_view, *[base + first for first in firsts])
         self._c = ctypes.addressof(self._ctx)
-        self._defects_at = self._ctx.defects  # where `_stage` writes, which `peel` passes
-        self._forest_first = self._ctx.forest - base  # the record's first byte in the block
         self._growths = 0  # accepted growths, by which a forest is dated
         K.uf_init(self._c)
 
@@ -442,7 +440,7 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     dec = forest._current()
     ids = dec._stage(syn.defects)
     k = ids.size if ids.size <= dec.graph.n_internal else dec.graph.n_internal  # the staged ids
-    n = K.uf_peel(dec._c, dec._defects_at, k)
+    n = K.uf_peel(dec._c, k)
     if n < 0 or k < ids.size:
         # more ids than vertices: when the first n_internal are each a tree vertex once,
         # the next is not, and it is the first bad one
@@ -476,14 +474,14 @@ def _stats_struct(m: int) -> struct.Struct:
 def cluster_stats(dec: Decoder, forest: SpanningForest) -> DecodeStats:
     """The statistics of the clusters of `forest`, grown in `dec`: one
     struct unpack of the forest record's four per-tree columns, straight
-    out of the decoder's block, gives their ints and bools. ValueError for
-    a forest of another decoder or of an earlier growth of `dec`, whose
-    statistics would mix two decodes."""
+    out of the decoder's `forest` buffer, gives their ints and bools.
+    ValueError for a forest of another decoder or of an earlier growth of
+    `dec`, whose statistics would mix two decodes."""
     if forest._current() is not dec:
         raise ValueError("the forest is of another decoder")
     m = forest.m
-    at = dec._forest_first + 4 * (2 + 2 * m)  # past the header and the root and start columns
-    c = _stats_struct(m).unpack_from(dec._block, at)
+    # past the header and the root and start columns
+    c = _stats_struct(m).unpack_from(dec._forest, 4 * (2 + 2 * m))
     return DecodeStats(m, c[:m], c[3 * m:], c[m:2 * m], c[2 * m:3 * m], dec.passes)
 
 

@@ -15,8 +15,9 @@ place of `uf_grow`, and writes its read counts too. To check the kernel's
 memory accesses, build it with `-O1 -g -fsanitize=address` instead: the
 driver gives every buffer an allocation of its own. The dump takes every
 size from the package itself: the graph's arrays in the order of
-`GraphView`'s pointer fields, then the size of a `Decoder`'s block and
-the offsets of its buffers in it, in the order of `_Ctx`'s.
+`GraphView`'s pointer fields, each the graph attribute of the field's name,
+then the size of a `Decoder`'s block and the offsets of its buffers in it,
+in the order of `_Ctx`'s.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ufpipe._kernel import GRAPH_ATTRS, N_SEEDED, PASSES, GraphView, addr
+from ufpipe._kernel import N_SEEDED, PASSES, GraphView, addr
 from ufpipe.lattice import DecodingGraph, LatticeParams, build_decoding_graph
 from ufpipe.noise import NoiseParams, sample_error, syndrome_of
 from ufpipe.uf_core import Decoder
@@ -48,7 +49,7 @@ def write_dump(path, graph: DecodingGraph, defect_lists) -> None:
     with open(path, "wb") as f:
         f.write(np.array(words, dtype=np.int64).tobytes())
         for name in pointers:
-            f.write(_array(getattr(graph, GRAPH_ATTRS.get(name, name))))
+            f.write(_array(getattr(graph, name)))
         offsets = [getattr(dec._ctx, name) - base for name in buffers]
         f.write(np.array([len(buffers), dec._block.size, *offsets], dtype=np.int64).tobytes())
         f.write(np.array([len(defect_lists)], dtype=np.int64).tobytes())

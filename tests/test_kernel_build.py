@@ -295,6 +295,28 @@ def test_ctypes_mirrors_declare_the_c_structs_fields_in_order(struct, mirror):
     assert fields == [(name, kind is ctypes.c_void_p) for name, kind in mirror._fields_]
 
 
+C_TYPES = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32, "uint64_t": ctypes.c_uint64,
+           "double": ctypes.c_double, "void": None}
+
+
+def c_prototypes(source: str) -> dict[str, tuple]:
+    """(restype, argtypes) of every exported `uf_*` function defined in the
+    C source `source`, by name, as ctypes types: a pointer is a void pointer."""
+    def ctype(param: str):  # a parameter's type; its last word is its name
+        return ctypes.c_void_p if "*" in param else C_TYPES[param.split()[-2]]
+
+    return {name: (C_TYPES[restype], [ctype(param) for param in params.split(",")])
+            for restype, name, params in re.findall(r"^(\w+) (uf_\w+)\(([^)]*)\) \{",
+                                                    c_code(source), flags=re.M)}
+
+
+def test_bindings_declare_the_c_prototypes():
+    # ctypes converts each argument by its binding's argtypes: a stale entry
+    # passes a pointer where the kernel reads a count, with no error
+    prototypes = c_prototypes((PKG / "_ufkernel.c").read_text())
+    assert prototypes == {name: (restype, argtypes) for name, restype, argtypes in BINDINGS}
+
+
 def c_defines(source: str) -> dict[str, int]:
     """The value of every `#define NAME <integer expression>` of the C
     source `source`, by name; casts to int64_t are dropped."""

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import sys
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_edges import incident
-from ufpipe.lattice import (MAX_DISTANCE, LatticeParams, build_decoding_graph,
+from ufpipe._kernel import GraphView
+from ufpipe.lattice import (MAX_DISTANCE, DecodingGraph, LatticeParams, build_decoding_graph,
                             syndrome_indices_of_edges)
 from ufpipe.noise import ErrorPattern
 from ufpipe.uf_core import Correction, InvariantViolation, assess
@@ -121,8 +123,8 @@ def test_neighbors_involutive(g5):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_edge_slot_locates_each_edge_in_its_ends_neighbors(d):
-    # growth sets bit edge_slot[e] of eu's grown-slot mask and bit
-    # edge_slot[n_edges + e] of ev's; the DFS maps a bit back to the CSR slot
+    # growth sets bit edge_slot[e] of edges_u[e]'s grown-slot mask and bit
+    # edge_slot[n_edges + e] of edges_v[e]'s; the DFS maps a bit back to the CSR slot
     g = SYNDROME_GRAPHS[d]
     assert g.edge_slot.dtype == np.uint8 and g.edge_slot.size == 2 * g.n_edges
     assert not g.edge_slot.flags.writeable
@@ -159,6 +161,34 @@ def test_graph_fields_cannot_be_rebound(g3):
     # graphs compare and hash by identity
     twin = build_decoding_graph(LatticeParams(3))
     assert g3 == g3 and g3 != twin and len({g3, twin, g3}) == 2
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_a_graph_is_built_from_its_lattice_params_alone(d):
+    # arrays handed to the graph reached the kernel unchecked: int64 edge
+    # endpoints, or `dataclasses.replace` with an int64 adj_start, made the
+    # first growths read out of bounds and crash the interpreter
+    assert build_decoding_graph is DecodingGraph
+    g, built = DecodingGraph(LatticeParams(d)), build_decoding_graph(LatticeParams(d))
+    fields = {f.name: getattr(g, f.name) for f in dataclasses.fields(g)}
+    for name, a in fields.items():
+        b = getattr(built, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b) and not a.flags.writeable
+        else:
+            assert type(a) is int and a == b
+    # the kernel's view holds every size and the address of every array
+    for name, kind in GraphView._fields_:
+        a = getattr(g, name)
+        assert getattr(g._view, name) == (a if kind is ctypes.c_int64 else a.ctypes.data)
+    wide = {"edges_u": g.edges_u.astype(np.int64), "edges_v": g.edges_v.astype(np.int64)}
+    with pytest.raises(TypeError):
+        DecodingGraph(**{**fields, **wide})
+    with pytest.raises(TypeError):
+        dataclasses.replace(g, adj_start=g.adj_start.astype(np.int64))
+    for params in (d, {"d": d}, None):
+        with pytest.raises(TypeError, match="built from a LatticeParams"):
+            DecodingGraph(params)
 
 
 def test_invalid_distance():
