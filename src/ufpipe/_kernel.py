@@ -189,7 +189,7 @@ def int64_ids(ids, what: str) -> tuple[np.ndarray, int]:
     """`ids`, checked by `integer_ids`, as an int64 array the kernel may
     read, and its address: `ids` itself when it is a writable, C-contiguous
     int64 array, otherwise a copy, so that the caller's array is never
-    written or made writable. uint64 ids past 2**63 wrap negative."""
+    written or made writable. uint64 ids from 2**63 on wrap negative."""
     a = integer_ids(ids, what)
     if a.dtype == _INT64:
         try:

@@ -589,7 +589,7 @@ int64_t uf_peel(uf_ctx *c, int64_t n) {
     const int32_t *rec = c->forest;
     int32_t m = rec[0], k = rec[1];
     const int32_t *start = rec + 2 + m, *boundary = start + 2 * m, *n_edges = boundary + m;
-    const int32_t *edges = n_edges + 2 * m; /* past the growth counts */
+    const int32_t *edges = n_edges + 2 * m; /* after the growth counts */
     int64_t n_int = c->g->n_internal, words = (c->g->n_edges + 63) / 64, bad = -1, leftover = -1;
     uint8_t *held = c->held;
     for (int64_t i = 0; i < k; i++) held[edges[3 * i + 1]] = IN_TREE;
@@ -635,7 +635,10 @@ int64_t uf_run_corr(uf_ctx *c) {
 /* Sampling. `bitgen_t` is numpy's bit generator interface, declared as in
    `numpy/random/bitgen.h`, and `random_geometric` is numpy's geometric
    distribution, linked from numpy's static library `libnpyrandom.a`; both are
-   declared here so that the kernel compiles without numpy's headers. */
+   declared here so that the kernel compiles without numpy's headers.
+   `random_geometric` draws only through `next_uint64` and `next_double`, so
+   the kernel fills only those two of the five slots and leaves
+   `next_uint32` and `next_raw` NULL. */
 typedef struct bitgen {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -648,13 +651,14 @@ int64_t random_geometric(bitgen_t *bitgen_state, double p);
 
 /* Philox4x64-10 (Salmon et al., SC 2011) with the state and output order of
    `numpy.random.Philox`: each refill first increments the 256-bit counter,
-   then buffers the four words of its block. */
+   then buffers the four words of its block. numpy's state also keeps the
+   unused half of a word for 32-bit draws, which no geometric gap makes, so
+   this one does not. */
 __extension__ typedef unsigned __int128 uint128;
 
 typedef struct {
     uint64_t ctr[4], key[2], buffer[4];
-    int buffer_pos, has_uint32; /* buffer_pos 4: the buffer is empty */
-    uint32_t uinteger;          /* the high half of a word whose low half was used */
+    int buffer_pos; /* 4: the buffer is empty */
 } philox_state;
 
 static void philox4x64_10(const uint64_t ctr[4], const uint64_t key[2], uint64_t out[4]) {
@@ -685,18 +689,6 @@ static uint64_t philox_next64(void *st) {
     return s->buffer[0];
 }
 
-static uint32_t philox_next32(void *st) {
-    philox_state *s = st;
-    if (s->has_uint32) {
-        s->has_uint32 = 0;
-        return s->uinteger;
-    }
-    uint64_t x = philox_next64(st);
-    s->has_uint32 = 1;
-    s->uinteger = (uint32_t)(x >> 32);
-    return (uint32_t)x;
-}
-
 static double philox_next_double(void *st) {
     return (double)(philox_next64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
@@ -711,8 +703,8 @@ static double philox_next_double(void *st) {
 int64_t uf_sample(uint64_t key0, uint64_t key1, uint64_t trial, double p, int64_t n_edges,
                   int64_t *out) {
     if (!(p > 0.0)) return 0;
-    philox_state s = {{0, 0, 0, trial}, {key0, key1}, {0, 0, 0, 0}, 4, 0, 0};
-    bitgen_t gen = {&s, philox_next64, philox_next32, philox_next_double, philox_next64};
+    philox_state s = {{0, 0, 0, trial}, {key0, key1}, {0, 0, 0, 0}, 4};
+    bitgen_t gen = {&s, philox_next64, NULL, philox_next_double, NULL};
     int64_t n = 0;
     for (int64_t e = -1;;) {
         int64_t gap = random_geometric(&gen, p);

@@ -7,7 +7,9 @@ connected by time edges modelling measurement errors. A graph is built
 from its `LatticeParams` alone, by `DecodingGraph(params)` (also named
 `build_decoding_graph`), from slices of one grid of vertex ids, indexed
 [layer, row, col], with no loop over vertices or edges. It is immutable
-after construction and safe to share between workers.
+after construction and safe to share between workers; a copy or a pickle
+of a graph is rebuilt from its `LatticeParams`, so it owns arrays and a
+kernel view of its own.
 
 Everything the decoding kernel reads is a flat array: the int32 edge
 endpoints `edges_u` / `edges_v`, the int32 CSR adjacency `adj_start`,
@@ -161,6 +163,10 @@ class DecodingGraph:
                            for name, kind in GraphView._fields_))
         object.__setattr__(self, "_view", view)
         object.__setattr__(self, "kernel_view", ctypes.addressof(view))
+
+    def __reduce__(self):
+        # the kernel view holds addresses, which cannot be pickled: rebuild instead
+        return DecodingGraph, (LatticeParams(self.d),)
 
     @property
     def n_edges(self) -> int:

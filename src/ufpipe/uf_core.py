@@ -47,7 +47,9 @@ from .noise import ErrorPattern, Syndrome
 _INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, np.uint8))
 _BUFFERS = (
     ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
-    ("defects", _INT64, lambda n, n_e: n, "_defects"),
+    # one id more than there are internal vertices: n + 1 ids hold a bad one, which
+    # `peel` then finds without the rest of a longer list
+    ("defects", _INT64, lambda n, n_e: n + 1, "_defects"),
     ("scan", _INT64, lambda n, n_e: n, "_scan"),
     # the vertex and the edge bitmap, each then its summary: a bit per bitmap word
     ("bits", _UINT64, lambda n, n_e: (n + 63) // 64 + (n + 4095) // 4096, None),
@@ -57,7 +59,7 @@ _BUFFERS = (
     ("growth_steps", _INT32, lambda n, n_e: n, "growth_steps"),
     ("low", _INT32, lambda n, n_e: n, "low"),
     ("touched_v", _INT32, lambda n, n_e: n, "_tv"),
-    # one entry more than there are edges: growth's scan writes past the last kept one
+    # one entry more than there are edges: growth's scan writes one beyond the last kept one
     ("touched_e", _INT32, lambda n, n_e: n_e + 1, "_te"),
     ("pass_log", _INT32, lambda n, n_e: 6 * n_e, "_log"),
     ("fused_boundary", _INT32, lambda n, n_e: n, None),
@@ -131,7 +133,9 @@ class Decoder:
       forest one edge per vertex), and there are at most 2 * n_edges growth
       passes, since each pass advances an edge state. `touched_e` and the
       fusion edge stack hold one entry more, which growth's branch-free
-      scan writes and does not keep.
+      scan writes and does not keep. The staged ids hold n_internal + 1,
+      which cannot all be distinct internal vertices: the kernel finds the
+      first bad id of a longer list among them.
 
     State is reusable across decodes: `grow` starts by restoring the
     initial state over the entries the last growth touched, as `uf_init`
@@ -259,15 +263,12 @@ class Decoder:
         return peel(forest, syn), cluster_stats(self, forest)
 
     def _stage(self, defects) -> np.ndarray:
-        """Copy integer defect ids, the first n_internal of them, to the
-        buffer the kernel seeds and peels from, where uint64 ids past 2**63
+        """Copy integer defect ids, the first n_internal + 1 of them, to the
+        buffer the kernel seeds and peels from, where uint64 ids from 2**63 on
         wrap negative; returns them all as an array. The caller's ids are
         only read."""
         ids = integer_ids(defects, "defect")
-        if ids.size > self.graph.n_internal:  # so many cannot be valid: the kernel refuses them
-            self._defects[:] = ids[:self.graph.n_internal]
-        else:
-            self._defects[:ids.size] = ids
+        self._defects[:ids.size] = ids[:self._defects.size]  # both slices stop at n_internal + 1
         return ids
 
     def _refuse(self, ids: np.ndarray) -> NoReturn:
@@ -430,7 +431,7 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
 
     One kernel call on the forest's decoder, which peels its record with
     the decoder's own scratch, the defects staged in its `defects` buffer
-    as `grow` stages them (uint64 ids past 2**63 wrap negative: rejected
+    as `grow` stages them (uint64 ids from 2**63 on wrap negative: rejected
     too). Every defect must be a distinct vertex of a tree of the forest,
     which excludes the virtual entry points; anything else raises
     ValueError, as does a forest of an earlier growth of its decoder. The
@@ -439,13 +440,10 @@ def peel(forest: SpanningForest, syn: Syndrome) -> Correction:
     """
     dec = forest._current()
     ids = dec._stage(syn.defects)
-    k = ids.size if ids.size <= dec.graph.n_internal else dec.graph.n_internal  # the staged ids
-    n = K.uf_peel(dec._c, k)
-    if n < 0 or k < ids.size:
-        # more ids than vertices: when the first n_internal are each a tree vertex once,
-        # the next is not, and it is the first bad one
-        past = k < ids.size and n != PEEL_BAD_DEFECT
-        _check_peeled(PEEL_BAD_DEFECT if past else n, ids, k if past else dec._scan.item(0))
+    # the staged ids, min(ids.size, n_internal + 1): a conditional costs less than a call
+    n = K.uf_peel(dec._c, ids.size if ids.size < dec._defects.size else dec._defects.size)
+    if n < 0:
+        _check_peeled(n, ids, dec._scan.item(0))
     return Correction(edge_ids=dec._scan[:n].copy())
 
 
@@ -480,7 +478,7 @@ def cluster_stats(dec: Decoder, forest: SpanningForest) -> DecodeStats:
     if forest._current() is not dec:
         raise ValueError("the forest is of another decoder")
     m = forest.m
-    # past the header and the root and start columns
+    # after the header and the root and start columns
     c = _stats_struct(m).unpack_from(dec._forest, 4 * (2 + 2 * m))
     return DecodeStats(m, c[:m], c[3 * m:], c[m:2 * m], c[2 * m:3 * m], dec.passes)
 

@@ -1,6 +1,8 @@
+import copy
 import ctypes
 import dataclasses
 import hashlib
+import pickle
 import sys
 import threading
 
@@ -13,8 +15,8 @@ from graph_edges import incident
 from ufpipe._kernel import GraphView
 from ufpipe.lattice import (MAX_DISTANCE, DecodingGraph, LatticeParams, build_decoding_graph,
                             syndrome_indices_of_edges)
-from ufpipe.noise import ErrorPattern
-from ufpipe.uf_core import Correction, InvariantViolation, assess
+from ufpipe.noise import ErrorPattern, NoiseParams, sample_error, syndrome_of
+from ufpipe.uf_core import Correction, Decoder, InvariantViolation, assess
 
 # the kernel's bitmaps have 235 words at d=25, more than the 64 bits of one
 # word, against at most 19 at d <= 11
@@ -189,6 +191,25 @@ def test_a_graph_is_built_from_its_lattice_params_alone(d):
     for params in (d, {"d": d}, None):
         with pytest.raises(TypeError, match="built from a LatticeParams"):
             DecodingGraph(params)
+
+
+def test_a_graph_copies_and_pickles_as_the_graph_of_its_lattice_params(g5):
+    # the graph's kernel view holds addresses, which made pickle.dumps and
+    # copy.deepcopy raise: a copy is rebuilt, with arrays and a view of its own
+    syn = syndrome_of(g5, sample_error(g5, NoiseParams(p=0.03, seed=3, trial_index=0)))
+    corr, stats = Decoder(g5).decode(syn)
+    for twin in (pickle.loads(pickle.dumps(g5)), copy.deepcopy(g5)):
+        assert type(twin) is DecodingGraph and twin is not g5
+        assert twin.kernel_view != g5.kernel_view
+        for f in dataclasses.fields(g5):
+            a, b = getattr(g5, f.name), getattr(twin, f.name)
+            if isinstance(a, np.ndarray):
+                assert b.dtype == a.dtype and np.array_equal(a, b) and not b.flags.writeable
+                assert not np.shares_memory(a, b)
+            else:
+                assert b == a
+        twin_corr, twin_stats = Decoder(twin).decode(syn)
+        assert np.array_equal(twin_corr.edge_ids, corr.edge_ids) and twin_stats == stats
 
 
 def test_invalid_distance():

@@ -239,6 +239,9 @@ def test_reused_state_after_a_rejected_input():
         (np.array([0, 1, 2, 2]), "strictly ascending"),
         (np.array([0, n]), rf"lie in \[0, {n}\), got 0\.\.{n}"),
         (np.array([5, 2**63 + 1], dtype=np.uint64), r"got 5\.\.9223372036854775809"),
+        # more ids than there are vertices, which the kernel refuses unread
+        (np.arange(n + 1), rf"lie in \[0, {n}\), got 0\.\.{n}"),
+        (np.array([*range(n), n - 1]), "strictly ascending"),
     ):
         with pytest.raises(ValueError, match=text) as oracle:
             Decoder(g).grow(bad)
