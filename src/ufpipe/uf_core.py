@@ -47,8 +47,8 @@ from .noise import ErrorPattern, Syndrome
 _INT64, _UINT64, _INT32, _UINT8 = map(np.dtype, (np.int64, np.uint64, np.int32, np.uint8))
 _BUFFERS = (
     ("counts", _INT64, lambda n, n_e: N_COUNTS, "_counts"),
-    # one id more than there are internal vertices: n + 1 ids hold a bad one, which
-    # `peel` then finds without the rest of a longer list
+    # one id more than there are internal vertices: n + 1 ids cannot all be distinct
+    # internal vertices, so the staged ones hold the first bad id of a longer list
     ("defects", _INT64, lambda n, n_e: n + 1, "_defects"),
     ("scan", _INT64, lambda n, n_e: n, "_scan"),
     # the vertex and the edge bitmap, each then its summary: a bit per bitmap word
